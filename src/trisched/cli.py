@@ -111,10 +111,11 @@ def cmd_solve(args) -> int:
           f"Dmin={dmin:.6g} D={D:.6g}")
     header = f"{'heuristic':<18}{'energy':>14}{'norm':>10}{'makespan':>14}{'feasible':>10}"
     print(header)
-    _, base = run(HeuristicKind.HNO_REEX, g, mapping, D, platform)
+    no_reex = run(HeuristicKind.HNO_REEX, g, mapping, D, platform)
+    base = no_reex[1]
     any_infeasible = False
     for kind in (*ALL_HEURISTICS, HeuristicKind.BEST):
-        sched, metrics = run(kind, g, mapping, D, platform)
+        sched, metrics = no_reex if kind is HeuristicKind.HNO_REEX else run(kind, g, mapping, D, platform)
         norm = metrics.energy / base.energy if base.energy > 0 else math.nan
         print(f"{kind.value:<18}{metrics.energy:>14.6g}{norm:>10.4f}"
               f"{metrics.makespan:>14.6g}{str(metrics.feasible):>10}")

@@ -64,6 +64,8 @@ def _inv_square_coeff(w: float, res: SingleTaskResult) -> tuple[float, float]:
 
 def fork_optimal(w0: float, leaves: list[Task], D: float, platform: PlatformModel) -> ForkSolution:
     """Exact minimum-energy plans for a fork mapped one task per processor."""
+    if math.isnan(D):
+        raise ValueError("deadline must not be NaN")
     if not leaves:
         res = single_task_optimal(w0, D, platform)
         plans = {0: res.plan} if res.feasible else {}

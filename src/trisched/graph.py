@@ -23,6 +23,7 @@ class TaskGraph:
     _succs: dict = field(init=False, repr=False, compare=False)
     _preds: dict = field(init=False, repr=False, compare=False)
     _topo: tuple = field(init=False, repr=False, compare=False)
+    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [t.id for t in self.tasks]
@@ -45,6 +46,7 @@ class TaskGraph:
         object.__setattr__(self, "_succs", succs)
         object.__setattr__(self, "_preds", preds)
         object.__setattr__(self, "_topo", tuple(_kahn(ids, succs, preds)))
+        object.__setattr__(self, "_by_id", {t.id: t for t in self.tasks})
 
     def successors(self, tid: int) -> list[int]:
         return list(self._succs[tid])
@@ -53,17 +55,10 @@ class TaskGraph:
         return list(self._preds[tid])
 
     def task(self, tid: int) -> Task:
-        return self._by_id()[tid]
+        return self._by_id[tid]
 
     def weight(self, tid: int) -> float:
-        return self._by_id()[tid].weight
-
-    def _by_id(self) -> dict[int, Task]:
-        d = getattr(self, "_id_cache", None)
-        if d is None:
-            d = {t.id: t for t in self.tasks}
-            object.__setattr__(self, "_id_cache", d)
-        return d
+        return self._by_id[tid].weight
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -92,10 +87,6 @@ def _kahn(ids, succs, preds):
 
 def topological_order(g: TaskGraph) -> list[int]:
     return list(g._topo)
-
-
-def predecessors(g: TaskGraph, tid: int) -> set[int]:
-    return set(g.predecessors(tid))
 
 
 def chain(weights) -> TaskGraph:

@@ -13,7 +13,7 @@ import csv
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import TaskGraph, generate_random
 from .heuristics import ALL_HEURISTICS, HeuristicKind, min_deadline, run
@@ -99,11 +99,15 @@ def sweep_records(config: ExperimentConfig) -> list[ExperimentRecord]:
             mapping = mappings[seed]
             dmin = min_deadline(g, mapping, platform)
             D = ratio * dmin
-            _, base = run(HeuristicKind.HNO_REEX, g, mapping, D, platform)
+            timed = {}
+            for h in (HeuristicKind.HNO_REEX, *config.heuristics):
+                if h not in timed:
+                    t0 = time.perf_counter()
+                    _, metrics = run(h, g, mapping, D, platform)
+                    timed[h] = metrics, (time.perf_counter() - t0) * 1e3
+            base = timed[HeuristicKind.HNO_REEX][0]
             for h in config.heuristics:
-                t0 = time.perf_counter()
-                _, metrics = run(h, g, mapping, D, platform)
-                elapsed = (time.perf_counter() - t0) * 1e3
+                metrics, elapsed = timed[h]
                 a = acc[h]
                 a["norm"] += metrics.energy / base.energy
                 a["makespan"] += metrics.makespan

@@ -92,19 +92,13 @@ def _greedy_list(g: TaskGraph) -> list[int]:
     return sorted((t.id for t in g.tasks), key=lambda tid: (-g.weight(tid), tid))
 
 
-def _try_reexec(g, schedule, D, platform, tid, f_re_ex):
-    ok, updated = feasibility_probe(
-        g, schedule, D, platform, {tid: ExecutionPlan(f_re_ex, f_re_ex)}
-    )
-    return ok, updated
-
-
 def _reexec_over(g, schedule, D, platform, order, f_re_ex, with_cohort, slowdown_on_fail):
     """ReExec (optionally ReExec&SlowDown) walk over the given task order."""
+    reexec = ExecutionPlan(f_re_ex, f_re_ex)
     for tid in order:
         if schedule.plans[tid].re_executed:
             continue
-        ok, schedule = _try_reexec(g, schedule, D, platform, tid, f_re_ex)
+        ok, schedule = feasibility_probe(g, schedule, D, platform, {tid: reexec})
         if ok:
             if with_cohort:
                 # The super-weight set is taken after the task stretched to
@@ -113,7 +107,7 @@ def _reexec_over(g, schedule, D, platform, order, f_re_ex, with_cohort, slowdown
                 metrics = evaluate(g, schedule, D, platform)
                 for cid in cohort_of(g, metrics, tid):
                     if not schedule.plans[cid].re_executed:
-                        _, schedule = _try_reexec(g, schedule, D, platform, cid, f_re_ex)
+                        _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec})
         elif slowdown_on_fail:
             metrics = evaluate(g, schedule, D, platform)
             group = [tid] + cohort_of(g, metrics, tid)
@@ -154,16 +148,8 @@ def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex):
     return sched
 
 
-def _reexec_bounds(g, platform, tids):
-    return {tid: f_inf(g.weight(tid), platform) for tid in tids}
-
-
 def _reexecuted(schedule: Schedule) -> list[int]:
     return [tid for tid, plan in schedule.plans.items() if plan.re_executed]
-
-
-def _finish(g, schedule, D, platform):
-    return schedule, evaluate(g, schedule, D, platform)
 
 
 def run(
@@ -178,6 +164,8 @@ def run(
     For a deadline below the full-speed makespan every heuristic reports the
     full-speed schedule with an infeasible verdict.
     """
+    if math.isnan(D):
+        raise ValueError("deadline must not be NaN")
     if kind is HeuristicKind.BEST:
         best = None
         for k in ALL_HEURISTICS:
@@ -190,69 +178,47 @@ def run(
 
     speeds = derived_speeds(g, mapping, D, platform)
     f_dec, f_re_ex = speeds.f_dec, speeds.f_re_ex
-
-    base_fmax = uniform_schedule(g, mapping, platform.f_max)
-    if f_dec > platform.f_max + SLACK_TOL:
-        # Deadline below the minimum makespan: nothing is feasible.
-        return _finish(g, base_fmax, D, platform)
-
-    if kind is HeuristicKind.HFMAX:
-        return _finish(g, base_fmax, D, platform)
-
-    if kind is HeuristicKind.HNO_REEX:
-        return _finish(g, uniform_schedule(g, mapping, f_dec), D, platform)
-
     greedy = _greedy_list(g)
 
-    if kind is HeuristicKind.A_GREEDY:
+    if f_dec > platform.f_max + SLACK_TOL or kind is HeuristicKind.HFMAX:
+        # Also the answer to a deadline below the minimum makespan, where
+        # nothing is feasible.
+        sched = uniform_schedule(g, mapping, platform.f_max)
+    elif kind is HeuristicKind.HNO_REEX:
         sched = uniform_schedule(g, mapping, f_dec)
-        sched = _reexec_over(g, sched, D, platform, greedy, f_re_ex,
-                             with_cohort=False, slowdown_on_fail=False)
-        redone = _reexecuted(sched)
-        sched = slack_reclaim(g, sched, D, platform, redone, _reexec_bounds(g, platform, redone))
-        return _finish(g, sched, D, platform)
-
-    if kind is HeuristicKind.A_SUS_CRIT:
+    elif kind in TYPE_A:
         sched = uniform_schedule(g, mapping, f_dec)
-        sched = _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex)
+        if kind is HeuristicKind.A_GREEDY:
+            sched = _reexec_over(g, sched, D, platform, greedy, f_re_ex,
+                                 with_cohort=False, slowdown_on_fail=False)
+        else:
+            sched = _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex)
         redone = _reexecuted(sched)
-        sched = slack_reclaim(g, sched, D, platform, redone, _reexec_bounds(g, platform, redone))
-        return _finish(g, sched, D, platform)
-
-    if kind is HeuristicKind.B_GREEDY:
-        sched = base_fmax
-        sched = _reexec_over(g, sched, D, platform, greedy, f_re_ex,
-                             with_cohort=False, slowdown_on_fail=False)
+        bounds = {tid: f_inf(g.weight(tid), platform) for tid in redone}
+        sched = slack_reclaim(g, sched, D, platform, redone, bounds)
+    elif kind in TYPE_B:
+        sched = uniform_schedule(g, mapping, platform.f_max)
+        slow = kind is HeuristicKind.B_SUS_CRIT_SLOW
+        if kind is not HeuristicKind.B_GREEDY:
+            metrics = evaluate(g, sched, D, platform)
+            list_sw = sus_sort(g, metrics, critical_path_tasks(g, sched, metrics))
+            sched = _reexec_over(g, sched, D, platform, list_sw, f_re_ex,
+                                 with_cohort=True, slowdown_on_fail=slow)
+        if slow:
+            reexec = ExecutionPlan(f_re_ex, f_re_ex)
+            for tid in greedy:
+                if sched.plans[tid].re_executed:
+                    continue
+                ok, sched = feasibility_probe(g, sched, D, platform, {tid: reexec})
+                if not ok:
+                    sched = slack_reclaim(g, sched, D, platform, [tid], {tid: platform.f_rel})
+        else:
+            sched = _reexec_over(g, sched, D, platform, greedy, f_re_ex,
+                                 with_cohort=False, slowdown_on_fail=False)
         sched = _b_final_reclaims(g, sched, D, platform)
-        return _finish(g, sched, D, platform)
-
-    if kind is HeuristicKind.B_SUS_CRIT:
-        sched = base_fmax
-        metrics = evaluate(g, sched, D, platform)
-        list_sw = sus_sort(g, metrics, critical_path_tasks(g, sched, metrics))
-        sched = _reexec_over(g, sched, D, platform, list_sw, f_re_ex,
-                             with_cohort=True, slowdown_on_fail=False)
-        sched = _reexec_over(g, sched, D, platform, greedy, f_re_ex,
-                             with_cohort=False, slowdown_on_fail=False)
-        sched = _b_final_reclaims(g, sched, D, platform)
-        return _finish(g, sched, D, platform)
-
-    if kind is HeuristicKind.B_SUS_CRIT_SLOW:
-        sched = base_fmax
-        metrics = evaluate(g, sched, D, platform)
-        list_sw = sus_sort(g, metrics, critical_path_tasks(g, sched, metrics))
-        sched = _reexec_over(g, sched, D, platform, list_sw, f_re_ex,
-                             with_cohort=True, slowdown_on_fail=True)
-        for tid in greedy:
-            if sched.plans[tid].re_executed:
-                continue
-            ok, sched = _try_reexec(g, sched, D, platform, tid, f_re_ex)
-            if not ok:
-                sched = slack_reclaim(g, sched, D, platform, [tid], {tid: platform.f_rel})
-        sched = _b_final_reclaims(g, sched, D, platform)
-        return _finish(g, sched, D, platform)
-
-    raise ValueError(f"unknown heuristic {kind}")
+    else:
+        raise ValueError(f"unknown heuristic {kind}")
+    return sched, evaluate(g, sched, D, platform)
 
 
 def _unjam_singles(g, sched, D, platform):
@@ -298,5 +264,5 @@ def _b_final_reclaims(g, sched, D, platform):
     sched = slack_reclaim(g, sched, D, platform, rest, {tid: platform.f_rel for tid in rest})
     sched = _unjam_singles(g, sched, D, platform)
     redone = _reexecuted(sched)
-    sched = slack_reclaim(g, sched, D, platform, redone, _reexec_bounds(g, platform, redone))
-    return sched
+    bounds = {tid: f_inf(g.weight(tid), platform) for tid in redone}
+    return slack_reclaim(g, sched, D, platform, redone, bounds)

@@ -31,9 +31,9 @@ class PlatformModel:
 
     ``lambda0`` is the fault-rate scale at speed 0 of the reparametrized
     exponential law lambda(f) = lambda0 * exp(-d * f); ``d_sensitivity`` is
-    the (already normalized) DVFS sensitivity exponent.  ``modes`` is the
-    optional discrete speed set (strictly increasing) for the hopping model;
-    ``None`` means continuous speeds in [f_min, f_max].
+    the (already normalized) DVFS sensitivity exponent.  Speeds are
+    continuous in [f_min, f_max]; the discrete-mode model (``vdd``) takes its
+    mode set as an argument.
     """
 
     f_min: float
@@ -42,9 +42,10 @@ class PlatformModel:
     lambda0: float = 1e-5
     d_sensitivity: float = 0.0
     proc_count: int = 1
-    modes: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.f_max, self.lambda0, self.d_sensitivity))):
+            raise ValueError("f_max, lambda0 and d_sensitivity must be finite")
         if not (0.0 < self.f_min <= self.f_rel <= self.f_max):
             raise ValueError(
                 f"need 0 < f_min <= f_rel <= f_max, got "
@@ -56,13 +57,6 @@ class PlatformModel:
             raise ValueError("d_sensitivity must be nonnegative")
         if self.proc_count < 1:
             raise ValueError("proc_count must be >= 1")
-        if self.modes is not None:
-            modes = tuple(self.modes)
-            if any(b <= a for a, b in zip(modes, modes[1:])):
-                raise ValueError("discrete modes must be strictly increasing")
-            if modes and (modes[0] < self.f_min - SLACK_TOL or modes[-1] > self.f_max + SLACK_TOL):
-                raise ValueError("discrete modes must lie within [f_min, f_max]")
-            object.__setattr__(self, "modes", modes)
 
 
 @dataclass(frozen=True)
@@ -71,8 +65,8 @@ class Task:
     weight: float
 
     def __post_init__(self):
-        if self.weight <= 0.0:
-            raise ValueError(f"task {self.id}: weight must be positive")
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError(f"task {self.id}: weight must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -82,28 +76,46 @@ class ExecutionPlan:
     speed1: float
     speed2: Optional[float] = None
 
+    def __post_init__(self):
+        if not (self.speed1 > 0.0 and (self.speed2 is None or self.speed2 > 0.0)):
+            raise ValueError(f"speeds must be positive, got ({self.speed1}, {self.speed2})")
+
     @property
     def re_executed(self) -> bool:
         return self.speed2 is not None
 
 
+def _speed_fault(plan: ExecutionPlan, platform: PlatformModel) -> Optional[str]:
+    """The first broken speed rule that needs no f_inf, or None.
+
+    Non-positive speeds cannot occur (``ExecutionPlan`` rejects them). The
+    f_inf floor of a re-execution and the f_rel floor of a single run are left
+    to the caller (``evaluate`` sees them as a reliability shortfall).
+    """
+    if plan.speed2 is None:
+        if plan.speed1 > platform.f_max + SLACK_TOL:
+            return "single execution above f_max"
+        return None
+    if abs(plan.speed1 - plan.speed2) > SLACK_TOL:
+        return "re-execution must reuse the first execution speed"
+    if plan.speed1 >= platform.f_rel / math.sqrt(2.0) + SLACK_TOL:
+        return f"re-execution speed {plan.speed1} at or above f_rel/sqrt(2)"
+    return None
+
+
 def validate_plan(w: float, plan: ExecutionPlan, platform: PlatformModel) -> None:
     """Raise ValueError unless the plan satisfies the speed-window invariants."""
-    if plan.speed1 <= 0.0:
-        raise ValueError("speeds must be positive")
+    fault = _speed_fault(plan, platform)
+    if fault is not None:
+        raise ValueError(fault)
     if plan.speed2 is None:
         if plan.speed1 < platform.f_rel - SLACK_TOL:
             raise ValueError("single execution below the reliability speed")
-        if plan.speed1 > platform.f_max + SLACK_TOL:
-            raise ValueError("single execution above f_max")
     else:
-        if abs(plan.speed1 - plan.speed2) > SLACK_TOL:
-            raise ValueError("re-execution must reuse the first execution speed")
         lo = f_inf(w, platform)
-        hi = platform.f_rel / math.sqrt(2.0)
-        if plan.speed1 < lo - SLACK_TOL or plan.speed1 >= hi + SLACK_TOL:
+        if plan.speed1 < lo - SLACK_TOL:
             raise ValueError(
-                f"re-execution speed {plan.speed1} outside [{lo}, {hi})"
+                f"re-execution speed {plan.speed1} below f_inf = {lo}"
             )
 
 
@@ -253,7 +265,7 @@ def single_task_optimal(w: float, D: float, platform: PlatformModel) -> SingleTa
     treated as unavailable and the task runs once at f_rel for any deadline
     past w/f_rel.
     """
-    if w <= 0.0 or D <= 0.0:
+    if not (w > 0.0 and D > 0.0):
         raise ValueError("weight and deadline must be positive")
     frel, fmax = platform.f_rel, platform.f_max
     d0 = w / fmax

@@ -4,21 +4,26 @@ A schedule is a value object: a mapping (ordered task list per processor)
 plus one execution plan per task. Evaluation derives start/finish times
 under worst-case accounting (both executions of a re-executed task always
 counted), total energy, per-task reliability slack and a feasibility verdict.
+
+The augmented DAG (precedence edges plus processor-order edges) and its
+topological order are derived once per (graph, mapping) and shared by every
+evaluation, critical-path search and slack reclaim on that pair; callers
+must not mutate it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 
 from .graph import TaskGraph, bottom_levels
 from .model import (
     SLACK_TOL,
     ExecutionPlan,
     PlatformModel,
+    _speed_fault,
     energy,
     exe_time,
-    f_inf,
     reliability,
     reliability_threshold,
 )
@@ -113,19 +118,20 @@ def uniform_schedule(g: TaskGraph, mapping: Mapping, speed: float) -> Schedule:
     return Schedule(mapping, {t.id: ExecutionPlan(speed) for t in g.tasks})
 
 
-def _augmented_adjacency(g: TaskGraph, mapping: Mapping):
-    """Precedence edges plus processor-order edges (consecutive per list)."""
+@functools.lru_cache(maxsize=4)
+def _augmented_dag(g: TaskGraph, mapping: Mapping):
+    """Successors, predecessors and topological order of the augmented DAG.
+
+    The augmented DAG holds the precedence edges plus the processor-order
+    edges (consecutive tasks of one list). A solve keeps one mapping, so the
+    result is memoised on (g, mapping); callers share it and must not mutate it.
+    """
     succs = {t.id: set(g.successors(t.id)) for t in g.tasks}
     preds = {t.id: set(g.predecessors(t.id)) for t in g.tasks}
     for lst in mapping.proc_lists:
         for a, b in zip(lst, lst[1:]):
             succs[a].add(b)
             preds[b].add(a)
-    return succs, preds
-
-
-def _augmented_topo(g: TaskGraph, mapping: Mapping) -> list[int]:
-    succs, preds = _augmented_adjacency(g, mapping)
     indeg = {tid: len(ps) for tid, ps in preds.items()}
     stack = sorted((tid for tid, d in indeg.items() if d == 0), reverse=True)
     order = []
@@ -138,37 +144,52 @@ def _augmented_topo(g: TaskGraph, mapping: Mapping) -> list[int]:
                 stack.append(v)
     if len(order) != len(indeg):
         raise ValueError("mapping order conflicts with task precedence (cycle)")
-    return order
+    return (
+        {tid: tuple(vs) for tid, vs in succs.items()},
+        {tid: tuple(ps) for tid, ps in preds.items()},
+        tuple(order),
+    )
+
+
+def _start_times(preds, order, dur):
+    """Forward pass: earliest start and finish of every task under durations dur."""
+    start: dict[int, float] = {}
+    finish: dict[int, float] = {}
+    for tid in order:
+        s = max((finish[p] for p in preds[tid]), default=0.0)
+        start[tid] = s
+        finish[tid] = s + dur[tid]
+    return start, finish
 
 
 def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel) -> ScheduleMetrics:
     """Forward pass over precedence plus processor-order constraints."""
-    succs, preds = _augmented_adjacency(g, schedule.mapping)
-    order = _augmented_topo(g, schedule.mapping)
-    start: dict[int, float] = {}
-    finish: dict[int, float] = {}
+    _, preds, order = _augmented_dag(g, schedule.mapping)
+    plans = schedule.plans
+    dur = {}
     total_energy = 0.0
     for tid in order:
-        w = g.weight(tid)
-        plan = schedule.plans[tid]
-        s = max((finish[p] for p in preds[tid]), default=0.0)
-        start[tid] = s
-        finish[tid] = s + exe_time(w, plan)
+        w, plan = g.weight(tid), plans[tid]
+        dur[tid] = exe_time(w, plan)
         total_energy += energy(w, plan)
+    start, finish = _start_times(preds, order, dur)
     makespan = max(finish.values(), default=0.0)
     slack = {}
     for t in g.tasks:
-        slack[t.id] = reliability(t.weight, schedule.plans[t.id], platform) - reliability_threshold(
+        slack[t.id] = reliability(t.weight, plans[t.id], platform) - reliability_threshold(
             t.weight, platform
         )
-    feasible = makespan <= D + SLACK_TOL and all(v >= -SLACK_TOL for v in slack.values())
+    feasible = (
+        makespan <= D + SLACK_TOL
+        and all(v >= -SLACK_TOL for v in slack.values())
+        and not any(_speed_fault(plans[tid], platform) for tid in order)
+    )
     return ScheduleMetrics(makespan, total_energy, start, finish, slack, feasible, D)
 
 
 def critical_path_tasks(g: TaskGraph, schedule: Schedule, metrics: ScheduleMetrics) -> list[int]:
     """Tasks on some longest path of the augmented DAG under current durations."""
-    succs, _ = _augmented_adjacency(g, schedule.mapping)
-    order = _augmented_topo(g, schedule.mapping)
+    succs, _, order = _augmented_dag(g, schedule.mapping)
     dur = {t.id: exe_time(t.weight, schedule.plans[t.id]) for t in g.tasks}
     bot: dict[int, float] = {}
     for tid in reversed(order):
@@ -208,10 +229,8 @@ def cohort_of(g: TaskGraph, metrics: ScheduleMetrics, tid: int) -> list[int]:
     ]
 
 
-def _est_lft(g, succs, preds, order, dur, D):
-    est = {}
-    for tid in order:
-        est[tid] = max((est[p] + dur[p] for p in preds[tid]), default=0.0)
+def _est_lft(succs, preds, order, dur, D):
+    est, _ = _start_times(preds, order, dur)
     lft = {}
     for tid in reversed(order):
         lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
@@ -235,12 +254,11 @@ def slack_reclaim(
     Stops when a full pass changes nothing.
     """
     targets = set(targets)
-    succs, preds = _augmented_adjacency(g, schedule.mapping)
-    order = _augmented_topo(g, schedule.mapping)
+    succs, preds, order = _augmented_dag(g, schedule.mapping)
     plans = dict(schedule.plans)
     weights = {t.id: t.weight for t in g.tasks}
     dur = {tid: exe_time(weights[tid], plans[tid]) for tid in order}
-    est, lft = _est_lft(g, succs, preds, order, dur, D)
+    est, lft = _est_lft(succs, preds, order, dur, D)
     for _ in range(len(order) + 2):
         changed = False
         for tid in reversed(order):
@@ -261,7 +279,7 @@ def slack_reclaim(
                     ExecutionPlan(new_speed, new_speed) if plan.re_executed else ExecutionPlan(new_speed)
                 )
                 dur[tid] = exe_time(w, plans[tid])
-                est, lft = _est_lft(g, succs, preds, order, dur, D)
+                est, lft = _est_lft(succs, preds, order, dur, D)
                 changed = True
         if not changed:
             break

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .graph import TaskGraph
-from .model import PlatformModel, exe_time
-from .schedule import Schedule, _augmented_adjacency, _augmented_topo
+from .model import PlatformModel
+from .schedule import Schedule, _augmented_dag, _start_times
 
 _REL_TOL = 1e-12
 
@@ -147,13 +147,9 @@ def vdd_schedule_convert(
         vdd_plans[t.id] = tuple(parts)
         cont_total += cont_energy(t.weight, plan)
 
-    succs, preds = _augmented_adjacency(g, schedule.mapping)
-    order = _augmented_topo(g, schedule.mapping)
+    _, preds, order = _augmented_dag(g, schedule.mapping)
     dur = {tid: sum(p.time for p in vdd_plans[tid]) for tid in order}
-    finish: dict[int, float] = {}
-    for tid in order:
-        start = max((finish[p] for p in preds[tid]), default=0.0)
-        finish[tid] = start + dur[tid]
+    _, finish = _start_times(preds, order, dur)
     makespan = max(finish.values(), default=0.0)
     total = sum(p.energy for parts in vdd_plans.values() for p in parts)
     return VddScheduleResult(vdd_plans, makespan, total, cont_total)

@@ -62,6 +62,10 @@ class TestForkOptimal:
         sol = fork_optimal(1.0, [Task(1, 1.0)], 1.5, platform)
         assert not sol.feasible and sol.energy == math.inf
 
+    def test_nan_deadline_rejected(self, platform):
+        with pytest.raises(ValueError):
+            fork_optimal(1.0, [Task(1, 1.0)], math.nan, platform)
+
     def test_no_leaves_degenerates_to_single_task(self, platform):
         sol = fork_optimal(1.0, [], 3.0, platform)
         res = single_task_optimal(1.0, 3.0, platform)

@@ -16,7 +16,6 @@ from trisched.graph import (
     fork_identical,
     generate_random,
     parse_dag,
-    predecessors,
     topological_order,
 )
 from trisched.model import Task
@@ -135,8 +134,8 @@ class TestOrderings:
 
     def test_predecessors(self):
         g = fork(1.0, [2.0, 3.0])
-        assert predecessors(g, 0) == set()
-        assert predecessors(g, 1) == {0}
+        assert g.predecessors(0) == []
+        assert g.predecessors(1) == [0]
 
 
 class TestDagFormat:
@@ -149,3 +148,8 @@ class TestDagFormat:
         g = generate_random(5, 0, seed=4)
         h = parse_dag(dump_dag(g))
         assert h.tasks == g.tasks and h.edges == g.edges
+
+    def test_non_finite_weights_rejected(self):
+        for text in ("1 0\n0 nan\n", "1 0\n0 inf\n"):
+            with pytest.raises(ValueError):
+                parse_dag(text)

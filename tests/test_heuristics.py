@@ -117,6 +117,13 @@ class TestBaselines:
             _, metrics = run(kind, g, mapping, 1.0, platform)  # Dmin = 2
             assert not metrics.feasible
 
+    def test_nan_deadline_rejected(self, platform):
+        g = chain([1.0, 1.0])
+        mapping = list_schedule(g, 1)
+        for kind in (*ALL_HEURISTICS, HeuristicKind.BEST):
+            with pytest.raises(ValueError):
+                run(kind, g, mapping, math.nan, platform)
+
 
 class TestHeuristicOutputs:
     def test_tight_deadline_degenerates_to_full_speed(self, platform):

@@ -36,12 +36,24 @@ class TestTypes:
             Task(0, 0.0)
         with pytest.raises(ValueError):
             Task(0, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Task(0, bad)
+
+    def test_plan_rejects_non_positive_speeds(self):
+        for speeds in ((0.0,), (-1.0,), (math.nan,), (0.5, 0.0), (0.5, -0.5)):
+            with pytest.raises(ValueError):
+                ExecutionPlan(*speeds)
 
     def test_platform_validation(self):
         with pytest.raises(ValueError):
             make_platform(f_rel=2.0)  # f_rel above f_max
         with pytest.raises(ValueError):
             PlatformModel(f_min=0.5, f_max=0.1, f_rel=0.05)
+        for name in ("lambda0", "d", "f_max"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    make_platform(**{name: bad})
 
     def test_plan_re_executed_flag(self):
         assert not ExecutionPlan(1.0).re_executed
@@ -50,6 +62,13 @@ class TestTypes:
     def test_validate_plan_rejects_out_of_range_speed(self, platform):
         with pytest.raises(ValueError):
             validate_plan(1.0, ExecutionPlan(2.0), platform)
+        with pytest.raises(ValueError):
+            validate_plan(1.0, ExecutionPlan(0.3, 0.9), platform)
+        with pytest.raises(ValueError):
+            validate_plan(1.0, ExecutionPlan(0.5, 0.5), platform)
+        with pytest.raises(ValueError):
+            validate_plan(1.0, ExecutionPlan(0.001, 0.001), platform)  # below f_inf
+        validate_plan(1.0, ExecutionPlan(0.4, 0.4), platform)
 
 
 class TestExeTime:
@@ -187,6 +206,10 @@ class TestSingleTaskOptimal:
     def test_too_tight_is_infeasible(self, platform):
         res = single_task_optimal(1.0, 0.5, platform)
         assert not res.feasible
+
+    def test_nan_deadline_rejected(self, platform):
+        with pytest.raises(ValueError):
+            single_task_optimal(1.0, math.nan, platform)
 
     def test_once_at_deadline_speed(self, platform):
         res = single_task_optimal(1.0, 1.2, platform)

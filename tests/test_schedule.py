@@ -118,6 +118,21 @@ class TestEvaluate:
         assert not metrics.feasible
         assert metrics.reliability_slack[0] < 0
 
+    def test_speed_model_violations_are_infeasible(self, platform):
+        g = chain([1.0, 1.0])
+        mapping = list_schedule(g, 1)
+        plans = {0: ExecutionPlan(5.0), 1: ExecutionPlan(0.3, 0.9)}
+        assert not evaluate(g, Schedule(mapping, plans), 100.0, platform).feasible
+        for plan in (
+            ExecutionPlan(5.0),  # above f_max
+            ExecutionPlan(0.3, 0.9),  # copies at different speeds
+            ExecutionPlan(0.5, 0.5),  # re-executed at or above f_rel/sqrt(2)
+        ):
+            sched = uniform_schedule(g, mapping, platform.f_rel).with_plan(1, plan)
+            assert not evaluate(g, sched, 100.0, platform).feasible
+        ok = uniform_schedule(g, mapping, platform.f_rel).with_plan(1, ExecutionPlan(0.4, 0.4))
+        assert evaluate(g, ok, 100.0, platform).feasible
+
     def test_respects_both_edge_types(self, platform):
         g = generate_random(30, 60, seed=21)
         mapping = list_schedule(g, 4)
@@ -226,6 +241,20 @@ class TestSlackReclaim:
         assert out.plans[0].re_executed
         assert out.plans[0].speed1 == pytest.approx(0.4, rel=1e-9)
         assert evaluate(g, out, D, platform).makespan <= D + 1e-9
+
+
+class TestAugmentedDag:
+    def test_one_best_solve_builds_it_once(self, platform):
+        from trisched.heuristics import HeuristicKind, min_deadline, run
+        from trisched.schedule import _augmented_dag
+
+        g = generate_random(30, 60, seed=5)
+        mapping = list_schedule(g, 4)
+        D = 2.0 * min_deadline(g, mapping, platform)
+        _augmented_dag.cache_clear()
+        run(HeuristicKind.BEST, g, mapping, D, platform)
+        info = _augmented_dag.cache_info()
+        assert info.misses == 1 and info.hits > 100
 
 
 class TestFormat:
