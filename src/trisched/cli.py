@@ -115,7 +115,8 @@ def cmd_solve(args) -> int:
     base = no_reex[1]
     any_infeasible = False
     for kind in (*ALL_HEURISTICS, HeuristicKind.BEST):
-        sched, metrics = no_reex if kind is HeuristicKind.HNO_REEX else run(kind, g, mapping, D, platform)
+        sched, metrics = (no_reex if kind is HeuristicKind.HNO_REEX
+                          else run(kind, g, mapping, D, platform))
         norm = metrics.energy / base.energy if base.energy > 0 else math.nan
         print(f"{kind.value:<18}{metrics.energy:>14.6g}{norm:>10.4f}"
               f"{metrics.makespan:>14.6g}{str(metrics.feasible):>10}")

@@ -6,11 +6,13 @@ import pytest
 
 from conftest import make_platform
 from trisched.graph import TaskGraph, chain, fork, generate_random
+from trisched.heuristics import HeuristicKind, min_deadline, run
 from trisched.model import ExecutionPlan, Task, f_inf
 from trisched.schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
+    _augmented_dag,
     cohort_of,
     critical_path_tasks,
     evaluate,
@@ -245,9 +247,6 @@ class TestSlackReclaim:
 
 class TestAugmentedDag:
     def test_one_best_solve_builds_it_once(self, platform):
-        from trisched.heuristics import HeuristicKind, min_deadline, run
-        from trisched.schedule import _augmented_dag
-
         g = generate_random(30, 60, seed=5)
         mapping = list_schedule(g, 4)
         D = 2.0 * min_deadline(g, mapping, platform)
