@@ -32,6 +32,7 @@ from .schedule import (
     critical_path_tasks,
     evaluate,
     list_schedule,
+    schedule_energy,
     slack_reclaim,
     super_weight,
     sus_sort,

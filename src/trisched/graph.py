@@ -24,6 +24,7 @@ class TaskGraph:
     _preds: dict = field(init=False, repr=False, compare=False)
     _topo: tuple = field(init=False, repr=False, compare=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [t.id for t in self.tasks]
@@ -47,6 +48,12 @@ class TaskGraph:
         object.__setattr__(self, "_preds", preds)
         object.__setattr__(self, "_topo", tuple(_kahn(ids, succs, preds)))
         object.__setattr__(self, "_by_id", {t.id: t for t in self.tasks})
+        object.__setattr__(self, "_hash", hash((self.tasks, self.edges)))
+
+    def __hash__(self) -> int:
+        # The value the dataclass would compute, but once: the graph is
+        # immutable and every memoised per-graph helper hashes it.
+        return self._hash
 
     def successors(self, tid: int) -> list[int]:
         return list(self._succs[tid])

@@ -28,6 +28,7 @@ from .schedule import (
     cohort_of,
     critical_path_tasks,
     evaluate,
+    schedule_energy,
     slack_reclaim,
     sus_sort,
     uniform_schedule,
@@ -231,21 +232,21 @@ def _unjam_singles(g, sched, D, platform):
     such swap whenever it lowers total energy, and stop when none does.
     """
     while True:
-        metrics = evaluate(g, sched, D, platform)
         stuck = [
             tid for tid, plan in sched.plans.items()
             if not plan.re_executed and plan.speed1 > platform.f_rel + SLACK_TOL
         ]
         if not stuck:
             return sched
+        current = schedule_energy(g, sched)
         singles_floor = {t.id: platform.f_rel for t in g.tasks}
         best = None
         for rid in _reexecuted(sched):
             trial = sched.with_plan(rid, ExecutionPlan(platform.f_rel))
             rest = [t.id for t in g.tasks if not trial.plans[t.id].re_executed]
             trial = slack_reclaim(g, trial, D, platform, rest, singles_floor)
-            e = evaluate(g, trial, D, platform).energy
-            if e < metrics.energy - SLACK_TOL and (best is None or e < best[0]):
+            e = schedule_energy(g, trial)
+            if e < current - SLACK_TOL and (best is None or e < best[0]):
                 best = (e, trial)
         if best is None:
             return sched

@@ -162,29 +162,37 @@ def _start_times(preds, order, dur):
     return start, finish
 
 
+@functools.lru_cache(maxsize=4)
+def _thresholds(g: TaskGraph, platform: PlatformModel) -> dict[int, float]:
+    """Reliability threshold of every task, memoised on (g, platform); do not mutate."""
+    return {t.id: reliability_threshold(t.weight, platform) for t in g.tasks}
+
+
+def schedule_energy(g: TaskGraph, schedule: Schedule) -> float:
+    """Total energy, summed in augmented topological order (the order evaluate uses)."""
+    _, _, order = _augmented_dag(g, schedule.mapping)
+    plans = schedule.plans
+    total = 0.0
+    for tid in order:
+        total += energy(g.weight(tid), plans[tid])
+    return total
+
+
 def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel) -> ScheduleMetrics:
     """Forward pass over precedence plus processor-order constraints."""
     _, preds, order = _augmented_dag(g, schedule.mapping)
     plans = schedule.plans
-    dur = {}
-    total_energy = 0.0
-    for tid in order:
-        w, plan = g.weight(tid), plans[tid]
-        dur[tid] = exe_time(w, plan)
-        total_energy += energy(w, plan)
+    dur = {tid: exe_time(g.weight(tid), plans[tid]) for tid in order}
     start, finish = _start_times(preds, order, dur)
     makespan = max(finish.values(), default=0.0)
-    slack = {}
-    for t in g.tasks:
-        slack[t.id] = reliability(t.weight, plans[t.id], platform) - reliability_threshold(
-            t.weight, platform
-        )
+    threshold = _thresholds(g, platform)
+    slack = {t.id: reliability(t.weight, plans[t.id], platform) - threshold[t.id] for t in g.tasks}
     feasible = (
         makespan <= D + SLACK_TOL
         and all(v >= -SLACK_TOL for v in slack.values())
         and not any(_speed_fault(plans[tid], platform) for tid in order)
     )
-    return ScheduleMetrics(makespan, total_energy, start, finish, slack, feasible, D)
+    return ScheduleMetrics(makespan, schedule_energy(g, schedule), start, finish, slack, feasible, D)
 
 
 def critical_path_tasks(g: TaskGraph, schedule: Schedule, metrics: ScheduleMetrics) -> list[int]:
@@ -229,14 +237,6 @@ def cohort_of(g: TaskGraph, metrics: ScheduleMetrics, tid: int) -> list[int]:
     ]
 
 
-def _est_lft(succs, preds, order, dur, D):
-    est, _ = _start_times(preds, order, dur)
-    lft = {}
-    for tid in reversed(order):
-        lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
-    return est, lft
-
-
 def slack_reclaim(
     g: TaskGraph,
     schedule: Schedule,
@@ -247,21 +247,32 @@ def slack_reclaim(
 ) -> Schedule:
     """Slow the target tasks toward their lower bounds without losing feasibility.
 
-    Repeated passes in reverse topological order: each target may expand into
-    the window between its earliest start (forward pass) and latest allowed
-    finish (backward pass from D), with the window recomputed after every
-    accepted change. Speeds never increase, so energy never increases.
-    Stops when a full pass changes nothing.
+    Repeated sweeps in reverse topological order of the augmented DAG: each
+    target may expand into the window between its earliest start (forward
+    pass) and its latest allowed finish (backward pass from D), down to its
+    lower bound (f_rel when it has none). Speeds never increase, so energy
+    never increases. Stops when a full sweep changes nothing.
+
+    Each sweep does one forward pass, at its start, and builds the backward
+    pass as it goes: a task's latest finish is taken from its successors just
+    before the task is examined. The windows are exactly those of a full
+    recomputation after every accepted change. Slowing task i moves only the
+    earliest starts of its descendants, which come after i in the order and
+    so were examined earlier in the sweep, and the latest finishes of its
+    ancestors, which the sweep reaches later and derives from the current
+    durations, with the same float operations in the same order.
     """
     targets = set(targets)
     succs, preds, order = _augmented_dag(g, schedule.mapping)
     plans = dict(schedule.plans)
     weights = {t.id: t.weight for t in g.tasks}
     dur = {tid: exe_time(weights[tid], plans[tid]) for tid in order}
-    est, lft = _est_lft(succs, preds, order, dur, D)
     for _ in range(len(order) + 2):
         changed = False
+        est, _ = _start_times(preds, order, dur)
+        lft: dict[int, float] = {}
         for tid in reversed(order):
+            lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
             if tid not in targets:
                 continue
             window = lft[tid] - est[tid]
@@ -279,7 +290,6 @@ def slack_reclaim(
                     ExecutionPlan(new_speed, new_speed) if plan.re_executed else ExecutionPlan(new_speed)
                 )
                 dur[tid] = exe_time(w, plans[tid])
-                est, lft = _est_lft(succs, preds, order, dur, D)
                 changed = True
         if not changed:
             break

@@ -40,6 +40,12 @@ class TestTaskGraph:
                 (Task(0, 1.0), Task(1, 1.0)), frozenset({(0, 1), (1, 0)})
             )
 
+    def test_hash_is_the_dataclass_value(self):
+        g = generate_random(40, 80, seed=3)
+        twin = parse_dag(dump_dag(g))
+        assert twin == g and twin is not g
+        assert hash(twin) == hash(g) == hash((g.tasks, g.edges))
+
 
 class TestShapes:
     def test_chain_edges(self):

@@ -1,23 +1,26 @@
 """Mappings, schedule evaluation, critical paths, super-weights, slack reclaim."""
 
 import math
+import random
 
 import pytest
 
 from conftest import make_platform
 from trisched.graph import TaskGraph, chain, fork, generate_random
 from trisched.heuristics import HeuristicKind, min_deadline, run
-from trisched.model import ExecutionPlan, Task, f_inf
+from trisched.model import SLACK_TOL, ExecutionPlan, Task, exe_time, f_inf
 from trisched.schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
     _augmented_dag,
+    _start_times,
     cohort_of,
     critical_path_tasks,
     evaluate,
     format_schedule,
     list_schedule,
+    schedule_energy,
     slack_reclaim,
     super_weight,
     sus_sort,
@@ -135,6 +138,14 @@ class TestEvaluate:
         ok = uniform_schedule(g, mapping, platform.f_rel).with_plan(1, ExecutionPlan(0.4, 0.4))
         assert evaluate(g, ok, 100.0, platform).feasible
 
+    def test_schedule_energy_equals_evaluate_energy(self, platform):
+        g = generate_random(40, 90, seed=8)
+        mapping = list_schedule(g, 4)
+        D = 3.0 * min_deadline(g, mapping, platform)
+        sched, metrics = run(HeuristicKind.B_SUS_CRIT, g, mapping, D, platform)
+        assert any(plan.re_executed for plan in sched.plans.values())
+        assert schedule_energy(g, sched) == metrics.energy
+
     def test_respects_both_edge_types(self, platform):
         g = generate_random(30, 60, seed=21)
         mapping = list_schedule(g, 4)
@@ -243,6 +254,81 @@ class TestSlackReclaim:
         assert out.plans[0].re_executed
         assert out.plans[0].speed1 == pytest.approx(0.4, rel=1e-9)
         assert evaluate(g, out, D, platform).makespan <= D + 1e-9
+
+
+def _est_lft(succs, preds, order, dur, D):
+    est, _ = _start_times(preds, order, dur)
+    lft = {}
+    for tid in reversed(order):
+        lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
+    return est, lft
+
+
+def _full_recompute_reclaim(g, schedule, D, platform, targets, lower_bounds):
+    """The earlier slack_reclaim, which redid both passes after every change.
+
+    Kept verbatim as the oracle: the one-forward-pass sweep must give the
+    same plans, bit for bit.
+    """
+    targets = set(targets)
+    succs, preds, order = _augmented_dag(g, schedule.mapping)
+    plans = dict(schedule.plans)
+    weights = {t.id: t.weight for t in g.tasks}
+    dur = {tid: exe_time(weights[tid], plans[tid]) for tid in order}
+    est, lft = _est_lft(succs, preds, order, dur, D)
+    for _ in range(len(order) + 2):
+        changed = False
+        for tid in reversed(order):
+            if tid not in targets:
+                continue
+            window = lft[tid] - est[tid]
+            if window <= 0.0:
+                continue
+            plan = plans[tid]
+            w = weights[tid]
+            if plan.re_executed:
+                needed = 2.0 * w / window
+            else:
+                needed = w / window
+            new_speed = max(lower_bounds.get(tid, platform.f_rel), needed)
+            if new_speed < plan.speed1 - SLACK_TOL:
+                plans[tid] = (
+                    ExecutionPlan(new_speed, new_speed) if plan.re_executed else ExecutionPlan(new_speed)
+                )
+                dur[tid] = exe_time(w, plans[tid])
+                est, lft = _est_lft(succs, preds, order, dur, D)
+                changed = True
+        if not changed:
+            break
+    return Schedule(schedule.mapping, plans)
+
+
+class TestSlackReclaimMatchesFullRecompute:
+    @pytest.mark.parametrize("case", range(24))
+    def test_same_plans_bit_for_bit(self, platform, case):
+        rng = random.Random(case)
+        n = rng.randint(30, 100)
+        g = generate_random(n, rng.randint(n, 3 * n), seed=100 + case)
+        p = (1, 4, 50)[case % 3]
+        ids = [t.id for t in g.tasks]
+        redone = set(rng.sample(ids, rng.randint(0, n // 2)))
+        sched = Schedule(
+            list_schedule(g, p),
+            {tid: ExecutionPlan(1.0, 1.0) if tid in redone else ExecutionPlan(1.0) for tid in ids},
+        )
+        D = (1.2, 2.0, 5.0)[case // 3 % 3] * evaluate(g, sched, math.inf, platform).makespan
+        targets = rng.sample(ids, rng.randint(n // 4, n))
+        bounds = {}
+        for tid in targets:
+            floor = rng.choice(("default", "f_rel", "f_inf"))
+            if floor == "f_rel":
+                bounds[tid] = platform.f_rel
+            elif floor == "f_inf":
+                bounds[tid] = f_inf(g.weight(tid), platform)
+        expected = _full_recompute_reclaim(g, sched, D, platform, targets, bounds)
+        out = slack_reclaim(g, sched, D, platform, targets, bounds)
+        assert expected.plans != sched.plans
+        assert out.plans == expected.plans
 
 
 class TestAugmentedDag:
