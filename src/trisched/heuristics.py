@@ -3,13 +3,16 @@
 Two families: type A decelerates every task first and then tries to
 re-execute (good when parallelism is low), type B re-executes first from the
 full-speed baseline and decelerates what is left (good for tight deadlines
-and many processors). Every accepted change is validated by a full-schedule
-feasibility probe, so intermediate states are always feasible.
+and many processors). Every accepted change passes a feasibility probe whose
+verdict is exactly that of evaluating the whole changed schedule, so
+intermediate states are always feasible. A probe that changes one task of a
+feasible schedule is decided in O(1) from that schedule's time windows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,6 +21,7 @@ from .model import (
     SLACK_TOL,
     ExecutionPlan,
     PlatformModel,
+    exe_time,
     f_inf,
     reexec_speed,
 )
@@ -25,12 +29,15 @@ from .schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
+    _thresholds,
     cohort_of,
     critical_path_tasks,
     evaluate,
     schedule_energy,
     slack_reclaim,
     sus_sort,
+    task_feasible,
+    time_windows,
     uniform_schedule,
 )
 
@@ -74,6 +81,36 @@ def derived_speeds(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformM
     return DerivedSpeeds(f_dec, reexec_speed(platform))
 
 
+# The last probed schedule's time_windows, keyed on its mapping, the other
+# arguments and a copy of its plans, so an equal schedule rebuilt by a
+# reclaim that changed nothing still hits (the comparison is by identity for
+# plans shared with the copy) and a plans dict changed in place misses. The
+# windows are a pair (est, lft), None for an infeasible schedule, or _UNBUILT
+# for one an accepted probe has just proved feasible.
+_UNBUILT = object()
+_last_probed = None
+
+
+def _windows(g, schedule, D, platform):
+    global _last_probed
+    last = _last_probed
+    if (
+        last is not None
+        and last[0] is schedule.mapping
+        and last[1] is g
+        and last[2] == D
+        and last[3] is platform
+        and last[4] == schedule.plans
+    ):
+        if last[5] is not _UNBUILT:
+            return last[5]
+        windows = time_windows(g, schedule, D, platform, check=False)
+    else:
+        windows = time_windows(g, schedule, D, platform)
+    _last_probed = (schedule.mapping, g, D, platform, dict(schedule.plans), windows)
+    return windows
+
+
 def feasibility_probe(
     g: TaskGraph,
     schedule: Schedule,
@@ -81,10 +118,47 @@ def feasibility_probe(
     platform: PlatformModel,
     deltas: dict[int, ExecutionPlan],
 ) -> tuple[bool, Schedule]:
-    """Apply tentative plan changes; accept only if the whole schedule stays feasible."""
+    """Apply tentative plan changes; accept only if the whole schedule stays feasible.
+
+    The verdict is ``evaluate(g, schedule.with_plans(deltas), D,
+    platform).feasible``. When ``schedule`` is feasible and one task changes,
+    only that task's constraints can break: it must keep its reliability
+    threshold and the speed rules, and finish in its window,
+    ``est + exe_time <= lft + SLACK_TOL``, with est and lft the earliest
+    start and latest finish in ``schedule`` (``time_windows``). Every path
+    through the task is no longer than D + SLACK_TOL exactly when that holds,
+    and every other path is unchanged.
+
+    In floats, each addition or subtraction errs by at most eps/2 of its
+    result. A finish past 2 * max(D, 1) is rejected by both checks (no
+    forward sum through it is smaller). Below that, with M = max(D, 1) and
+    n tasks, the margin and evaluate's makespan test together stray
+    from exact arithmetic by at most (2n + 2) * eps * M: n roundings of
+    forward sums under 3M, n - 1 of backward differences under M, and lft +
+    SLACK_TOL, the margin and D + SLACK_TOL (under M, 3M and M). A margin
+    within 4n * eps * M of zero, where the verdicts could differ, is
+    settled by evaluate, as are deltas of zero or several tasks and an
+    infeasible ``schedule``.
+    """
+    global _last_probed
     candidate = schedule.with_plans(deltas)
-    metrics = evaluate(g, candidate, D, platform)
-    if metrics.feasible:
+    verdict = None
+    if len(deltas) == 1:
+        windows = _windows(g, schedule, D, platform)
+        if windows is not None:
+            est, lft = windows
+            ((tid, plan),) = deltas.items()
+            w = g.weight(tid)
+            margin = lft[tid] + SLACK_TOL - (est[tid] + exe_time(w, plan))
+            band = 4 * len(est) * sys.float_info.epsilon * max(D, 1.0)
+            if margin > band:
+                verdict = task_feasible(w, plan, _thresholds(g, platform)[tid], platform)
+            elif margin < -band:
+                verdict = False
+    if verdict is None:
+        verdict = evaluate(g, candidate, D, platform).feasible
+    if verdict:
+        _last_probed = (candidate.mapping, g, D, platform, dict(candidate.plans), _UNBUILT)
         return True, candidate
     return False, schedule
 

@@ -168,6 +168,14 @@ def _thresholds(g: TaskGraph, platform: PlatformModel) -> dict[int, float]:
     return {t.id: reliability_threshold(t.weight, platform) for t in g.tasks}
 
 
+def task_feasible(w: float, plan: ExecutionPlan, threshold: float, platform: PlatformModel) -> bool:
+    """The task's constraints other than time: the speed rules and its reliability threshold.
+
+    The same float operations as ``evaluate``, so the verdicts agree.
+    """
+    return not _speed_fault(plan, platform) and reliability(w, plan, platform) - threshold >= -SLACK_TOL
+
+
 def schedule_energy(g: TaskGraph, schedule: Schedule) -> float:
     """Total energy, summed in augmented topological order (the order evaluate uses)."""
     _, _, order = _augmented_dag(g, schedule.mapping)
@@ -193,6 +201,36 @@ def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel
         and not any(_speed_fault(plans[tid], platform) for tid in order)
     )
     return ScheduleMetrics(makespan, schedule_energy(g, schedule), start, finish, slack, feasible, D)
+
+
+def time_windows(
+    g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel, check: bool = True
+) -> tuple[dict[int, float], dict[int, float]] | None:
+    """Earliest starts and latest finishes ``(est, lft)`` of every task, or None.
+
+    ``est`` is the forward pass; ``lft`` the backward pass from D, taking
+    ``lft[u] = min(lft[s] - dur[s])`` over the augmented successors s of u
+    (D for a task without successors). With ``check``, the schedule must
+    also be feasible, decided from the same forward pass with the same float
+    operations as ``evaluate`` (makespan, every task's reliability threshold,
+    the speed rules), so the two verdicts agree; None when it is not. Pass
+    ``check=False`` only for a schedule already known to be feasible.
+    """
+    succs, preds, order = _augmented_dag(g, schedule.mapping)
+    plans = schedule.plans
+    weights = {t.id: t.weight for t in g.tasks}
+    dur = {tid: exe_time(weights[tid], plans[tid]) for tid in order}
+    est, finish = _start_times(preds, order, dur)
+    if check:
+        if not max(finish.values(), default=0.0) <= D + SLACK_TOL:
+            return None
+        threshold = _thresholds(g, platform)
+        if not all(task_feasible(weights[tid], plans[tid], threshold[tid], platform) for tid in order):
+            return None
+    lft: dict[int, float] = {}
+    for tid in reversed(order):
+        lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
+    return est, lft
 
 
 def critical_path_tasks(g: TaskGraph, schedule: Schedule, metrics: ScheduleMetrics) -> list[int]:
@@ -247,13 +285,14 @@ def slack_reclaim(
 ) -> Schedule:
     """Slow the target tasks toward their lower bounds without losing feasibility.
 
-    Repeated sweeps in reverse topological order of the augmented DAG: each
-    target may expand into the window between its earliest start (forward
-    pass) and its latest allowed finish (backward pass from D), down to its
-    lower bound (f_rel when it has none). Speeds never increase, so energy
-    never increases. Stops when a full sweep changes nothing.
+    One sweep in reverse topological order of the augmented DAG: each target
+    may expand into the window between its earliest start (forward pass) and
+    its latest allowed finish (backward pass from D), down to its lower bound
+    (f_rel when it has none). Speeds never increase, so energy never
+    increases. A re-executed target must run both copies at one speed
+    (within SLACK_TOL); ValueError otherwise.
 
-    Each sweep does one forward pass, at its start, and builds the backward
+    The sweep does one forward pass, at its start, and builds the backward
     pass as it goes: a task's latest finish is taken from its successors just
     before the task is examined. The windows are exactly those of a full
     recomputation after every accepted change. Slowing task i moves only the
@@ -261,38 +300,42 @@ def slack_reclaim(
     so were examined earlier in the sweep, and the latest finishes of its
     ancestors, which the sweep reaches later and derives from the current
     durations, with the same float operations in the same order.
+
+    One sweep is also exact: a second one could change nothing. A slowed
+    target runs below both of its former copy speeds, so durations only
+    grow; with rounding monotone, every earliest start can then only grow,
+    while every latest finish is rebuilt from the same descendant durations
+    and comes out the same. Every window can only shrink, so no target could
+    slow further.
     """
     targets = set(targets)
     succs, preds, order = _augmented_dag(g, schedule.mapping)
     plans = dict(schedule.plans)
+    for tid in targets:
+        plan = plans[tid]
+        if plan.re_executed and abs(plan.speed1 - plan.speed2) > SLACK_TOL:
+            raise ValueError(f"task {tid}: re-executed copies at different speeds {plan}")
     weights = {t.id: t.weight for t in g.tasks}
     dur = {tid: exe_time(weights[tid], plans[tid]) for tid in order}
-    for _ in range(len(order) + 2):
-        changed = False
-        est, _ = _start_times(preds, order, dur)
-        lft: dict[int, float] = {}
-        for tid in reversed(order):
-            lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
-            if tid not in targets:
-                continue
-            window = lft[tid] - est[tid]
-            if window <= 0.0:
-                continue
-            plan = plans[tid]
-            w = weights[tid]
-            if plan.re_executed:
-                needed = 2.0 * w / window
-            else:
-                needed = w / window
-            new_speed = max(lower_bounds.get(tid, platform.f_rel), needed)
-            if new_speed < plan.speed1 - SLACK_TOL:
-                plans[tid] = (
-                    ExecutionPlan(new_speed, new_speed) if plan.re_executed else ExecutionPlan(new_speed)
-                )
-                dur[tid] = exe_time(w, plans[tid])
-                changed = True
-        if not changed:
-            break
+    est, _ = _start_times(preds, order, dur)
+    lft: dict[int, float] = {}
+    for tid in reversed(order):
+        lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
+        if tid not in targets:
+            continue
+        window = lft[tid] - est[tid]
+        if window <= 0.0:
+            continue
+        plan = plans[tid]
+        w = weights[tid]
+        if plan.re_executed:
+            needed = 2.0 * w / window
+        else:
+            needed = w / window
+        new_speed = max(lower_bounds.get(tid, platform.f_rel), needed)
+        if new_speed < plan.speed1 - SLACK_TOL:
+            plans[tid] = ExecutionPlan(new_speed, new_speed) if plan.re_executed else ExecutionPlan(new_speed)
+            dur[tid] = exe_time(w, plans[tid])
     return Schedule(schedule.mapping, plans)
 
 

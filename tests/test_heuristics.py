@@ -17,8 +17,8 @@ from trisched.heuristics import (
     min_deadline,
     run,
 )
-from trisched.model import ExecutionPlan, f_inf, reexec_speed
-from trisched.schedule import evaluate, list_schedule, uniform_schedule
+from trisched.model import SLACK_TOL, ExecutionPlan, f_inf, reexec_speed
+from trisched.schedule import evaluate, list_schedule, time_windows, uniform_schedule
 
 
 def assert_reexec_speed_window(g, sched, platform):
@@ -76,6 +76,62 @@ class TestFeasibilityProbe:
             g, sched, 1e9, platform, {0: ExecutionPlan(f, f)}
         )
         assert not ok
+
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_verdict_equals_evaluate(self):
+        # Probes of every kind against heuristic outputs and against slack-rich
+        # full-speed schedules; the verdict must be evaluate's, bit for bit.
+        near = {True: 0, False: 0}
+        for case in range(24):
+            rng = random.Random(case)
+            n = rng.randint(20, 80)
+            # At lambda0 = 1e-2 the heavier tasks have f_inf above f_re_ex.
+            platform = make_platform(lambda0=(1e-5, 1e-2)[case % 2])
+            g = generate_random(n, rng.randint(n, 2 * n), weight_range=(0.0, 100.0), seed=case)
+            mapping = list_schedule(g, (1, 4, 50)[case % 3])
+            D = rng.choice((1.05, 1.2, 2.0, 5.0)) * min_deadline(g, mapping, platform)
+            if case % 4 == 3:
+                sched = uniform_schedule(g, mapping, platform.f_max)
+            else:
+                sched, _ = run(rng.choice(ALL_HEURISTICS), g, mapping, D, platform)
+            est, lft = time_windows(g, sched, D, platform)
+            f_re_ex = reexec_speed(platform)
+            ids = [t.id for t in g.tasks]
+
+            def probe(deltas, D=D, base=sched):
+                ok, out = feasibility_probe(g, base, D, platform, deltas)
+                candidate = base.with_plans(deltas)
+                assert ok == evaluate(g, candidate, D, platform).feasible, (case, deltas)
+                assert out.plans == (candidate if ok else base).plans
+                return ok
+
+            for _ in range(30):
+                tid = rng.choice(ids)
+                w = g.weight(tid)
+                # Finish within 1e-12 of lft + SLACK_TOL, down to a few ulps.
+                target = lft[tid] + SLACK_TOL
+                target += rng.choice((0.0, rng.randint(-4, 4) * math.ulp(target), rng.uniform(-1e-12, 1e-12)))
+                if target > est[tid]:
+                    speed = w / (target - est[tid])
+                    twice = rng.random() < 0.5
+                    plan = ExecutionPlan(2.0 * speed, 2.0 * speed) if twice else ExecutionPlan(speed)
+                    near[probe({tid: plan})] += 1
+                f = rng.uniform(0.2, 1.2)
+                probe({tid: ExecutionPlan(f)})
+                probe({tid: ExecutionPlan(f, f)})
+                probe({tid: ExecutionPlan(f_re_ex, f_re_ex)})  # fails reliability when f_inf > f_re_ex
+                probe({tid: ExecutionPlan(0.9 * platform.f_rel)})  # single run below f_rel
+                probe({tid: ExecutionPlan(1.5 * platform.f_max)})  # speed fault
+                hi = platform.f_rel / math.sqrt(2.0)
+                probe({tid: ExecutionPlan(hi, hi)})  # speed fault
+                probe({})
+                probe({tid: ExecutionPlan(f), rng.choice(ids): ExecutionPlan(f_re_ex, f_re_ex)})
+                # An infeasible current schedule: past a shorter deadline, or
+                # with one task slowed far past its window.
+                probe({tid: ExecutionPlan(platform.f_max)}, D=0.9 * D)
+                slowed = sched.with_plan(rng.choice(ids), ExecutionPlan(0.01))
+                probe({tid: ExecutionPlan(platform.f_max)}, base=slowed)
+        assert near[True] > 100 and near[False] > 100
 
 
 class TestBaselines:

@@ -24,6 +24,7 @@ from trisched.schedule import (
     slack_reclaim,
     super_weight,
     sus_sort,
+    time_windows,
     uniform_schedule,
 )
 
@@ -137,6 +138,22 @@ class TestEvaluate:
             assert not evaluate(g, sched, 100.0, platform).feasible
         ok = uniform_schedule(g, mapping, platform.f_rel).with_plan(1, ExecutionPlan(0.4, 0.4))
         assert evaluate(g, ok, 100.0, platform).feasible
+
+    def test_time_windows_exist_exactly_when_feasible(self, platform):
+        g = chain([1.0, 2.0])
+        mapping = list_schedule(g, 1)
+        sched = uniform_schedule(g, mapping, 1.0)
+        assert time_windows(g, sched, 10.0, platform) == ({0: 0.0, 1: 1.0}, {0: 8.0, 1: 10.0})
+        for D, plan in (
+            (2.5, ExecutionPlan(1.0)),  # past the deadline
+            (10.0, ExecutionPlan(0.9 * platform.f_rel)),  # reliability shortfall
+            (10.0, ExecutionPlan(0.5, 0.5)),  # speed fault
+            (12.0, ExecutionPlan(0.4, 0.4)),  # feasible
+        ):
+            candidate = sched.with_plan(1, plan)
+            windows = time_windows(g, candidate, D, platform)
+            assert (windows is not None) == evaluate(g, candidate, D, platform).feasible
+            assert time_windows(g, candidate, D, platform, check=False) is not None
 
     def test_schedule_energy_equals_evaluate_energy(self, platform):
         g = generate_random(40, 90, seed=8)
@@ -329,6 +346,46 @@ class TestSlackReclaimMatchesFullRecompute:
         out = slack_reclaim(g, sched, D, platform, targets, bounds)
         assert expected.plans != sched.plans
         assert out.plans == expected.plans
+
+
+def _reclaim_case(platform, case):
+    """The inputs of TestSlackReclaimMatchesFullRecompute's case number `case`."""
+    rng = random.Random(case)
+    n = rng.randint(30, 100)
+    g = generate_random(n, rng.randint(n, 3 * n), seed=100 + case)
+    ids = [t.id for t in g.tasks]
+    redone = set(rng.sample(ids, rng.randint(0, n // 2)))
+    sched = Schedule(
+        list_schedule(g, (1, 4, 50)[case % 3]),
+        {tid: ExecutionPlan(1.0, 1.0) if tid in redone else ExecutionPlan(1.0) for tid in ids},
+    )
+    D = (1.2, 2.0, 5.0)[case // 3 % 3] * evaluate(g, sched, math.inf, platform).makespan
+    targets = rng.sample(ids, rng.randint(n // 4, n))
+    bounds = {}
+    for tid in targets:
+        floor = rng.choice(("default", "f_rel", "f_inf"))
+        if floor == "f_rel":
+            bounds[tid] = platform.f_rel
+        elif floor == "f_inf":
+            bounds[tid] = f_inf(g.weight(tid), platform)
+    return g, sched, D, targets, bounds
+
+
+class TestSlackReclaimOneSweep:
+    @pytest.mark.parametrize("case", range(24))
+    def test_second_reclaim_changes_nothing(self, platform, case):
+        g, sched, D, targets, bounds = _reclaim_case(platform, case)
+        out = slack_reclaim(g, sched, D, platform, targets, bounds)
+        assert out.plans != sched.plans
+        assert slack_reclaim(g, out, D, platform, targets, bounds).plans == out.plans
+
+    def test_unequal_copies_rejected(self, platform):
+        g = chain([1.0, 1.0])
+        sched = Schedule(list_schedule(g, 1), {0: ExecutionPlan(1.0), 1: ExecutionPlan(0.3, 0.4)})
+        with pytest.raises(ValueError):
+            slack_reclaim(g, sched, 100.0, platform, [1], {})
+        # Not a target: left alone.
+        assert slack_reclaim(g, sched, 100.0, platform, [0], {}).plans[1] == ExecutionPlan(0.3, 0.4)
 
 
 class TestAugmentedDag:
