@@ -1,19 +1,22 @@
-"""Golden outputs: a small sweep and one vdd conversion, pinned to the last bit.
+"""Golden outputs: a small sweep, every heuristic's plans and one vdd
+conversion, pinned to the last bit.
 
 The rows were produced by ``harness.sweep_records`` before the augmented DAG
 was memoised, and must not change under refactors that keep the model: every
-column but ``ms`` is compared through its exact ``repr``.
+column but ``ms`` is compared through its exact ``repr``. The per-heuristic
+digests were produced before the heuristics became a phase table.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
 
 from trisched.graph import generate_random
 from trisched.harness import ExperimentConfig, sweep_records
-from trisched.heuristics import HeuristicKind, min_deadline, run
+from trisched.heuristics import ALL_HEURISTICS, HeuristicKind, min_deadline, run
 from trisched.schedule import list_schedule
 from trisched.vdd import vdd_schedule_convert
 
@@ -86,6 +89,35 @@ def test_sweep_rows_are_pinned(procs):
                               deadline_ratios=(1.0, 1.2, 2.0, 5.0))
     rows = [tuple(rec.row()[:-1]) for rec in sweep_records(config)]
     assert rows == [row for row in GOLDEN_SWEEP if row[1] == procs]
+
+# Per kind: sha256 over p in (1, 4, 50) and ratio in (1.05, 1.2, 5) on one
+# 30/60 DAG of the sorted (tid, speed1, speed2) plans and the reprs of the
+# energy and makespan.
+GOLDEN_PLANS = {
+    'hfmax': '5bb60516015eb051fecfbcd7584f83b76f3e2f94fbee6effd92d00b941bb3d4f',
+    'hno-reex': '66c88d85c4e11801bc180f68838f6a239ef962a27eefbf6fba11a781c8f74cca',
+    'a.greedy': 'bb407d0ae0823bb2bd4d862b170cce9fb8cb6aebdd321188bd4dba2b6b635fbf',
+    'a.sus-crit': '22cece484a62c73bc4a3226fc1a80e0bd6d80fe0100a2e80a830ed674b57d18e',
+    'b.greedy': 'bcaaba4861193506061ebaac369945ce5773aedaf3324cccaef7027556e15d40',
+    'b.sus-crit': 'f2d1163297a1b42e5556c88e8257e74124263ad125630b1beb335e662558d72d',
+    'b.sus-crit-slow': 'b573052422d4d59900837e012b0d50c758734566dc8d0df597cd745bbd864f0a',
+    'best': '49ada30e9c55b49bc61f1f39613ea00ce157cf83ed3e697c006b480319903bf2',
+}
+
+
+@pytest.mark.parametrize("kind", [*ALL_HEURISTICS, HeuristicKind.BEST], ids=lambda k: k.value)
+def test_every_heuristic_plan_is_pinned(kind):
+    g = generate_random(30, 60, seed=1)
+    digest = hashlib.sha256()
+    for procs in (1, 4, 50):
+        platform = make_platform(procs=procs)
+        mapping = list_schedule(g, procs)
+        for ratio in (1.05, 1.2, 5.0):
+            D = ratio * min_deadline(g, mapping, platform)
+            sched, metrics = run(kind, g, mapping, D, platform)
+            plans = sorted((tid, p.speed1, p.speed2) for tid, p in sched.plans.items())
+            digest.update(f"{plans!r} {metrics.energy!r} {metrics.makespan!r}\n".encode())
+    assert digest.hexdigest() == GOLDEN_PLANS[kind.value]
 
 
 def test_vdd_conversion_of_a_best_schedule_is_pinned():
