@@ -61,9 +61,6 @@ class TaskGraph:
     def predecessors(self, tid: int) -> list[int]:
         return list(self._preds[tid])
 
-    def task(self, tid: int) -> Task:
-        return self._by_id[tid]
-
     def weight(self, tid: int) -> float:
         return self._by_id[tid].weight
 
@@ -120,14 +117,17 @@ def generate_random(n: int, m: int, weight_range=(0.0, 10.0), seed: int = 0) -> 
 
     Edges are sampled without replacement from the pairs (i, j) with i < j
     under the natural node order, so the result is acyclic by construction.
-    Weights are uniform in weight_range (an exact 0 draw is resampled since
-    weights must be positive). Fully determined by the seed.
+    Weights are uniform in weight_range; a draw that is not positive is
+    resampled, so the range must reach above 0 (ValueError otherwise). Fully
+    determined by the seed.
     """
     max_edges = n * (n - 1) // 2
     if m > max_edges:
         raise ValueError(f"m={m} exceeds the {max_edges} possible forward edges")
-    rng = random.Random(seed)
     lo, hi = weight_range
+    if not max(lo, hi) > 0.0:
+        raise ValueError(f"weight_range {weight_range} holds no positive weight")
+    rng = random.Random(seed)
     weights = []
     for _ in range(n):
         w = rng.uniform(lo, hi)

@@ -1,16 +1,21 @@
 """The seven scheduling heuristics plus their envelope.
 
-Two families: type A decelerates every task first and then tries to
-re-execute (good when parallelism is low), type B re-executes first from the
-full-speed baseline and decelerates what is left (good for tight deadlines
-and many processors). Every accepted change passes a feasibility probe whose
-verdict is exactly that of evaluating the whole changed schedule, so
-intermediate states are always feasible. A probe that changes one task of a
-feasible schedule is decided in O(1) from that schedule's time windows.
+Each heuristic is a table entry: a start speed for every task, then phases
+``(g, sched, D, platform, f_re_ex) -> sched`` applied in order. Type A starts
+at f_dec and then tries to re-execute (good when parallelism is low); type B
+re-executes first from f_max and slows what is left (good for tight deadlines
+and many processors). A phase is a ReExec walk over a task order, the
+critical-path fixpoint, type B's reclaim and unjam of single runs, or the
+closing reclaim of re-executed tasks; HFMAX and HNO_REEX have none. Every
+accepted change passes a feasibility probe whose verdict is exactly that of
+evaluating the whole changed schedule, so intermediate states are always
+feasible. A probe that changes one task of a feasible schedule is decided in
+O(1) from that schedule's time windows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -163,14 +168,42 @@ def feasibility_probe(
     return False, schedule
 
 
-def _greedy_list(g: TaskGraph) -> list[int]:
+def _reexecuted(schedule: Schedule) -> list[int]:
+    return [tid for tid, plan in schedule.plans.items() if plan.re_executed]
+
+
+def _singles(schedule: Schedule) -> list[int]:
+    return [tid for tid, plan in schedule.plans.items() if not plan.re_executed]
+
+
+def _greedy_order(g, sched, D, platform):
+    """Every task by decreasing weight, ties by id."""
     return sorted((t.id for t in g.tasks), key=lambda tid: (-g.weight(tid), tid))
 
 
-def _reexec_over(g, schedule, D, platform, order, f_re_ex, with_cohort, slowdown_on_fail):
-    """ReExec (optionally ReExec&SlowDown) walk over the given task order."""
+def _critical_order(g, sched, D, platform):
+    """The tasks on a critical path of ``sched``, in super-weight order."""
+    metrics = evaluate(g, sched, D, platform)
+    return sus_sort(g, metrics, critical_path_tasks(g, sched, metrics))
+
+
+def _singles_order(g, sched, D, platform):
+    """The single-execution tasks of ``sched``, in super-weight order."""
+    metrics = evaluate(g, sched, D, platform)
+    return sus_sort(g, metrics, _singles(sched))
+
+
+def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False, slowdown_on_fail=False):
+    """ReExec (optionally ReExec&SlowDown) walk over ``order(g, schedule, D, platform)``.
+
+    The order is taken from the schedule the walk starts from. Each task still
+    running once is probed at f_re_ex. With ``with_cohort`` the tasks running
+    inside an accepted task's enlarged interval are probed too. With
+    ``slowdown_on_fail`` a rejected task, plus its cohort when
+    ``with_cohort``, is slowed into the slack around it instead.
+    """
     reexec = ExecutionPlan(f_re_ex, f_re_ex)
-    for tid in order:
+    for tid in order(g, schedule, D, platform):
         if schedule.plans[tid].re_executed:
             continue
         ok, schedule = feasibility_probe(g, schedule, D, platform, {tid: reexec})
@@ -184,14 +217,11 @@ def _reexec_over(g, schedule, D, platform, order, f_re_ex, with_cohort, slowdown
                     if not schedule.plans[cid].re_executed:
                         _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec})
         elif slowdown_on_fail:
-            metrics = evaluate(g, schedule, D, platform)
-            group = [tid] + cohort_of(g, metrics, tid)
-            bounds = {
-                cid: f_inf(g.weight(cid), platform)
-                if schedule.plans[cid].re_executed
-                else platform.f_rel
-                for cid in group
-            }
+            group = [tid]
+            if with_cohort:
+                group += cohort_of(g, evaluate(g, schedule, D, platform), tid)
+            # Singles keep slack_reclaim's default floor, f_rel.
+            bounds = {cid: f_inf(g.weight(cid), platform) for cid in group if schedule.plans[cid].re_executed}
             schedule = slack_reclaim(g, schedule, D, platform, group, bounds)
     return schedule
 
@@ -206,25 +236,74 @@ def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex):
     accumulate, so the loop terminates within one pass per task.
     """
     for _ in range(len(g)):
-        metrics = evaluate(g, sched, D, platform)
-        list_sw = sus_sort(g, metrics, critical_path_tasks(g, sched, metrics))
-        before = sum(1 for p in sched.plans.values() if p.re_executed)
-        sched = _reexec_over(g, sched, D, platform, list_sw, f_re_ex,
-                             with_cohort=True, slowdown_on_fail=False)
-        after = sum(1 for p in sched.plans.values() if p.re_executed)
+        before = len(_reexecuted(sched))
+        sched = _critical_walk(g, sched, D, platform, f_re_ex)
+        after = len(_reexecuted(sched))
         if after == before:
-            metrics = evaluate(g, sched, D, platform)
-            rest = sus_sort(g, metrics,
-                            [t.id for t in g.tasks if not sched.plans[t.id].re_executed])
-            sched = _reexec_over(g, sched, D, platform, rest, f_re_ex,
-                                 with_cohort=False, slowdown_on_fail=False)
-            if sum(1 for p in sched.plans.values() if p.re_executed) == after:
+            sched = _reexec_over(g, sched, D, platform, f_re_ex, order=_singles_order)
+            if len(_reexecuted(sched)) == after:
                 break
     return sched
 
 
-def _reexecuted(schedule: Schedule) -> list[int]:
-    return [tid for tid, plan in schedule.plans.items() if plan.re_executed]
+def _unjam_singles(g, sched, D, platform, f_re_ex):
+    """Slow single-execution tasks down to f_rel, then unjam them.
+
+    Singles go first because their appetite for slack is bounded by the f_rel
+    floor, whereas the re-executed reclaim can absorb every bit of slack and
+    would otherwise leave the singles pinned at f_max.
+
+    Type-B acceptance can saturate a path so thoroughly that a task left
+    running once is stuck near f_max, burning far more than the re-execution
+    of a neighbour saves.  Converting a re-executed task back to a single run
+    at f_rel strictly shortens it, so it is always feasible; we keep the best
+    such swap whenever it lowers total energy, and stop when none does.
+    Every reclaim here uses slack_reclaim's default floor, f_rel.
+    """
+    sched = slack_reclaim(g, sched, D, platform, _singles(sched), {})
+    while True:
+        stuck = [
+            tid for tid, plan in sched.plans.items()
+            if not plan.re_executed and plan.speed1 > platform.f_rel + SLACK_TOL
+        ]
+        if not stuck:
+            return sched
+        current = schedule_energy(g, sched)
+        best = None
+        for rid in _reexecuted(sched):
+            trial = sched.with_plan(rid, ExecutionPlan(platform.f_rel))
+            trial = slack_reclaim(g, trial, D, platform, _singles(trial), {})
+            e = schedule_energy(g, trial)
+            if e < current - SLACK_TOL and (best is None or e < best[0]):
+                best = (e, trial)
+        if best is None:
+            return sched
+        sched = best[1]
+
+
+def _reclaim_redone(g, sched, D, platform, f_re_ex):
+    """Hand the remaining slack to the re-executed tasks, down to their f_inf floors."""
+    redone = _reexecuted(sched)
+    bounds = {tid: f_inf(g.weight(tid), platform) for tid in redone}
+    return slack_reclaim(g, sched, D, platform, redone, bounds)
+
+
+_greedy_walk = functools.partial(_reexec_over, order=_greedy_order)
+_critical_walk = functools.partial(_reexec_over, order=_critical_order, with_cohort=True)
+_TAIL_B = (_unjam_singles, _reclaim_redone)
+
+# Per kind: whether every task starts at f_dec (else at f_max), and the
+# phases applied in order.
+_PHASES = {
+    HeuristicKind.HFMAX: (False, ()),
+    HeuristicKind.HNO_REEX: (True, ()),
+    HeuristicKind.A_GREEDY: (True, (_greedy_walk, _reclaim_redone)),
+    HeuristicKind.A_SUS_CRIT: (True, (_reexec_critical_fixpoint, _reclaim_redone)),
+    HeuristicKind.B_GREEDY: (False, (_greedy_walk, *_TAIL_B)),
+    HeuristicKind.B_SUS_CRIT: (False, (_critical_walk, _greedy_walk, *_TAIL_B)),
+    HeuristicKind.B_SUS_CRIT_SLOW: (False, (functools.partial(_critical_walk, slowdown_on_fail=True),
+                                            functools.partial(_greedy_walk, slowdown_on_fail=True), *_TAIL_B)),
+}
 
 
 def run(
@@ -252,92 +331,11 @@ def run(
         return best
 
     speeds = derived_speeds(g, mapping, D, platform)
-    f_dec, f_re_ex = speeds.f_dec, speeds.f_re_ex
-    greedy = _greedy_list(g)
-
-    if f_dec > platform.f_max + SLACK_TOL or kind is HeuristicKind.HFMAX:
-        # Also the answer to a deadline below the minimum makespan, where
-        # nothing is feasible.
-        sched = uniform_schedule(g, mapping, platform.f_max)
-    elif kind is HeuristicKind.HNO_REEX:
-        sched = uniform_schedule(g, mapping, f_dec)
-    elif kind in TYPE_A:
-        sched = uniform_schedule(g, mapping, f_dec)
-        if kind is HeuristicKind.A_GREEDY:
-            sched = _reexec_over(g, sched, D, platform, greedy, f_re_ex,
-                                 with_cohort=False, slowdown_on_fail=False)
-        else:
-            sched = _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex)
-        redone = _reexecuted(sched)
-        bounds = {tid: f_inf(g.weight(tid), platform) for tid in redone}
-        sched = slack_reclaim(g, sched, D, platform, redone, bounds)
-    elif kind in TYPE_B:
-        sched = uniform_schedule(g, mapping, platform.f_max)
-        slow = kind is HeuristicKind.B_SUS_CRIT_SLOW
-        if kind is not HeuristicKind.B_GREEDY:
-            metrics = evaluate(g, sched, D, platform)
-            list_sw = sus_sort(g, metrics, critical_path_tasks(g, sched, metrics))
-            sched = _reexec_over(g, sched, D, platform, list_sw, f_re_ex,
-                                 with_cohort=True, slowdown_on_fail=slow)
-        if slow:
-            reexec = ExecutionPlan(f_re_ex, f_re_ex)
-            for tid in greedy:
-                if sched.plans[tid].re_executed:
-                    continue
-                ok, sched = feasibility_probe(g, sched, D, platform, {tid: reexec})
-                if not ok:
-                    sched = slack_reclaim(g, sched, D, platform, [tid], {tid: platform.f_rel})
-        else:
-            sched = _reexec_over(g, sched, D, platform, greedy, f_re_ex,
-                                 with_cohort=False, slowdown_on_fail=False)
-        sched = _b_final_reclaims(g, sched, D, platform)
-    else:
-        raise ValueError(f"unknown heuristic {kind}")
+    at_f_dec, phases = _PHASES[kind]
+    if speeds.f_dec > platform.f_max + SLACK_TOL:
+        # A deadline below the minimum makespan: nothing is feasible.
+        at_f_dec, phases = False, ()
+    sched = uniform_schedule(g, mapping, speeds.f_dec if at_f_dec else platform.f_max)
+    for phase in phases:
+        sched = phase(g, sched, D, platform, speeds.f_re_ex)
     return sched, evaluate(g, sched, D, platform)
-
-
-def _unjam_singles(g, sched, D, platform):
-    """Trade re-executions away while that unpins jammed single tasks.
-
-    Type-B acceptance can saturate a path so thoroughly that a task left
-    running once is stuck near f_max, burning far more than the re-execution
-    of a neighbour saves.  Converting a re-executed task back to a single run
-    at f_rel strictly shortens it, so it is always feasible; we keep the best
-    such swap whenever it lowers total energy, and stop when none does.
-    """
-    while True:
-        stuck = [
-            tid for tid, plan in sched.plans.items()
-            if not plan.re_executed and plan.speed1 > platform.f_rel + SLACK_TOL
-        ]
-        if not stuck:
-            return sched
-        current = schedule_energy(g, sched)
-        singles_floor = {t.id: platform.f_rel for t in g.tasks}
-        best = None
-        for rid in _reexecuted(sched):
-            trial = sched.with_plan(rid, ExecutionPlan(platform.f_rel))
-            rest = [t.id for t in g.tasks if not trial.plans[t.id].re_executed]
-            trial = slack_reclaim(g, trial, D, platform, rest, singles_floor)
-            e = schedule_energy(g, trial)
-            if e < current - SLACK_TOL and (best is None or e < best[0]):
-                best = (e, trial)
-        if best is None:
-            return sched
-        sched = best[1]
-
-
-def _b_final_reclaims(g, sched, D, platform):
-    """Type-B tail: slow single-execution tasks down to f_rel, then hand the
-    remaining slack to the re-executed ones.
-
-    Singles go first because their appetite for slack is bounded by the f_rel
-    floor, whereas the re-executed reclaim can absorb every bit of slack and
-    would otherwise leave the singles pinned at f_max.
-    """
-    rest = [t.id for t in g.tasks if not sched.plans[t.id].re_executed]
-    sched = slack_reclaim(g, sched, D, platform, rest, {tid: platform.f_rel for tid in rest})
-    sched = _unjam_singles(g, sched, D, platform)
-    redone = _reexecuted(sched)
-    bounds = {tid: f_inf(g.weight(tid), platform) for tid in redone}
-    return slack_reclaim(g, sched, D, platform, redone, bounds)

@@ -89,8 +89,9 @@ def _speed_fault(plan: ExecutionPlan, platform: PlatformModel) -> Optional[str]:
     """The first broken speed rule that needs no f_inf, or None.
 
     Non-positive speeds cannot occur (``ExecutionPlan`` rejects them). The
-    f_inf floor of a re-execution and the f_rel floor of a single run are left
-    to the caller (``evaluate`` sees them as a reliability shortfall).
+    f_inf floor of a re-execution and the f_rel floor of a single run are not
+    checked here: below either, the task misses its reliability threshold, and
+    ``evaluate`` reports that as a reliability shortfall.
     """
     if plan.speed2 is None:
         if plan.speed1 > platform.f_max + SLACK_TOL:
@@ -101,22 +102,6 @@ def _speed_fault(plan: ExecutionPlan, platform: PlatformModel) -> Optional[str]:
     if plan.speed1 >= platform.f_rel / math.sqrt(2.0) + SLACK_TOL:
         return f"re-execution speed {plan.speed1} at or above f_rel/sqrt(2)"
     return None
-
-
-def validate_plan(w: float, plan: ExecutionPlan, platform: PlatformModel) -> None:
-    """Raise ValueError unless the plan satisfies the speed-window invariants."""
-    fault = _speed_fault(plan, platform)
-    if fault is not None:
-        raise ValueError(fault)
-    if plan.speed2 is None:
-        if plan.speed1 < platform.f_rel - SLACK_TOL:
-            raise ValueError("single execution below the reliability speed")
-    else:
-        lo = f_inf(w, platform)
-        if plan.speed1 < lo - SLACK_TOL:
-            raise ValueError(
-                f"re-execution speed {plan.speed1} below f_inf = {lo}"
-            )
 
 
 def exe_time(w: float, plan: ExecutionPlan) -> float:

@@ -43,15 +43,8 @@ class Mapping:
                     raise ValueError(f"task {tid} mapped more than once")
                 seen.add(tid)
 
-    @property
-    def proc_count(self) -> int:
-        return len(self.proc_lists)
-
     def processor_of(self) -> dict[int, int]:
         return {tid: p for p, lst in enumerate(self.proc_lists) for tid in lst}
-
-    def all_tasks(self) -> set[int]:
-        return {tid for lst in self.proc_lists for tid in lst}
 
 
 @dataclass(frozen=True)

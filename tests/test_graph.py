@@ -1,5 +1,6 @@
 """Task-graph construction, random generation, analyses and the text format."""
 
+import math
 import random
 
 import pytest
@@ -159,3 +160,8 @@ class TestDagFormat:
         for text in ("1 0\n0 nan\n", "1 0\n0 inf\n"):
             with pytest.raises(ValueError):
                 parse_dag(text)
+
+    def test_weight_range_without_positive_values_rejected(self):
+        for weight_range in ((-2.0, -1.0), (0.0, 0.0), (-1.0, 0.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                generate_random(3, 1, weight_range=weight_range, seed=0)

@@ -26,7 +26,6 @@ from trisched.model import (
     reliability,
     reliability_threshold,
     single_task_optimal,
-    validate_plan,
 )
 
 
@@ -58,17 +57,6 @@ class TestTypes:
     def test_plan_re_executed_flag(self):
         assert not ExecutionPlan(1.0).re_executed
         assert ExecutionPlan(0.5, 0.5).re_executed
-
-    def test_validate_plan_rejects_out_of_range_speed(self, platform):
-        with pytest.raises(ValueError):
-            validate_plan(1.0, ExecutionPlan(2.0), platform)
-        with pytest.raises(ValueError):
-            validate_plan(1.0, ExecutionPlan(0.3, 0.9), platform)
-        with pytest.raises(ValueError):
-            validate_plan(1.0, ExecutionPlan(0.5, 0.5), platform)
-        with pytest.raises(ValueError):
-            validate_plan(1.0, ExecutionPlan(0.001, 0.001), platform)  # below f_inf
-        validate_plan(1.0, ExecutionPlan(0.4, 0.4), platform)
 
 
 class TestExeTime:

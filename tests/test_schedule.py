@@ -133,6 +133,8 @@ class TestEvaluate:
             ExecutionPlan(5.0),  # above f_max
             ExecutionPlan(0.3, 0.9),  # copies at different speeds
             ExecutionPlan(0.5, 0.5),  # re-executed at or above f_rel/sqrt(2)
+            ExecutionPlan(0.001, 0.001),  # re-executed below f_inf
+            ExecutionPlan(0.9 * platform.f_rel),  # single run below f_rel
         ):
             sched = uniform_schedule(g, mapping, platform.f_rel).with_plan(1, plan)
             assert not evaluate(g, sched, 100.0, platform).feasible
