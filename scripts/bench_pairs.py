@@ -1,0 +1,127 @@
+"""Alternating parent/change pairs of ``bench/run.py``, summarised as JSON.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . --out BENCH.json \\
+        --workloads dag-tight dag-loose exact --pairs 10 --seed 1
+
+Runs ``bench/run.py --trace 0`` in each checkout (each from its own
+directory, so each times its own source), one after the other, alternating
+which side runs first: the parent in even pairs, the change in odd ones.
+Run length is ``BENCHMARK.json``'s ``run_seconds`` unless ``--seconds`` is
+given, and the same on both sides. Writes, per workload and end-to-end
+metric, each side's median and quartiles and every run, and how many pairs
+the change won (ties count for neither side), plus each run's failed and
+attempted ops and median reference chunk (the host's speed). Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+CHUNK = re.compile(r"median reference chunk ([0-9.]+) ms")
+
+
+def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run of the checkout's benchmark: its result line plus the chunk time."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    chunk = CHUNK.search(proc.stdout)
+    result["median_chunk_ms"] = float(chunk.group(1)) if chunk else None
+    return result
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+    out = {
+        side: {
+            "correct": all(r["correct"] for r in runs[side]),
+            "failed": [r["failed"] for r in runs[side]],
+            "attempted": [r["attempted"] for r in runs[side]],
+            "median_chunk_ms": [r["median_chunk_ms"] for r in runs[side]],
+        }
+        for side in SIDES
+    }
+    metrics = {}
+    for name, direction in better.items():
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        entry = {"unit": runs["parent"][0]["metrics"][name]["unit"], "better": direction}
+        for side in SIDES:
+            entry[side] = {**quartiles(values[side]), "runs": values[side]}
+        entry["change_better"] = wins
+        entry["pairs"] = len(values["parent"])
+        if entry["parent"]["median"]:
+            entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
+        metrics[name] = entry
+    out["metrics"] = metrics
+    return out
+
+
+def describe(checkout: Path) -> str | None:
+    """The checkout's commit, marked ``-dirty`` when its files differ from it."""
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() or None
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=None)
+    args = ap.parse_args(argv)
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    report = {
+        "protocol": {
+            "pairs": args.pairs, "seed": args.seed, "seconds": seconds,
+            "order": "parent first in even pairs, change first in odd pairs",
+        },
+        "host": {"cpus": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine()},
+        "commits": {side: describe(path) for side, path in checkouts.items()},
+        "workloads": {},
+    }
+    for workload in args.workloads:
+        runs = {side: [] for side in SIDES}
+        for i in range(args.pairs):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                result = bench_once(checkouts[side], workload, args.seed, seconds)
+                runs[side].append(result)
+                print(f"{workload} pair {i} {side}: "
+                      + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
+                      file=sys.stderr, flush=True)
+        report["workloads"][workload] = summarise(runs, better)
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

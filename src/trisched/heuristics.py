@@ -11,6 +11,15 @@ accepted change passes a feasibility probe whose verdict is exactly that of
 evaluating the whole changed schedule, so intermediate states are always
 feasible. A probe that changes one task of a feasible schedule is decided in
 O(1) from that schedule's time windows.
+
+Type B's reclaims are incremental and exact. A task slowed alone after a
+rejected probe takes its window from the probe's memoised windows, which are
+the ones a one-target sweep would compute. Each unjam round scores every
+swap from the round's schedule, a reclaim fixpoint of its single runs: a
+task whose earliest start and latest finish are bit-equal to that
+schedule's would be left as it is by a full reclaim of the trial, so only
+the tasks the swap reaches are recomputed, with the same float operations
+(``schedule.swap_reclaims``). Outputs are bit-identical to full reclaims.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
+    _slowed,
     _thresholds,
     cohort_of,
     critical_path_tasks,
@@ -41,6 +51,7 @@ from .schedule import (
     schedule_energy,
     slack_reclaim,
     sus_sort,
+    swap_reclaims,
     task_feasible,
     time_windows,
     uniform_schedule,
@@ -217,13 +228,32 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
                     if not schedule.plans[cid].re_executed:
                         _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec})
         elif slowdown_on_fail:
-            group = [tid]
-            if with_cohort:
-                group += cohort_of(g, evaluate(g, schedule, D, platform), tid)
-            # Singles keep slack_reclaim's default floor, f_rel.
-            bounds = {cid: f_inf(g.weight(cid), platform) for cid in group if schedule.plans[cid].re_executed}
-            schedule = slack_reclaim(g, schedule, D, platform, group, bounds)
+            cohort = cohort_of(g, evaluate(g, schedule, D, platform), tid) if with_cohort else []
+            if cohort:
+                group = [tid, *cohort]
+                # Singles keep slack_reclaim's default floor, f_rel.
+                bounds = {cid: f_inf(g.weight(cid), platform) for cid in group if schedule.plans[cid].re_executed}
+                schedule = slack_reclaim(g, schedule, D, platform, group, bounds)
+            else:
+                schedule = _slow_single(g, schedule, D, platform, tid)
     return schedule
+
+
+def _slow_single(g, schedule, D, platform, tid):
+    """``slack_reclaim(g, schedule, D, platform, [tid], {})`` for a tid that runs once.
+
+    With one target, the sweep's window for it is the plain forward and
+    backward pass, which ``_windows`` holds (a rejected probe of ``schedule``
+    has just filled its memo) with the same float operations, so only the
+    decision is left to make. An infeasible ``schedule``, which has no
+    windows, gets the full reclaim.
+    """
+    windows = _windows(g, schedule, D, platform)
+    if windows is None:
+        return slack_reclaim(g, schedule, D, platform, [tid], {})
+    est, lft = windows
+    slowed = _slowed(g.weight(tid), schedule.plans[tid], lft[tid] - est[tid], platform.f_rel)
+    return schedule if slowed is None else schedule.with_plan(tid, slowed)
 
 
 def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex):
@@ -257,8 +287,17 @@ def _unjam_singles(g, sched, D, platform, f_re_ex):
     running once is stuck near f_max, burning far more than the re-execution
     of a neighbour saves.  Converting a re-executed task back to a single run
     at f_rel strictly shortens it, so it is always feasible; we keep the best
-    such swap whenever it lowers total energy, and stop when none does.
-    Every reclaim here uses slack_reclaim's default floor, f_rel.
+    such swap, followed by a reclaim of the single runs, whenever it lowers
+    total energy, and stop when none does. Every reclaim here uses
+    slack_reclaim's default floor, f_rel.
+
+    Each round's schedule is the output of a reclaim of its single runs, so
+    a second such reclaim would change nothing (slack_reclaim's sweep is
+    exact in one pass). That is the precondition of ``swap_reclaims``, which
+    scores every swap of the round from that schedule's windows, moving only
+    the tasks the swap reaches, with the same float operations as a full
+    reclaim and energy sum; the result is bit-identical to reclaiming each
+    trial in full.
     """
     sched = slack_reclaim(g, sched, D, platform, _singles(sched), {})
     while True:
@@ -270,15 +309,12 @@ def _unjam_singles(g, sched, D, platform, f_re_ex):
             return sched
         current = schedule_energy(g, sched)
         best = None
-        for rid in _reexecuted(sched):
-            trial = sched.with_plan(rid, ExecutionPlan(platform.f_rel))
-            trial = slack_reclaim(g, trial, D, platform, _singles(trial), {})
-            e = schedule_energy(g, trial)
+        for e, changes in swap_reclaims(g, sched, D, platform, _reexecuted(sched)):
             if e < current - SLACK_TOL and (best is None or e < best[0]):
-                best = (e, trial)
+                best = (e, changes)
         if best is None:
             return sched
-        sched = best[1]
+        sched = sched.with_plans(best[1])
 
 
 def _reclaim_redone(g, sched, D, platform, f_re_ex):
@@ -312,25 +348,30 @@ def run(
     mapping: Mapping,
     D: float,
     platform: PlatformModel,
+    *,
+    speeds: DerivedSpeeds | None = None,
 ) -> tuple[Schedule, ScheduleMetrics]:
     """Run one heuristic; returns the schedule and its metrics.
 
     For a deadline below the full-speed makespan every heuristic reports the
-    full-speed schedule with an infeasible verdict.
+    full-speed schedule with an infeasible verdict. ``speeds``, when given,
+    must be ``derived_speeds(g, mapping, D, platform)``; BEST derives them
+    once and passes them to every kind it runs.
     """
     if math.isnan(D):
         raise ValueError("deadline must not be NaN")
+    if speeds is None:
+        speeds = derived_speeds(g, mapping, D, platform)
     if kind is HeuristicKind.BEST:
         best = None
         for k in ALL_HEURISTICS:
-            sched, metrics = run(k, g, mapping, D, platform)
+            sched, metrics = run(k, g, mapping, D, platform, speeds=speeds)
             if best is None:
                 best = (sched, metrics)
             elif metrics.feasible and (not best[1].feasible or metrics.energy < best[1].energy):
                 best = (sched, metrics)
         return best
 
-    speeds = derived_speeds(g, mapping, D, platform)
     at_f_dec, phases = _PHASES[kind]
     if speeds.f_dec > platform.f_max + SLACK_TOL:
         # A deadline below the minimum makespan: nothing is feasible.

@@ -7,6 +7,7 @@ optimizer. Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -168,11 +169,14 @@ def meets_reliability(w: float, plan: ExecutionPlan, platform: PlatformModel) ->
     return reliability(w, plan, platform) >= reliability_threshold(w, platform) - SLACK_TOL
 
 
+@functools.lru_cache(maxsize=256)
 def f_inf(w: float, platform: PlatformModel) -> float:
     """Minimum speed at which two executions still meet the reliability threshold.
 
     Unique positive root of  lambda0 * w * exp(-2 d f) / f^2 = exp(-d f_rel) / f_rel,
     found by bisection (the left-hand side is monotone decreasing in f).
+    A pure function of its arguments, memoised per (w, platform): heuristics,
+    solvers and oracles ask for the same task's floor many times.
     """
     if w <= 0.0:
         raise ValueError("weight must be positive")

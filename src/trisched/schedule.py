@@ -14,6 +14,7 @@ must not mutate it.
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass
 
 from .graph import TaskGraph, bottom_levels
@@ -316,20 +317,127 @@ def slack_reclaim(
         lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
         if tid not in targets:
             continue
-        window = lft[tid] - est[tid]
-        if window <= 0.0:
-            continue
-        plan = plans[tid]
-        w = weights[tid]
-        if plan.re_executed:
-            needed = 2.0 * w / window
-        else:
-            needed = w / window
-        new_speed = max(lower_bounds.get(tid, platform.f_rel), needed)
-        if new_speed < plan.speed1 - SLACK_TOL:
-            plans[tid] = ExecutionPlan(new_speed, new_speed) if plan.re_executed else ExecutionPlan(new_speed)
-            dur[tid] = exe_time(w, plans[tid])
+        slowed = _slowed(weights[tid], plans[tid], lft[tid] - est[tid], lower_bounds.get(tid, platform.f_rel))
+        if slowed is not None:
+            plans[tid] = slowed
+            dur[tid] = exe_time(weights[tid], slowed)
     return Schedule(schedule.mapping, plans)
+
+
+def _slowed(w: float, plan: ExecutionPlan, window: float, floor: float) -> ExecutionPlan | None:
+    """``slack_reclaim``'s decision for one target: its slower plan, or None to keep ``plan``.
+
+    The target expands into ``window`` (latest finish minus earliest start),
+    down to ``floor``, and changes only when that is slower by SLACK_TOL.
+    """
+    if window <= 0.0:
+        return None
+    if plan.re_executed:
+        needed = 2.0 * w / window
+    else:
+        needed = w / window
+    new_speed = max(floor, needed)
+    if new_speed < plan.speed1 - SLACK_TOL:
+        return ExecutionPlan(new_speed, new_speed) if plan.re_executed else ExecutionPlan(new_speed)
+    return None
+
+
+def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformModel, tids):
+    """Score each swap "tid runs once at f_rel" of ``base``, then a reclaim of the single runs.
+
+    For each tid of ``tids`` (re-executed in ``base``) yields ``(energy,
+    changes)``: ``base.with_plans(changes)`` equals ``slack_reclaim(g, trial,
+    D, platform, singles, {})``, where ``trial`` is ``base`` with tid at
+    ``ExecutionPlan(f_rel)`` and ``singles`` its single-run tasks, and
+    ``energy`` equals ``schedule_energy`` of that schedule, bit for bit.
+
+    Precondition: ``base`` is a reclaim fixpoint of its single runs, i.e.
+    ``slack_reclaim(g, base, D, platform, singles of base, {})`` changes
+    nothing, as a schedule that such a reclaim returned is (a second sweep
+    changes nothing). Then the reclaim of a trial decides, for every task
+    whose earliest start and latest finish are bit-equal to base's, what the
+    base sweep decided: no change. So the base's durations, windows and
+    energies are built once, and each trial recomputes only what the swap
+    moves, with slack_reclaim's float expressions: the earliest starts of
+    tid's descendants, in topological order, stopping where a finish comes
+    out bit-equal to base's; then, in reverse topological order from the
+    last moved task, a latest finish wherever a successor's latest finish
+    or duration moved, and the slow-down decision only where the earliest
+    start or latest finish moved, plus tid. The energy continues base's
+    running sum from the first changed position, one term at a time in the
+    same order, as ``schedule_energy`` adds it.
+    """
+    succs, preds, order = _augmented_dag(g, base.mapping)
+    # Tasks are numbered by their position in the topological order.
+    n = len(order)
+    pos = {tid: i for i, tid in enumerate(order)}
+    succ = [[pos[s] for s in succs[tid]] for tid in order]
+    pred = [[pos[p] for p in preds[tid]] for tid in order]
+    weights = [g.weight(tid) for tid in order]
+    plans = [base.plans[tid] for tid in order]
+    dur = [exe_time(w, plan) for w, plan in zip(weights, plans)]
+    est, finish = _start_times(pred, range(n), dur)
+    est, finish = list(est.values()), list(finish.values())
+    lft = [D] * n
+    for i in reversed(range(n)):
+        lft[i] = min((lft[s] - dur[s] for s in succ[i]), default=D)
+    energies = [energy(w, plan) for w, plan in zip(weights, plans)]
+    prefix = [0.0]
+    for e in energies:
+        prefix.append(prefix[-1] + e)
+    f_rel = platform.f_rel
+    swap = ExecutionPlan(f_rel)
+    for r in map(pos.__getitem__, tids):
+        # Forward: the earliest starts that the shorter task r moves; decide
+        # collects r and the tasks whose earliest start moved.
+        t_dur, t_est, t_finish, t_lft = dur[:], est[:], finish[:], lft[:]
+        t_dur[r] = exe_time(weights[r], swap)
+        t_finish[r] = est[r] + t_dur[r]
+        heap = sorted(succ[r]) if t_finish[r] != finish[r] else []
+        queued = set(heap)
+        decide = {r}
+        while heap:
+            v = heapq.heappop(heap)
+            s = max((t_finish[p] for p in pred[v]), default=0.0)
+            if s == est[v]:
+                continue
+            t_est[v] = s
+            decide.add(v)
+            t_finish[v] = f = s + dur[v]
+            if f == finish[v]:
+                continue
+            for x in succ[v]:
+                if x not in queued:
+                    queued.add(x)
+                    heapq.heappush(heap, x)
+        # Backward: the sweep, from the last moved task down.
+        changes = {r: swap}
+        heap = [-u for u in decide]
+        heapq.heapify(heap)
+        queued = set(decide)
+        while heap:
+            u = -heapq.heappop(heap)
+            lf = min((t_lft[s] - t_dur[s] for s in succ[u]), default=D)
+            moved = lf != lft[u]
+            t_lft[u] = lf
+            plan = changes.get(u, plans[u])
+            if not plan.re_executed and (moved or u in decide):
+                slowed = _slowed(weights[u], plan, lf - t_est[u], f_rel)
+                if slowed is not None:
+                    changes[u] = slowed
+                    t_dur[u] = exe_time(weights[u], slowed)
+                    moved = True
+            if moved or u == r:
+                for p in pred[u]:
+                    if p not in queued:
+                        queued.add(p)
+                        heapq.heappush(heap, -p)
+        first = min(changes)
+        total = prefix[first]
+        for i in range(first, n):
+            plan = changes.get(i)
+            total += energies[i] if plan is None else energy(weights[i], plan)
+        yield total, {order[i]: plan for i, plan in changes.items()}
 
 
 def format_schedule(g: TaskGraph, schedule: Schedule) -> str:

@@ -7,18 +7,33 @@ import pytest
 
 from conftest import make_platform, random_instance
 from trisched.graph import chain, generate_random
+from test_schedule import _reclaim_case
+from trisched import heuristics
 from trisched.heuristics import (
+    _PHASES,
     ALL_HEURISTICS,
     TYPE_A,
     TYPE_B,
     HeuristicKind,
+    _reexecuted,
+    _singles,
+    _slow_single,
+    _unjam_singles,
     derived_speeds,
     feasibility_probe,
     min_deadline,
     run,
 )
 from trisched.model import SLACK_TOL, ExecutionPlan, f_inf, reexec_speed
-from trisched.schedule import evaluate, list_schedule, time_windows, uniform_schedule
+from trisched.schedule import (
+    evaluate,
+    list_schedule,
+    schedule_energy,
+    slack_reclaim,
+    swap_reclaims,
+    time_windows,
+    uniform_schedule,
+)
 
 
 def assert_reexec_speed_window(g, sched, platform):
@@ -266,3 +281,110 @@ class TestHeuristicOutputs:
             s1, m1 = run(kind, g, mapping, D, platform)
             s2, m2 = run(kind, g, mapping, D, platform)
             assert s1.plans == s2.plans and m1.energy == m2.energy
+
+
+def _unjam_singles_full_reclaims(g, sched, D, platform, f_re_ex):
+    """The earlier _unjam_singles, which reclaimed every trial in full.
+
+    Kept verbatim as the oracle: scoring the swaps from the base windows
+    must give the same schedule, bit for bit.
+    """
+    sched = slack_reclaim(g, sched, D, platform, _singles(sched), {})
+    while True:
+        stuck = [
+            tid for tid, plan in sched.plans.items()
+            if not plan.re_executed and plan.speed1 > platform.f_rel + SLACK_TOL
+        ]
+        if not stuck:
+            return sched
+        current = schedule_energy(g, sched)
+        best = None
+        for rid in _reexecuted(sched):
+            trial = sched.with_plan(rid, ExecutionPlan(platform.f_rel))
+            trial = slack_reclaim(g, trial, D, platform, _singles(trial), {})
+            e = schedule_energy(g, trial)
+            if e < current - SLACK_TOL and (best is None or e < best[0]):
+                best = (e, trial)
+        if best is None:
+            return sched
+        sched = best[1]
+
+
+def _type_b_starts(platform, case):
+    """The schedules type-B walks hand to _unjam_singles, on _reclaim_case's DAG and deadline."""
+    g, sched, D, _, _ = _reclaim_case(platform, case)
+    f_re_ex = derived_speeds(g, sched.mapping, D, platform).f_re_ex
+    for kind in TYPE_B:
+        _, phases = _PHASES[kind]
+        start = uniform_schedule(g, sched.mapping, platform.f_max)
+        for phase in phases[: phases.index(_unjam_singles)]:
+            start = phase(g, start, D, platform, f_re_ex)
+        yield g, start, D, f_re_ex
+
+
+class TestUnjamFromBaseWindows:
+    def test_each_trial_equals_a_full_reclaim(self, platform):
+        trials = moved = 0
+        for case in range(0, 24, 2):
+            for g, start, D, _ in _type_b_starts(platform, case):
+                base = slack_reclaim(g, start, D, platform, _singles(start), {})
+                rids = _reexecuted(base)
+                for rid, (e, changes) in zip(rids, swap_reclaims(g, base, D, platform, rids)):
+                    trial = base.with_plan(rid, ExecutionPlan(platform.f_rel))
+                    expected = slack_reclaim(g, trial, D, platform, _singles(trial), {})
+                    assert base.with_plans(changes).plans == expected.plans, (case, rid)
+                    assert e == schedule_energy(g, expected), (case, rid)
+                    trials += 1
+                    moved += len(changes) > 1
+        # Some swaps must free slack that other single runs take up.
+        assert trials > 100 and moved > 10
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_same_schedule_as_full_reclaims(self, platform, case):
+        swapped = 0
+        for g, start, D, f_re_ex in _type_b_starts(platform, case):
+            expected = _unjam_singles_full_reclaims(g, start, D, platform, f_re_ex)
+            out = _unjam_singles(g, start, D, platform, f_re_ex)
+            assert out.plans == expected.plans
+            assert schedule_energy(g, out) == schedule_energy(g, expected)
+            first = slack_reclaim(g, start, D, platform, _singles(start), {})
+            swapped += any(not expected.plans[tid].re_executed for tid in _reexecuted(first))
+        if case % 3 == 0:
+            # On one processor all tasks lie on one chain; every such case swaps.
+            assert swapped
+
+
+class TestSlowSingle:
+    def test_equals_one_target_reclaim(self, platform):
+        slowed = 0
+        for case in range(12):
+            rng = random.Random(case)
+            for g, sched, D, f_re_ex in _type_b_starts(platform, case):
+                singles = _singles(sched)
+                for tid in rng.sample(singles, min(len(singles), 8)):
+                    # A memo from a probe of sched, a stale one (the full-speed
+                    # schedule of the same mapping was probed last, and
+                    # rejected), and the unbuilt one an accept leaves.
+                    memo = rng.choice(("fresh", "stale", "accepted"))
+                    if memo == "fresh":
+                        feasibility_probe(g, sched, D, platform, {tid: ExecutionPlan(f_re_ex, f_re_ex)})
+                    elif memo == "stale":
+                        other = uniform_schedule(g, sched.mapping, platform.f_max)
+                        ok, _ = feasibility_probe(g, other, D, platform, {tid: ExecutionPlan(0.5 * platform.f_rel)})
+                        assert not ok and heuristics._last_probed[5] is not None
+                    else:
+                        _, sched = feasibility_probe(g, sched, D, platform, {tid: ExecutionPlan(platform.f_rel)})
+                    expected = slack_reclaim(g, sched, D, platform, [tid], {})
+                    out = _slow_single(g, sched, D, platform, tid)
+                    assert out.plans == expected.plans, (case, tid, memo)
+                    slowed += out.plans != sched.plans
+        assert slowed > 20
+
+    def test_infeasible_schedule_gets_the_full_reclaim(self, platform):
+        g = generate_random(30, 60, seed=3)
+        mapping = list_schedule(g, 4)
+        D = 2.0 * min_deadline(g, mapping, platform)
+        sched = uniform_schedule(g, mapping, platform.f_max).with_plan(0, ExecutionPlan(0.5 * platform.f_rel))
+        assert not evaluate(g, sched, D, platform).feasible
+        for tid in range(1, len(g)):
+            assert _slow_single(g, sched, D, platform, tid).plans == slack_reclaim(g, sched, D, platform, [tid], {}).plans
