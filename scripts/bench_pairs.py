@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of ``bench/run.py``, summarised as JSON.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --out BENCH.json \\
-        --workloads dag-tight dag-loose exact --pairs 10 --seed 1
+        --workloads dag-tight dag-loose exact --pairs 10 --seed 1 --acceptance
 
 Runs ``bench/run.py --trace 0`` in each checkout (each from its own
 directory, so each times its own source), one after the other, alternating
@@ -10,8 +10,11 @@ Run length is ``BENCHMARK.json``'s ``run_seconds`` unless ``--seconds`` is
 given, and the same on both sides. Writes, per workload and end-to-end
 metric, each side's median and quartiles and every run, and how many pairs
 the change won (ties count for neither side), plus each run's failed and
-attempted ops and median reference chunk (the host's speed). Standard
-library only.
+attempted ops and median reference chunk (the host's speed). With
+``--acceptance``, it then runs ``pytest -q --durations=10
+tests/test_acceptance.py`` once per side, parent first, each on its own
+``src``, and writes each side's wall time, pytest's summary line and the ten
+slowest test phases. Standard library only.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 CHUNK = re.compile(r"median reference chunk ([0-9.]+) ms")
+# One line of pytest's --durations report: "12.34s call     tests/x.py::test_y".
+DURATION = re.compile(r"^([0-9.]+)s (setup|call|teardown)\s+(\S+)\s*$", re.M)
 
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -42,6 +48,30 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict
     chunk = CHUNK.search(proc.stdout)
     result["median_chunk_ms"] = float(chunk.group(1)) if chunk else None
     return result
+
+
+def slowest(pytest_output: str) -> list[dict]:
+    """The test phases of a ``--durations`` report, slowest first."""
+    return [
+        {"test": m.group(3), "phase": m.group(2), "s": float(m.group(1))}
+        for m in DURATION.finditer(pytest_output)
+    ]
+
+
+def acceptance_once(checkout: Path) -> dict:
+    """One run of the checkout's acceptance suite on its own sources: wall time and slowest phases."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"), env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=10",
+         "tests/test_acceptance.py"],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "returncode": proc.returncode, "summary": lines[-1] if lines else "",
+            "slowest": slowest(proc.stdout)}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -90,6 +120,7 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--acceptance", action="store_true", help="also time each side's acceptance suite")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=None)
@@ -119,6 +150,12 @@ def main(argv=None) -> int:
                       + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
                       file=sys.stderr, flush=True)
         report["workloads"][workload] = summarise(runs, better)
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    if args.acceptance:
+        report["acceptance"] = {}
+        for side in SIDES:
+            report["acceptance"][side] = result = acceptance_once(checkouts[side])
+            print(f"acceptance {side}: {result['wall_s']:.1f} s, {result['summary']}", file=sys.stderr, flush=True)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

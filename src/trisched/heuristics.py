@@ -12,13 +12,22 @@ evaluating the whole changed schedule, so intermediate states are always
 feasible. A probe that changes one task of a feasible schedule is decided in
 O(1) from that schedule's time windows.
 
+The windows are live: one memo holds the earliest starts and finishes,
+latest finishes and durations of the last probed schedule. An accepted
+one-task probe, and a task slowed alone after a rejected one, update it in
+place, recomputing only the descendants' starts and the ancestors' latest
+finishes that the change moves (``schedule._retime``), so a walk rebuilds
+the windows only after a multi-task reclaim. The cohort of a ReExec walk is
+read from the same memo, whose starts and finishes are evaluate's, bit for
+bit.
+
 Type B's reclaims are incremental and exact. A task slowed alone after a
-rejected probe takes its window from the probe's memoised windows, which are
-the ones a one-target sweep would compute. Each unjam round scores every
-swap from the round's schedule, a reclaim fixpoint of its single runs: a
-task whose earliest start and latest finish are bit-equal to that
-schedule's would be left as it is by a full reclaim of the trial, so only
-the tasks the swap reaches are recomputed, with the same float operations
+rejected probe takes its window from the live memo, which holds the window
+a one-target sweep would compute. Each unjam round scores every swap from
+the round's schedule, a reclaim fixpoint of its single runs: a task whose
+earliest start and latest finish are bit-equal to that schedule's would be
+left as it is by a full reclaim of the trial, so only the tasks the swap
+reaches are recomputed, with the same float operations
 (``schedule.swap_reclaims``). Outputs are bit-identical to full reclaims.
 """
 
@@ -43,8 +52,10 @@ from .schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
+    _retime,
     _slowed,
     _thresholds,
+    _window_state,
     cohort_of,
     critical_path_tasks,
     evaluate,
@@ -53,7 +64,6 @@ from .schedule import (
     sus_sort,
     swap_reclaims,
     task_feasible,
-    time_windows,
     uniform_schedule,
 )
 
@@ -97,17 +107,20 @@ def derived_speeds(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformM
     return DerivedSpeeds(f_dec, reexec_speed(platform))
 
 
-# The last probed schedule's time_windows, keyed on its mapping, the other
-# arguments and a copy of its plans, so an equal schedule rebuilt by a
-# reclaim that changed nothing still hits (the comparison is by identity for
-# plans shared with the copy) and a plans dict changed in place misses. The
-# windows are a pair (est, lft), None for an infeasible schedule, or _UNBUILT
-# for one an accepted probe has just proved feasible.
-_UNBUILT = object()
+# The live window state of the last probed schedule: a list [mapping, g, D,
+# platform, plans, state], where plans is a private copy of the schedule's
+# plans (compared by value, so an equal schedule rebuilt by a reclaim that
+# changed nothing still hits, and a plans dict changed in place misses) and
+# state is schedule._window_state's [est, finish, lft, dur], None for an
+# infeasible schedule. An accepted one-task probe and a lone slow-down move
+# the memo to the changed schedule in place (schedule._retime), so the dicts
+# _windows returns are mutated by the next accept or slow-down: read them
+# before probing again, and never change them.
 _last_probed = None
 
 
 def _windows(g, schedule, D, platform):
+    """The live ``[est, finish, lft, dur]`` of ``schedule``, or None when it is infeasible."""
     global _last_probed
     last = _last_probed
     if (
@@ -118,13 +131,17 @@ def _windows(g, schedule, D, platform):
         and last[3] is platform
         and last[4] == schedule.plans
     ):
-        if last[5] is not _UNBUILT:
-            return last[5]
-        windows = time_windows(g, schedule, D, platform, check=False)
-    else:
-        windows = time_windows(g, schedule, D, platform)
-    _last_probed = (schedule.mapping, g, D, platform, dict(schedule.plans), windows)
-    return windows
+        return last[5]
+    state = _window_state(g, schedule, D, platform)
+    _last_probed = [schedule.mapping, g, D, platform, dict(schedule.plans), state]
+    return state
+
+
+def _advance(g, D, tid, plan, d):
+    """Move the memo's schedule and windows to tid running ``plan`` for duration d."""
+    last = _last_probed
+    last[4][tid] = plan
+    _retime(g, last[0], last[5], D, tid, d)
 
 
 def feasibility_probe(
@@ -155,17 +172,23 @@ def feasibility_probe(
     within 4n * eps * M of zero, where the verdicts could differ, is
     settled by evaluate, as are deltas of zero or several tasks and an
     infeasible ``schedule``.
+
+    The windows come from the live memo (``_windows``). An accepted one-task
+    probe of a feasible schedule moves the memo to the candidate in place;
+    any other accept rebuilds it, unchecked, for the candidate. A rejected
+    probe leaves it on ``schedule``.
     """
     global _last_probed
     candidate = schedule.with_plans(deltas)
-    verdict = None
+    verdict = state = None
     if len(deltas) == 1:
-        windows = _windows(g, schedule, D, platform)
-        if windows is not None:
-            est, lft = windows
+        state = _windows(g, schedule, D, platform)
+        if state is not None:
+            est, _, lft, _ = state
             ((tid, plan),) = deltas.items()
             w = g.weight(tid)
-            margin = lft[tid] + SLACK_TOL - (est[tid] + exe_time(w, plan))
+            d = exe_time(w, plan)
+            margin = lft[tid] + SLACK_TOL - (est[tid] + d)
             band = 4 * len(est) * sys.float_info.epsilon * max(D, 1.0)
             if margin > band:
                 verdict = task_feasible(w, plan, _thresholds(g, platform)[tid], platform)
@@ -173,10 +196,14 @@ def feasibility_probe(
                 verdict = False
     if verdict is None:
         verdict = evaluate(g, candidate, D, platform).feasible
-    if verdict:
-        _last_probed = (candidate.mapping, g, D, platform, dict(candidate.plans), _UNBUILT)
-        return True, candidate
-    return False, schedule
+    if not verdict:
+        return False, schedule
+    if state is not None:
+        _advance(g, D, tid, plan, d)
+    else:
+        _last_probed = [candidate.mapping, g, D, platform, dict(candidate.plans),
+                        _window_state(g, candidate, D, platform, check=False)]
+    return True, candidate
 
 
 def _reexecuted(schedule: Schedule) -> list[int]:
@@ -223,12 +250,11 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
                 # The super-weight set is taken after the task stretched to
                 # its two slow executions, so everything running inside that
                 # enlarged interval is pulled along.
-                metrics = evaluate(g, schedule, D, platform)
-                for cid in cohort_of(g, metrics, tid):
+                for cid in cohort_of(g, *_times(g, schedule, D, platform), tid):
                     if not schedule.plans[cid].re_executed:
                         _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec})
         elif slowdown_on_fail:
-            cohort = cohort_of(g, evaluate(g, schedule, D, platform), tid) if with_cohort else []
+            cohort = cohort_of(g, *_times(g, schedule, D, platform), tid) if with_cohort else []
             if cohort:
                 group = [tid, *cohort]
                 # Singles keep slack_reclaim's default floor, f_rel.
@@ -239,21 +265,46 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
     return schedule
 
 
+def _times(g, schedule, D, platform):
+    """Start and finish times of ``schedule``, bit-equal to ``evaluate``'s.
+
+    They come from the live windows (the walk's last probe left the memo on
+    ``schedule``), or from ``evaluate`` for an infeasible schedule.
+    """
+    state = _windows(g, schedule, D, platform)
+    if state is None:
+        metrics = evaluate(g, schedule, D, platform)
+        return metrics.start_times, metrics.finish_times
+    return state[0], state[1]
+
+
 def _slow_single(g, schedule, D, platform, tid):
     """``slack_reclaim(g, schedule, D, platform, [tid], {})`` for a tid that runs once.
 
     With one target, the sweep's window for it is the plain forward and
     backward pass, which ``_windows`` holds (a rejected probe of ``schedule``
     has just filled its memo) with the same float operations, so only the
-    decision is left to make. An infeasible ``schedule``, which has no
-    windows, gets the full reclaim.
+    decision is left to make. The memo then moves to the slowed schedule in
+    place; its verdict is ``time_windows``' check, of which only the
+    makespan and the slowed task can change, as every other task already
+    passed. An infeasible ``schedule``, which has no windows, gets the full
+    reclaim.
     """
-    windows = _windows(g, schedule, D, platform)
-    if windows is None:
+    state = _windows(g, schedule, D, platform)
+    if state is None:
         return slack_reclaim(g, schedule, D, platform, [tid], {})
-    est, lft = windows
-    slowed = _slowed(g.weight(tid), schedule.plans[tid], lft[tid] - est[tid], platform.f_rel)
-    return schedule if slowed is None else schedule.with_plan(tid, slowed)
+    est, finish, lft, _ = state
+    w = g.weight(tid)
+    slowed = _slowed(w, schedule.plans[tid], lft[tid] - est[tid], platform.f_rel)
+    if slowed is None:
+        return schedule
+    _advance(g, D, tid, slowed, exe_time(w, slowed))
+    if not (
+        max(finish.values(), default=0.0) <= D + SLACK_TOL
+        and task_feasible(w, slowed, _thresholds(g, platform)[tid], platform)
+    ):
+        _last_probed[5] = None
+    return schedule.with_plan(tid, slowed)
 
 
 def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex):

@@ -119,7 +119,15 @@ def _augmented_dag(g: TaskGraph, mapping: Mapping):
     The augmented DAG holds the precedence edges plus the processor-order
     edges (consecutive tasks of one list). A solve keeps one mapping, so the
     result is memoised on (g, mapping); callers share it and must not mutate it.
+    ValueError unless the mapping is a partition of g's tasks.
     """
+    mapped = {tid for lst in mapping.proc_lists for tid in lst}
+    ids = {t.id for t in g.tasks}
+    if mapped != ids:
+        raise ValueError(
+            f"mapping is not a partition of the graph's tasks: unmapped {sorted(ids - mapped)}, "
+            f"unknown {sorted(mapped - ids)}"
+        )
     succs = {t.id: set(g.successors(t.id)) for t in g.tasks}
     preds = {t.id: set(g.predecessors(t.id)) for t in g.tasks}
     for lst in mapping.proc_lists:
@@ -143,6 +151,12 @@ def _augmented_dag(g: TaskGraph, mapping: Mapping):
         {tid: tuple(ps) for tid, ps in preds.items()},
         tuple(order),
     )
+
+
+@functools.lru_cache(maxsize=4)
+def _positions(g: TaskGraph, mapping: Mapping) -> dict[int, int]:
+    """Each task's position in the augmented topological order; do not mutate."""
+    return {tid: i for i, tid in enumerate(_augmented_dag(g, mapping)[2])}
 
 
 def _start_times(preds, order, dur):
@@ -184,7 +198,10 @@ def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel
     """Forward pass over precedence plus processor-order constraints."""
     _, preds, order = _augmented_dag(g, schedule.mapping)
     plans = schedule.plans
-    dur = {tid: exe_time(g.weight(tid), plans[tid]) for tid in order}
+    try:
+        dur = {tid: exe_time(g.weight(tid), plans[tid]) for tid in order}
+    except KeyError as exc:
+        raise ValueError(f"no execution plan for task {exc.args[0]}") from None
     start, finish = _start_times(preds, order, dur)
     makespan = max(finish.values(), default=0.0)
     threshold = _thresholds(g, platform)
@@ -210,6 +227,15 @@ def time_windows(
     the speed rules), so the two verdicts agree; None when it is not. Pass
     ``check=False`` only for a schedule already known to be feasible.
     """
+    state = _window_state(g, schedule, D, platform, check)
+    return None if state is None else (state[0], state[2])
+
+
+def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel, check: bool = True):
+    """``[est, finish, lft, dur]`` of ``time_windows``, or None; ``_retime`` updates it in place.
+
+    ``est`` and ``finish`` equal evaluate's start and finish times, bit for bit.
+    """
     succs, preds, order = _augmented_dag(g, schedule.mapping)
     plans = schedule.plans
     weights = {t.id: t.weight for t in g.tasks}
@@ -224,7 +250,56 @@ def time_windows(
     lft: dict[int, float] = {}
     for tid in reversed(order):
         lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
-    return est, lft
+    return [est, finish, lft, dur]
+
+
+def _retime(g: TaskGraph, mapping: Mapping, state, D: float, tid: int, d: float) -> None:
+    """Give tid the duration d in a ``_window_state`` of (g, mapping, D), in place.
+
+    Afterwards the state equals a fresh ``_window_state`` (without the check)
+    of the changed schedule, bit for bit. Only tid's descendants can start
+    or finish elsewhere and only its ancestors can have another latest
+    finish, so those are recomputed with ``_window_state``'s expressions: the
+    earliest starts in topological order, stopping where a start or finish
+    comes out bit-equal to the old one; then the latest finishes in reverse
+    order, stopping where one comes out bit-equal (as ``swap_reclaims`` does).
+    """
+    succs, preds, order = _augmented_dag(g, mapping)
+    pos = _positions(g, mapping)
+    est, finish, lft, dur = state
+    dur[tid] = d
+    f = est[tid] + d
+    if f != finish[tid]:
+        finish[tid] = f
+        heap = sorted(pos[s] for s in succs[tid])
+        queued = set(succs[tid])
+        while heap:
+            v = order[heapq.heappop(heap)]
+            s = max((finish[p] for p in preds[v]), default=0.0)
+            if s == est[v]:
+                continue
+            est[v] = s
+            f = s + dur[v]
+            if f == finish[v]:
+                continue
+            finish[v] = f
+            for x in succs[v]:
+                if x not in queued:
+                    queued.add(x)
+                    heapq.heappush(heap, pos[x])
+    heap = [-pos[p] for p in preds[tid]]
+    heapq.heapify(heap)
+    queued = set(preds[tid])
+    while heap:
+        u = order[-heapq.heappop(heap)]
+        lf = min((lft[s] - dur[s] for s in succs[u]), default=D)
+        if lf == lft[u]:
+            continue
+        lft[u] = lf
+        for p in preds[u]:
+            if p not in queued:
+                queued.add(p)
+                heapq.heappush(heap, -pos[p])
 
 
 def critical_path_tasks(g: TaskGraph, schedule: Schedule, metrics: ScheduleMetrics) -> list[int]:
@@ -257,15 +332,13 @@ def sus_sort(g: TaskGraph, metrics: ScheduleMetrics, task_ids) -> list[int]:
     return sorted(task_ids, key=lambda tid: (-sw[tid], -g.weight(tid), tid))
 
 
-def cohort_of(g: TaskGraph, metrics: ScheduleMetrics, tid: int) -> list[int]:
-    """Tasks counted in tid's super-weight, excluding tid itself."""
-    s, f = metrics.start_times[tid], metrics.finish_times[tid]
+def cohort_of(g: TaskGraph, start_times: dict[int, float], finish_times: dict[int, float], tid: int) -> list[int]:
+    """Tasks counted in tid's super-weight under these start and finish times, excluding tid."""
+    s, f = start_times[tid], finish_times[tid]
     return [
         t.id
         for t in g.tasks
-        if t.id != tid
-        and metrics.start_times[t.id] >= s - SLACK_TOL
-        and metrics.finish_times[t.id] <= f + SLACK_TOL
+        if t.id != tid and start_times[t.id] >= s - SLACK_TOL and finish_times[t.id] <= f + SLACK_TOL
     ]
 
 

@@ -1,7 +1,9 @@
 """The seven scheduling heuristics, the best-of selector, and the probe."""
 
+import collections
 import math
 import random
+import warnings
 
 import pytest
 
@@ -24,8 +26,10 @@ from trisched.heuristics import (
     min_deadline,
     run,
 )
-from trisched.model import SLACK_TOL, ExecutionPlan, f_inf, reexec_speed
+from trisched.model import SLACK_TOL, ExecutionPlan, ModelValidityWarning, f_inf, reexec_speed
 from trisched.schedule import (
+    Schedule,
+    cohort_of,
     evaluate,
     list_schedule,
     schedule_energy,
@@ -196,6 +200,23 @@ class TestBaselines:
                 run(kind, g, mapping, math.nan, platform)
 
 
+def test_validity_warning_once_per_call_site():
+    # At lambda0 = 1e-3 many plans fail more often than once in a hundred;
+    # under the default filter each line that asks for a reliability shows
+    # the warning once, not once per failure probability.
+    platform = make_platform(lambda0=1e-3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for seed in range(3):
+            g = generate_random(40, 80, weight_range=(0.0, 40.0), seed=seed)
+            for p in (1, 4):
+                mapping = list_schedule(g, p)
+                for ratio in (1.2, 2.0, 5.0):
+                    run(HeuristicKind.BEST, g, mapping, ratio * min_deadline(g, mapping, platform), platform)
+    sites = collections.Counter((w.filename, w.lineno) for w in caught if w.category is ModelValidityWarning)
+    assert sites and max(sites.values()) == 1
+
+
 class TestHeuristicOutputs:
     def test_tight_deadline_degenerates_to_full_speed(self, platform):
         g = chain([2.0, 1.0, 3.0])
@@ -364,7 +385,7 @@ class TestSlowSingle:
                 for tid in rng.sample(singles, min(len(singles), 8)):
                     # A memo from a probe of sched, a stale one (the full-speed
                     # schedule of the same mapping was probed last, and
-                    # rejected), and the unbuilt one an accept leaves.
+                    # rejected), and the live one an accept moves along.
                     memo = rng.choice(("fresh", "stale", "accepted"))
                     if memo == "fresh":
                         feasibility_probe(g, sched, D, platform, {tid: ExecutionPlan(f_re_ex, f_re_ex)})
@@ -388,3 +409,56 @@ class TestSlowSingle:
         assert not evaluate(g, sched, D, platform).feasible
         for tid in range(1, len(g)):
             assert _slow_single(g, sched, D, platform, tid).plans == slack_reclaim(g, sched, D, platform, [tid], {}).plans
+
+
+class TestLiveWindows:
+    """The probe's memo stays equal to a fresh computation across a whole walk."""
+
+    @pytest.mark.parametrize("case", range(0, 24, 2))
+    def test_memo_equals_fresh_windows_after_every_change(self, platform, case, monkeypatch):
+        g, start, D, _, _ = _reclaim_case(platform, case)
+        seen = {"accept": 0, "slow": 0, "cohort": 0}
+
+        def assert_memo_is(sched):
+            # The memo describes sched, and equals fresh windows and evaluate.
+            mapping, _, _, _, plans, state = heuristics._last_probed
+            assert mapping is sched.mapping and plans == sched.plans
+            metrics = evaluate(g, sched, D, platform)
+            assert (state is not None) == metrics.feasible
+            if state is not None:
+                est, finish, lft, _ = state
+                assert est == metrics.start_times and finish == metrics.finish_times
+                assert (est, lft) == time_windows(g, sched, D, platform)
+
+        def probe(g_, sched, D_, platform_, deltas):
+            ok, out = feasibility_probe(g_, sched, D_, platform_, deltas)
+            assert ok == evaluate(g, sched.with_plans(deltas), D, platform).feasible
+            assert_memo_is(out)
+            seen["accept"] += ok
+            return ok, out
+
+        def slow(g_, sched, D_, platform_, tid):
+            out = _slow_single(g_, sched, D_, platform_, tid)
+            if heuristics._last_probed[4] == out.plans:
+                assert_memo_is(out)
+                seen["slow"] += out.plans != sched.plans
+            return out
+
+        def cohort(g_, start_times, finish_times, tid):
+            out = cohort_of(g_, start_times, finish_times, tid)
+            mapping, _, _, _, plans, _ = heuristics._last_probed
+            metrics = evaluate(g, Schedule(mapping, dict(plans)), D, platform)
+            assert start_times == metrics.start_times and finish_times == metrics.finish_times
+            assert out == cohort_of(g, metrics.start_times, metrics.finish_times, tid)
+            seen["cohort"] += 1
+            return out
+
+        monkeypatch.setattr(heuristics, "feasibility_probe", probe)
+        monkeypatch.setattr(heuristics, "_slow_single", slow)
+        monkeypatch.setattr(heuristics, "cohort_of", cohort)
+        for kind in (*TYPE_A, *TYPE_B):
+            run(kind, g, start.mapping, D, platform)
+        assert seen["accept"] > 0 and seen["cohort"] > 0
+        if case % 3 == 0:
+            # On one processor b.sus-crit-slow always has rejected tasks to slow.
+            assert seen["slow"] > 0

@@ -51,6 +51,23 @@ class TestMapping:
         m = Mapping(((0, 2), (1,)))
         assert m.processor_of() == {0: 0, 2: 0, 1: 1}
 
+    @pytest.mark.parametrize("lists", [((0, 1),), ((0, 1, 2, 7),), ((0, 1), (2, 3))])
+    def test_mapping_must_partition_the_graph(self, platform, lists):
+        # A task left unmapped, an unknown task id, or both.
+        g = chain([1.0, 2.0, 3.0])
+        mapping = Mapping(lists)
+        sched = Schedule(mapping, {tid: ExecutionPlan(1.0) for lst in lists for tid in lst})
+        with pytest.raises(ValueError, match="partition"):
+            evaluate(g, sched, 10.0, platform)
+        with pytest.raises(ValueError, match="partition"):
+            run(HeuristicKind.BEST, g, mapping, 10.0, platform)
+
+    def test_missing_plan_named(self, platform):
+        g = chain([1.0, 2.0, 3.0])
+        sched = Schedule(list_schedule(g, 1), {0: ExecutionPlan(1.0), 1: ExecutionPlan(1.0)})
+        with pytest.raises(ValueError, match="task 2"):
+            evaluate(g, sched, 10.0, platform)
+
 
 class TestListSchedule:
     def test_chain_on_one_processor_keeps_chain_order(self):
@@ -215,7 +232,7 @@ class TestSuperWeight:
         m = _metrics({0: 0.0, 1: 2.0, 2: 5.0}, {0: 10.0, 1: 4.0, 2: 6.0}, None)
         assert super_weight(g, m, 0) == 6.0
         assert super_weight(g, m, 1) == 1.0
-        assert cohort_of(g, m, 0) == [1, 2]
+        assert cohort_of(g, m.start_times, m.finish_times, 0) == [1, 2]
 
     def test_containment_monotonicity(self):
         g = TaskGraph((Task(0, 1.0), Task(1, 2.0), Task(2, 4.0)), frozenset())
