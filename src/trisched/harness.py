@@ -2,7 +2,7 @@
 
 A sweep point generates `runs` DAGs (seeds seed..seed+runs-1), maps each with
 critical-path list scheduling, derives the deadline from the full-speed
-makespan and the deadline ratio, runs the requested heuristics and averages
+makespan and the deadline ratio, runs the seven heuristics and averages
 energies normalized by the no-re-execution baseline on the same instance.
 Output is deterministic for a given config.
 """
@@ -36,7 +36,6 @@ class ExperimentConfig:
     d_sensitivity: float = 0.0
     f_min: float = 1e-6
     f_max: float = 1.0
-    heuristics: tuple[HeuristicKind, ...] = ALL_HEURISTICS
     output: str = "sweep.csv"
 
     def __post_init__(self):
@@ -93,27 +92,25 @@ def sweep_records(config: ExperimentConfig) -> list[ExperimentRecord]:
         )
         acc = {
             h: {"norm": 0.0, "makespan": 0.0, "feasible": 0, "ms": 0.0}
-            for h in config.heuristics
+            for h in ALL_HEURISTICS
         }
         for g, seed in instances:
             mapping = mappings[seed]
             dmin = min_deadline(g, mapping, platform)
             D = ratio * dmin
             timed = {}
-            for h in (HeuristicKind.HNO_REEX, *config.heuristics):
-                if h not in timed:
-                    t0 = time.perf_counter()
-                    _, metrics = run(h, g, mapping, D, platform)
-                    timed[h] = metrics, (time.perf_counter() - t0) * 1e3
+            for h in ALL_HEURISTICS:
+                t0 = time.perf_counter()
+                _, metrics = run(h, g, mapping, D, platform)
+                timed[h] = metrics, (time.perf_counter() - t0) * 1e3
             base = timed[HeuristicKind.HNO_REEX][0]
-            for h in config.heuristics:
-                metrics, elapsed = timed[h]
+            for h, (metrics, elapsed) in timed.items():
                 a = acc[h]
                 a["norm"] += metrics.energy / base.energy
                 a["makespan"] += metrics.makespan
                 a["feasible"] += int(metrics.feasible)
                 a["ms"] += elapsed
-        for h in config.heuristics:
+        for h in ALL_HEURISTICS:
             a = acc[h]
             records.append(
                 ExperimentRecord(

@@ -13,13 +13,15 @@ feasible. A probe that changes one task of a feasible schedule is decided in
 O(1) from that schedule's time windows.
 
 The windows are live: one memo holds the earliest starts and finishes,
-latest finishes and durations of the last probed schedule. An accepted
-one-task probe, and a task slowed alone after a rejected one, update it in
-place, recomputing only the descendants' starts and the ancestors' latest
-finishes that the change moves (``schedule._retime``), so a walk rebuilds
-the windows only after a multi-task reclaim. The cohort of a ReExec walk is
-read from the same memo, whose starts and finishes are evaluate's, bit for
-bit.
+latest finishes and durations of the last probed schedule, as lists indexed
+by position in the augmented DAG's topological order
+(``schedule._indexed``, numbered once per graph and mapping); a task id is
+looked up as ``pos[tid]``. An accepted one-task probe, and a task slowed
+alone after a rejected one, update it in place, recomputing only the
+descendants' starts and the ancestors' latest finishes that the change
+moves (``schedule._retime``), so a walk rebuilds the windows only after a
+multi-task reclaim. The cohort of a ReExec walk is read from the same memo,
+whose starts and finishes are evaluate's, bit for bit.
 
 Type B's reclaims are incremental and exact. A task slowed alone after a
 rejected probe takes its window from the live memo, which holds the window
@@ -27,8 +29,9 @@ a one-target sweep would compute. Each unjam round scores every swap from
 the round's schedule, a reclaim fixpoint of its single runs: a task whose
 earliest start and latest finish are bit-equal to that schedule's would be
 left as it is by a full reclaim of the trial, so only the tasks the swap
-reaches are recomputed, with the same float operations
-(``schedule.swap_reclaims``). Outputs are bit-identical to full reclaims.
+reaches are recomputed, with the same float operations and the same
+start propagation as ``schedule._retime`` (``schedule.swap_reclaims``).
+Outputs are bit-identical to full reclaims.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
+    _indexed,
     _retime,
     _slowed,
     _thresholds,
@@ -111,9 +115,9 @@ def derived_speeds(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformM
 # platform, plans, state], where plans is a private copy of the schedule's
 # plans (compared by value, so an equal schedule rebuilt by a reclaim that
 # changed nothing still hits, and a plans dict changed in place misses) and
-# state is schedule._window_state's [est, finish, lft, dur], None for an
-# infeasible schedule. An accepted one-task probe and a lone slow-down move
-# the memo to the changed schedule in place (schedule._retime), so the dicts
+# state is schedule._window_state's [est, finish, lft, dur] (lists indexed by
+# position), None for an infeasible schedule. An accepted one-task probe and a lone slow-down move
+# the memo to the changed schedule in place (schedule._retime), so the lists
 # _windows returns are mutated by the next accept or slow-down: read them
 # before probing again, and never change them.
 _last_probed = None
@@ -141,7 +145,7 @@ def _advance(g, D, tid, plan, d):
     """Move the memo's schedule and windows to tid running ``plan`` for duration d."""
     last = _last_probed
     last[4][tid] = plan
-    _retime(g, last[0], last[5], D, tid, d)
+    _retime(g, last[0], last[5], D, _indexed(g, last[0])[1][tid], d)
 
 
 def feasibility_probe(
@@ -158,9 +162,9 @@ def feasibility_probe(
     only that task's constraints can break: it must keep its reliability
     threshold and the speed rules, and finish in its window,
     ``est + exe_time <= lft + SLACK_TOL``, with est and lft the earliest
-    start and latest finish in ``schedule`` (``time_windows``). Every path
-    through the task is no longer than D + SLACK_TOL exactly when that holds,
-    and every other path is unchanged.
+    start and latest finish in ``schedule`` (``schedule._window_state``).
+    Every path through the task is no longer than D + SLACK_TOL exactly
+    when that holds, and every other path is unchanged.
 
     In floats, each addition or subtraction errs by at most eps/2 of its
     result. A finish past 2 * max(D, 1) is rejected by both checks (no
@@ -186,9 +190,10 @@ def feasibility_probe(
         if state is not None:
             est, _, lft, _ = state
             ((tid, plan),) = deltas.items()
+            r = _indexed(g, schedule.mapping)[1][tid]
             w = g.weight(tid)
             d = exe_time(w, plan)
-            margin = lft[tid] + SLACK_TOL - (est[tid] + d)
+            margin = lft[r] + SLACK_TOL - (est[r] + d)
             band = 4 * len(est) * sys.float_info.epsilon * max(D, 1.0)
             if margin > band:
                 verdict = task_feasible(w, plan, _thresholds(g, platform)[tid], platform)
@@ -266,16 +271,18 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
 
 
 def _times(g, schedule, D, platform):
-    """Start and finish times of ``schedule``, bit-equal to ``evaluate``'s.
+    """Start and finish times of ``schedule`` by task id, bit-equal to ``evaluate``'s.
 
     They come from the live windows (the walk's last probe left the memo on
-    ``schedule``), or from ``evaluate`` for an infeasible schedule.
+    ``schedule``), read through the position order, or from ``evaluate`` for
+    an infeasible schedule.
     """
     state = _windows(g, schedule, D, platform)
     if state is None:
         metrics = evaluate(g, schedule, D, platform)
         return metrics.start_times, metrics.finish_times
-    return state[0], state[1]
+    order = _indexed(g, schedule.mapping)[0]
+    return dict(zip(order, state[0])), dict(zip(order, state[1]))
 
 
 def _slow_single(g, schedule, D, platform, tid):
@@ -285,7 +292,7 @@ def _slow_single(g, schedule, D, platform, tid):
     backward pass, which ``_windows`` holds (a rejected probe of ``schedule``
     has just filled its memo) with the same float operations, so only the
     decision is left to make. The memo then moves to the slowed schedule in
-    place; its verdict is ``time_windows``' check, of which only the
+    place; its verdict is ``_window_state``'s check, of which only the
     makespan and the slowed task can change, as every other task already
     passed. An infeasible ``schedule``, which has no windows, gets the full
     reclaim.
@@ -294,13 +301,14 @@ def _slow_single(g, schedule, D, platform, tid):
     if state is None:
         return slack_reclaim(g, schedule, D, platform, [tid], {})
     est, finish, lft, _ = state
+    r = _indexed(g, schedule.mapping)[1][tid]
     w = g.weight(tid)
-    slowed = _slowed(w, schedule.plans[tid], lft[tid] - est[tid], platform.f_rel)
+    slowed = _slowed(w, schedule.plans[tid], lft[r] - est[r], platform.f_rel)
     if slowed is None:
         return schedule
     _advance(g, D, tid, slowed, exe_time(w, slowed))
     if not (
-        max(finish.values(), default=0.0) <= D + SLACK_TOL
+        max(finish, default=0.0) <= D + SLACK_TOL
         and task_feasible(w, slowed, _thresholds(g, platform)[tid], platform)
     ):
         _last_probed[5] = None
@@ -407,10 +415,11 @@ def run(
     For a deadline below the full-speed makespan every heuristic reports the
     full-speed schedule with an infeasible verdict. ``speeds``, when given,
     must be ``derived_speeds(g, mapping, D, platform)``; BEST derives them
-    once and passes them to every kind it runs.
+    once and passes them to every kind it runs. ValueError for a NaN or
+    non-positive deadline.
     """
-    if math.isnan(D):
-        raise ValueError("deadline must not be NaN")
+    if not D > 0.0:  # NaN too
+        raise ValueError(f"deadline must be positive, got {D}")
     if speeds is None:
         speeds = derived_speeds(g, mapping, D, platform)
     if kind is HeuristicKind.BEST:

@@ -8,7 +8,9 @@ counted), total energy, per-task reliability slack and a feasibility verdict.
 The augmented DAG (precedence edges plus processor-order edges) and its
 topological order are derived once per (graph, mapping) and shared by every
 evaluation, critical-path search and slack reclaim on that pair; callers
-must not mutate it.
+must not mutate it. So is its numbering by topological position
+(``_indexed``), which indexes the time windows (``_window_state``) that the
+feasibility probe, ``_retime`` and ``swap_reclaims`` share.
 """
 
 from __future__ import annotations
@@ -154,9 +156,19 @@ def _augmented_dag(g: TaskGraph, mapping: Mapping):
 
 
 @functools.lru_cache(maxsize=4)
-def _positions(g: TaskGraph, mapping: Mapping) -> dict[int, int]:
-    """Each task's position in the augmented topological order; do not mutate."""
-    return {tid: i for i, tid in enumerate(_augmented_dag(g, mapping)[2])}
+def _indexed(g: TaskGraph, mapping: Mapping):
+    """The augmented DAG numbered by topological position: ``(order, pos, succ, pred)``.
+
+    ``order`` is ``_augmented_dag``'s topological order, ``pos`` maps a task
+    id to its position in it, and ``succ[i]``/``pred[i]`` are the positions
+    of the augmented successors and predecessors of position i, in
+    ``_augmented_dag``'s order. Memoised on (g, mapping); do not mutate.
+    """
+    succs, preds, order = _augmented_dag(g, mapping)
+    pos = {tid: i for i, tid in enumerate(order)}
+    succ = tuple(tuple(pos[s] for s in succs[tid]) for tid in order)
+    pred = tuple(tuple(pos[p] for p in preds[tid]) for tid in order)
+    return order, pos, succ, pred
 
 
 def _start_times(preds, order, dur):
@@ -214,92 +226,101 @@ def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel
     return ScheduleMetrics(makespan, schedule_energy(g, schedule), start, finish, slack, feasible, D)
 
 
-def time_windows(
-    g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel, check: bool = True
-) -> tuple[dict[int, float], dict[int, float]] | None:
-    """Earliest starts and latest finishes ``(est, lft)`` of every task, or None.
-
-    ``est`` is the forward pass; ``lft`` the backward pass from D, taking
-    ``lft[u] = min(lft[s] - dur[s])`` over the augmented successors s of u
-    (D for a task without successors). With ``check``, the schedule must
-    also be feasible, decided from the same forward pass with the same float
-    operations as ``evaluate`` (makespan, every task's reliability threshold,
-    the speed rules), so the two verdicts agree; None when it is not. Pass
-    ``check=False`` only for a schedule already known to be feasible.
-    """
-    state = _window_state(g, schedule, D, platform, check)
-    return None if state is None else (state[0], state[2])
-
-
 def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel, check: bool = True):
-    """``[est, finish, lft, dur]`` of ``time_windows``, or None; ``_retime`` updates it in place.
+    """``[est, finish, lft, dur]`` of every task, as lists indexed by position, or None.
 
-    ``est`` and ``finish`` equal evaluate's start and finish times, bit for bit.
+    Position i is the task ``order[i]`` of ``_indexed(g, schedule.mapping)``.
+    ``est`` and ``finish`` are the forward pass, equal to evaluate's start
+    and finish times bit for bit; ``lft`` is the backward pass from D, taking
+    ``lft[u] = min(lft[s] - dur[s])`` over the augmented successors s of u (D
+    for a task without successors). With ``check``, the schedule must also be
+    feasible, decided from the same forward pass with the same float
+    operations as ``evaluate`` (makespan, every task's reliability
+    threshold, the speed rules), so the two verdicts agree; None when it is
+    not. Pass ``check=False`` only for a schedule already known to be
+    feasible. ``_retime`` updates the state in place.
     """
-    succs, preds, order = _augmented_dag(g, schedule.mapping)
-    plans = schedule.plans
-    weights = {t.id: t.weight for t in g.tasks}
-    dur = {tid: exe_time(weights[tid], plans[tid]) for tid in order}
-    est, finish = _start_times(preds, order, dur)
+    order, _, succ, pred = _indexed(g, schedule.mapping)
+    n = len(order)
+    weights = [g.weight(tid) for tid in order]
+    plans = [schedule.plans[tid] for tid in order]
+    dur = [exe_time(w, plan) for w, plan in zip(weights, plans)]
+    est, finish = _start_times(pred, range(n), dur)
+    est, finish = list(est.values()), list(finish.values())
     if check:
-        if not max(finish.values(), default=0.0) <= D + SLACK_TOL:
+        if not max(finish, default=0.0) <= D + SLACK_TOL:
             return None
         threshold = _thresholds(g, platform)
-        if not all(task_feasible(weights[tid], plans[tid], threshold[tid], platform) for tid in order):
+        if not all(task_feasible(w, plan, threshold[tid], platform)
+                   for tid, w, plan in zip(order, weights, plans)):
             return None
-    lft: dict[int, float] = {}
-    for tid in reversed(order):
-        lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
+    lft = [D] * n
+    for i in reversed(range(n)):
+        lft[i] = min((lft[s] - dur[s] for s in succ[i]), default=D)
     return [est, finish, lft, dur]
 
 
-def _retime(g: TaskGraph, mapping: Mapping, state, D: float, tid: int, d: float) -> None:
-    """Give tid the duration d in a ``_window_state`` of (g, mapping, D), in place.
+def _push_starts(succ, pred, est, finish, dur, r: int, d: float) -> list[int]:
+    """Give position r the duration d, and move the earliest starts and finishes that follow, in place.
+
+    Only r's descendants can start elsewhere. They are recomputed in
+    topological order with the forward pass's expressions, stopping where a
+    start or a finish comes out bit-equal to the old one. Returns the
+    positions whose start moved.
+    """
+    dur[r] = d
+    f = est[r] + d
+    if f == finish[r]:
+        return []
+    finish[r] = f
+    moved = []
+    heap = sorted(succ[r])
+    queued = set(heap)
+    while heap:
+        v = heapq.heappop(heap)
+        s = max((finish[p] for p in pred[v]), default=0.0)
+        if s == est[v]:
+            continue
+        est[v] = s
+        moved.append(v)
+        f = s + dur[v]
+        if f == finish[v]:
+            continue
+        finish[v] = f
+        for x in succ[v]:
+            if x not in queued:
+                queued.add(x)
+                heapq.heappush(heap, x)
+    return moved
+
+
+def _retime(g: TaskGraph, mapping: Mapping, state, D: float, r: int, d: float) -> list[int]:
+    """Give position r the duration d in a ``_window_state`` of (g, mapping, D), in place.
 
     Afterwards the state equals a fresh ``_window_state`` (without the check)
-    of the changed schedule, bit for bit. Only tid's descendants can start
-    or finish elsewhere and only its ancestors can have another latest
-    finish, so those are recomputed with ``_window_state``'s expressions: the
-    earliest starts in topological order, stopping where a start or finish
-    comes out bit-equal to the old one; then the latest finishes in reverse
-    order, stopping where one comes out bit-equal (as ``swap_reclaims`` does).
+    of the changed schedule, bit for bit. The earliest starts move as
+    ``_push_starts`` moves them; only r's ancestors can have another latest
+    finish, so those are recomputed next, with ``_window_state``'s
+    expression, in reverse topological order, stopping where one comes out
+    bit-equal. Returns the positions whose start moved.
     """
-    succs, preds, order = _augmented_dag(g, mapping)
-    pos = _positions(g, mapping)
+    _, _, succ, pred = _indexed(g, mapping)
     est, finish, lft, dur = state
-    dur[tid] = d
-    f = est[tid] + d
-    if f != finish[tid]:
-        finish[tid] = f
-        heap = sorted(pos[s] for s in succs[tid])
-        queued = set(succs[tid])
-        while heap:
-            v = order[heapq.heappop(heap)]
-            s = max((finish[p] for p in preds[v]), default=0.0)
-            if s == est[v]:
-                continue
-            est[v] = s
-            f = s + dur[v]
-            if f == finish[v]:
-                continue
-            finish[v] = f
-            for x in succs[v]:
-                if x not in queued:
-                    queued.add(x)
-                    heapq.heappush(heap, pos[x])
-    heap = [-pos[p] for p in preds[tid]]
+    moved = _push_starts(succ, pred, est, finish, dur, r, d)
+    heap = [-p for p in pred[r]]
     heapq.heapify(heap)
-    queued = set(preds[tid])
+    queued = set(pred[r])
     while heap:
-        u = order[-heapq.heappop(heap)]
-        lf = min((lft[s] - dur[s] for s in succs[u]), default=D)
+        u = -heapq.heappop(heap)
+        lf = min((lft[s] - dur[s] for s in succ[u]), default=D)
         if lf == lft[u]:
             continue
         lft[u] = lf
-        for p in preds[u]:
+        for p in pred[u]:
             if p not in queued:
                 queued.add(p)
-                heapq.heappush(heap, -pos[p])
+                heapq.heappush(heap, -p)
+    return moved
 
 
 def critical_path_tasks(g: TaskGraph, schedule: Schedule, metrics: ScheduleMetrics) -> list[int]:
@@ -429,31 +450,23 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
     nothing, as a schedule that such a reclaim returned is (a second sweep
     changes nothing). Then the reclaim of a trial decides, for every task
     whose earliest start and latest finish are bit-equal to base's, what the
-    base sweep decided: no change. So the base's durations, windows and
-    energies are built once, and each trial recomputes only what the swap
-    moves, with slack_reclaim's float expressions: the earliest starts of
-    tid's descendants, in topological order, stopping where a finish comes
-    out bit-equal to base's; then, in reverse topological order from the
-    last moved task, a latest finish wherever a successor's latest finish
-    or duration moved, and the slow-down decision only where the earliest
-    start or latest finish moved, plus tid. The energy continues base's
-    running sum from the first changed position, one term at a time in the
-    same order, as ``schedule_energy`` adds it.
+    base sweep decided: no change. So the base's windows
+    (``_window_state``) and energies are built once per call, as lists
+    indexed by position in ``_indexed``'s order, and each trial recomputes
+    on a copy only what the swap moves, with slack_reclaim's float
+    expressions: the earliest starts of tid's descendants
+    (``_push_starts``); then, in reverse topological order from the last
+    moved position, a latest finish wherever a successor's latest finish or
+    duration moved, and the slow-down decision only where the earliest start
+    or latest finish moved, plus tid. The energy continues base's running
+    sum from the first changed position, one term at a time in the same
+    order, as ``schedule_energy`` adds it.
     """
-    succs, preds, order = _augmented_dag(g, base.mapping)
-    # Tasks are numbered by their position in the topological order.
+    order, pos, succ, pred = _indexed(g, base.mapping)
     n = len(order)
-    pos = {tid: i for i, tid in enumerate(order)}
-    succ = [[pos[s] for s in succs[tid]] for tid in order]
-    pred = [[pos[p] for p in preds[tid]] for tid in order]
+    est, finish, lft, dur = _window_state(g, base, D, platform, check=False)
     weights = [g.weight(tid) for tid in order]
     plans = [base.plans[tid] for tid in order]
-    dur = [exe_time(w, plan) for w, plan in zip(weights, plans)]
-    est, finish = _start_times(pred, range(n), dur)
-    est, finish = list(est.values()), list(finish.values())
-    lft = [D] * n
-    for i in reversed(range(n)):
-        lft[i] = min((lft[s] - dur[s] for s in succ[i]), default=D)
     energies = [energy(w, plan) for w, plan in zip(weights, plans)]
     prefix = [0.0]
     for e in energies:
@@ -464,25 +477,7 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
         # Forward: the earliest starts that the shorter task r moves; decide
         # collects r and the tasks whose earliest start moved.
         t_dur, t_est, t_finish, t_lft = dur[:], est[:], finish[:], lft[:]
-        t_dur[r] = exe_time(weights[r], swap)
-        t_finish[r] = est[r] + t_dur[r]
-        heap = sorted(succ[r]) if t_finish[r] != finish[r] else []
-        queued = set(heap)
-        decide = {r}
-        while heap:
-            v = heapq.heappop(heap)
-            s = max((t_finish[p] for p in pred[v]), default=0.0)
-            if s == est[v]:
-                continue
-            t_est[v] = s
-            decide.add(v)
-            t_finish[v] = f = s + dur[v]
-            if f == finish[v]:
-                continue
-            for x in succ[v]:
-                if x not in queued:
-                    queued.add(x)
-                    heapq.heappush(heap, x)
+        decide = {r, *_push_starts(succ, pred, t_est, t_finish, t_dur, r, exe_time(weights[r], swap))}
         # Backward: the sweep, from the last moved task down.
         changes = {r: swap}
         heap = [-u for u in decide]

@@ -29,13 +29,14 @@ from trisched.heuristics import (
 from trisched.model import SLACK_TOL, ExecutionPlan, ModelValidityWarning, f_inf, reexec_speed
 from trisched.schedule import (
     Schedule,
+    _indexed,
+    _window_state,
     cohort_of,
     evaluate,
     list_schedule,
     schedule_energy,
     slack_reclaim,
     swap_reclaims,
-    time_windows,
     uniform_schedule,
 )
 
@@ -113,7 +114,8 @@ class TestFeasibilityProbe:
                 sched = uniform_schedule(g, mapping, platform.f_max)
             else:
                 sched, _ = run(rng.choice(ALL_HEURISTICS), g, mapping, D, platform)
-            est, lft = time_windows(g, sched, D, platform)
+            order = _indexed(g, mapping)[0]
+            est, _, lft, _ = (dict(zip(order, values)) for values in _window_state(g, sched, D, platform))
             f_re_ex = reexec_speed(platform)
             ids = [t.id for t in g.tasks]
 
@@ -196,8 +198,9 @@ class TestBaselines:
         g = chain([1.0, 1.0])
         mapping = list_schedule(g, 1)
         for kind in (*ALL_HEURISTICS, HeuristicKind.BEST):
-            with pytest.raises(ValueError):
-                run(kind, g, mapping, math.nan, platform)
+            for D in (math.nan, 0.0, -1.0):
+                with pytest.raises(ValueError):
+                    run(kind, g, mapping, D, platform)
 
 
 def test_validity_warning_once_per_call_site():
@@ -426,9 +429,10 @@ class TestLiveWindows:
             metrics = evaluate(g, sched, D, platform)
             assert (state is not None) == metrics.feasible
             if state is not None:
-                est, finish, lft, _ = state
-                assert est == metrics.start_times and finish == metrics.finish_times
-                assert (est, lft) == time_windows(g, sched, D, platform)
+                order = _indexed(g, sched.mapping)[0]
+                assert dict(zip(order, state[0])) == metrics.start_times
+                assert dict(zip(order, state[1])) == metrics.finish_times
+                assert state == _window_state(g, sched, D, platform)
 
         def probe(g_, sched, D_, platform_, deltas):
             ok, out = feasibility_probe(g_, sched, D_, platform_, deltas)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,10 @@ from trisched.schedule import (
     Schedule,
     ScheduleMetrics,
     _augmented_dag,
+    _indexed,
+    _retime,
     _start_times,
+    _window_state,
     cohort_of,
     critical_path_tasks,
     evaluate,
@@ -24,7 +28,6 @@ from trisched.schedule import (
     slack_reclaim,
     super_weight,
     sus_sort,
-    time_windows,
     uniform_schedule,
 )
 
@@ -162,7 +165,8 @@ class TestEvaluate:
         g = chain([1.0, 2.0])
         mapping = list_schedule(g, 1)
         sched = uniform_schedule(g, mapping, 1.0)
-        assert time_windows(g, sched, 10.0, platform) == ({0: 0.0, 1: 1.0}, {0: 8.0, 1: 10.0})
+        assert _indexed(g, mapping)[0] == (0, 1)
+        assert _window_state(g, sched, 10.0, platform) == [[0.0, 1.0], [1.0, 3.0], [8.0, 10.0], [1.0, 2.0]]
         for D, plan in (
             (2.5, ExecutionPlan(1.0)),  # past the deadline
             (10.0, ExecutionPlan(0.9 * platform.f_rel)),  # reliability shortfall
@@ -170,9 +174,9 @@ class TestEvaluate:
             (12.0, ExecutionPlan(0.4, 0.4)),  # feasible
         ):
             candidate = sched.with_plan(1, plan)
-            windows = time_windows(g, candidate, D, platform)
+            windows = _window_state(g, candidate, D, platform)
             assert (windows is not None) == evaluate(g, candidate, D, platform).feasible
-            assert time_windows(g, candidate, D, platform, check=False) is not None
+            assert _window_state(g, candidate, D, platform, check=False) is not None
 
     def test_schedule_energy_equals_evaluate_energy(self, platform):
         g = generate_random(40, 90, seed=8)
@@ -407,15 +411,55 @@ class TestSlackReclaimOneSweep:
         assert slack_reclaim(g, sched, 100.0, platform, [0], {}).plans[1] == ExecutionPlan(0.3, 0.4)
 
 
+def _bits(state):
+    """A window state's floats as hex strings, so that equality is bit for bit."""
+    return [[x.hex() for x in values] for values in state]
+
+
+class TestRetime:
+    """``_retime`` (and the start propagation it shares) equals a fresh ``_window_state``."""
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_state_equals_fresh_windows_after_every_change(self, platform, case):
+        g, sched, D, _, _ = _reclaim_case(platform, case)
+        order = _indexed(g, sched.mapping)[0]
+        rng = random.Random(case)
+        state = _window_state(g, sched, D, platform, check=False)
+        f_re_ex = 0.9 * platform.f_rel / math.sqrt(2.0)
+        moved_total = lft_changes = 0
+        for _ in range(60):
+            r = rng.randrange(len(order))
+            w = g.weight(order[r])
+            old = sched.plans[order[r]]
+            # An accept lengthens a single run; a swap shortens a re-execution;
+            # a speed a few ulps off moves the windows by less than SLACK_TOL.
+            if rng.random() < 0.3:
+                speed = old.speed1 * (1.0 + rng.randint(-8, 8) * sys.float_info.epsilon)
+                plan = ExecutionPlan(speed, speed) if old.re_executed else ExecutionPlan(speed)
+            elif old.re_executed:
+                plan = rng.choice((ExecutionPlan(platform.f_rel), ExecutionPlan(1.0)))
+            else:
+                plan = rng.choice((ExecutionPlan(f_re_ex, f_re_ex), ExecutionPlan(rng.uniform(0.5, 1.0))))
+            sched = sched.with_plan(order[r], plan)
+            est_before, lft_before = state[0][:], state[2][:]
+            moved = _retime(g, sched.mapping, state, D, r, exe_time(w, plan))
+            assert _bits(state) == _bits(_window_state(g, sched, D, platform, check=False)), (case, r)
+            assert sorted(moved) == [i for i, (a, b) in enumerate(zip(est_before, state[0])) if a != b]
+            moved_total += len(moved)
+            lft_changes += lft_before != state[2]
+        assert moved_total > 0 and lft_changes > 0
+
+
 class TestAugmentedDag:
     def test_one_best_solve_builds_it_once(self, platform):
         g = generate_random(30, 60, seed=5)
         mapping = list_schedule(g, 4)
         D = 2.0 * min_deadline(g, mapping, platform)
         _augmented_dag.cache_clear()
+        _indexed.cache_clear()
         run(HeuristicKind.BEST, g, mapping, D, platform)
-        info = _augmented_dag.cache_info()
-        assert info.misses == 1 and info.hits > 100
+        dag, indexed = _augmented_dag.cache_info(), _indexed.cache_info()
+        assert dag.misses == 1 and indexed.misses == 1 and dag.hits + indexed.hits > 100
 
 
 class TestFormat:
