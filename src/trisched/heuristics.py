@@ -12,19 +12,21 @@ evaluating the whole changed schedule, so intermediate states are always
 feasible. A probe that changes one task of a feasible schedule is decided in
 O(1) from that schedule's time windows.
 
-The windows are live: one memo holds the earliest starts and finishes,
-latest finishes and durations of the last probed schedule, as lists indexed
-by position in the augmented DAG's topological order
-(``schedule._indexed``, numbered once per graph and mapping); a task id is
-looked up as ``pos[tid]``. An accepted one-task probe, and a task slowed
-alone after a rejected one, update it in place, recomputing only the
-descendants' starts and the ancestors' latest finishes that the change
-moves (``schedule._retime``), so a walk rebuilds the windows only after a
-multi-task reclaim. The cohort of a ReExec walk is read from the same memo,
-whose starts and finishes are evaluate's, bit for bit.
+Each ReExec walk owns its windows: the earliest starts and finishes, latest
+finishes and durations of the schedule it is at, as lists indexed by
+position in the augmented DAG's topological order (``schedule._indexed``,
+numbered once per graph and mapping); a task id is looked up as
+``pos[tid]``. The walk builds them once, at its start, and passes them to
+each probe, slow-down and cohort lookup. An accepted one-task probe, and a
+task slowed alone after a rejected one, move them in place, recomputing
+only the descendants' starts and the ancestors' latest finishes that the
+change moves (``schedule._retime``), so a walk rebuilds its windows only
+after a multi-task reclaim. Its cohorts are read from the same windows,
+whose starts and finishes are evaluate's, bit for bit. Nothing is shared
+between walks, so concurrent solves do not interfere.
 
 Type B's reclaims are incremental and exact. A task slowed alone after a
-rejected probe takes its window from the live memo, which holds the window
+rejected probe takes its window from the walk's windows, which hold the window
 a one-target sweep would compute. Each unjam round scores every swap from
 the round's schedule, a reclaim fixpoint of its single runs: a task whose
 earliest start and latest finish are bit-equal to that schedule's would be
@@ -111,60 +113,25 @@ def derived_speeds(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformM
     return DerivedSpeeds(f_dec, reexec_speed(platform))
 
 
-# The live window state of the last probed schedule: a list [mapping, g, D,
-# platform, plans, state], where plans is a private copy of the schedule's
-# plans (compared by value, so an equal schedule rebuilt by a reclaim that
-# changed nothing still hits, and a plans dict changed in place misses) and
-# state is schedule._window_state's [est, finish, lft, dur] (lists indexed by
-# position), None for an infeasible schedule. An accepted one-task probe and a lone slow-down move
-# the memo to the changed schedule in place (schedule._retime), so the lists
-# _windows returns are mutated by the next accept or slow-down: read them
-# before probing again, and never change them.
-_last_probed = None
-
-
-def _windows(g, schedule, D, platform):
-    """The live ``[est, finish, lft, dur]`` of ``schedule``, or None when it is infeasible."""
-    global _last_probed
-    last = _last_probed
-    if (
-        last is not None
-        and last[0] is schedule.mapping
-        and last[1] is g
-        and last[2] == D
-        and last[3] is platform
-        and last[4] == schedule.plans
-    ):
-        return last[5]
-    state = _window_state(g, schedule, D, platform)
-    _last_probed = [schedule.mapping, g, D, platform, dict(schedule.plans), state]
-    return state
-
-
-def _advance(g, D, tid, plan, d):
-    """Move the memo's schedule and windows to tid running ``plan`` for duration d."""
-    last = _last_probed
-    last[4][tid] = plan
-    _retime(g, last[0], last[5], D, _indexed(g, last[0])[1][tid], d)
-
-
 def feasibility_probe(
     g: TaskGraph,
     schedule: Schedule,
     D: float,
     platform: PlatformModel,
     deltas: dict[int, ExecutionPlan],
+    windows,
 ) -> tuple[bool, Schedule]:
     """Apply tentative plan changes; accept only if the whole schedule stays feasible.
 
     The verdict is ``evaluate(g, schedule.with_plans(deltas), D,
-    platform).feasible``. When ``schedule`` is feasible and one task changes,
-    only that task's constraints can break: it must keep its reliability
-    threshold and the speed rules, and finish in its window,
-    ``est + exe_time <= lft + SLACK_TOL``, with est and lft the earliest
-    start and latest finish in ``schedule`` (``schedule._window_state``).
-    Every path through the task is no longer than D + SLACK_TOL exactly
-    when that holds, and every other path is unchanged.
+    platform).feasible``. ``windows`` is ``schedule``'s
+    ``schedule._window_state(g, schedule, D, platform)``, or None to decide
+    with evaluate. When it is given and one task changes, only that task's
+    constraints can break: it must keep its reliability threshold and the
+    speed rules, and finish in its window, ``est + exe_time <= lft +
+    SLACK_TOL``, with est and lft its earliest start and latest finish in
+    ``schedule``. Every path through the task is no longer than D +
+    SLACK_TOL exactly when that holds, and every other path is unchanged.
 
     In floats, each addition or subtraction errs by at most eps/2 of its
     result. A finish past 2 * max(D, 1) is rejected by both checks (no
@@ -174,40 +141,35 @@ def feasibility_probe(
     forward sums under 3M, n - 1 of backward differences under M, and lft +
     SLACK_TOL, the margin and D + SLACK_TOL (under M, 3M and M). A margin
     within 4n * eps * M of zero, where the verdicts could differ, is
-    settled by evaluate, as are deltas of zero or several tasks and an
-    infeasible ``schedule``.
+    settled by evaluate, as are deltas of zero or several tasks.
 
-    The windows come from the live memo (``_windows``). An accepted one-task
-    probe of a feasible schedule moves the memo to the candidate in place;
-    any other accept rebuilds it, unchecked, for the candidate. A rejected
-    probe leaves it on ``schedule``.
+    On accept, ``windows`` is moved to the candidate in place: by
+    ``schedule._retime`` for one task, rebuilt unchecked otherwise. A
+    rejected probe leaves it as it is.
     """
-    global _last_probed
     candidate = schedule.with_plans(deltas)
-    verdict = state = None
-    if len(deltas) == 1:
-        state = _windows(g, schedule, D, platform)
-        if state is not None:
-            est, _, lft, _ = state
-            ((tid, plan),) = deltas.items()
-            r = _indexed(g, schedule.mapping)[1][tid]
-            w = g.weight(tid)
-            d = exe_time(w, plan)
-            margin = lft[r] + SLACK_TOL - (est[r] + d)
-            band = 4 * len(est) * sys.float_info.epsilon * max(D, 1.0)
-            if margin > band:
-                verdict = task_feasible(w, plan, _thresholds(g, platform)[tid], platform)
-            elif margin < -band:
-                verdict = False
+    verdict = None
+    one = windows is not None and len(deltas) == 1
+    if one:
+        est, _, lft, _ = windows
+        ((tid, plan),) = deltas.items()
+        r = _indexed(g, schedule.mapping)[1][tid]
+        w = g.weight(tid)
+        d = exe_time(w, plan)
+        margin = lft[r] + SLACK_TOL - (est[r] + d)
+        band = 4 * len(est) * sys.float_info.epsilon * max(D, 1.0)
+        if margin > band:
+            verdict = task_feasible(w, plan, _thresholds(g, platform)[tid], platform)
+        elif margin < -band:
+            verdict = False
     if verdict is None:
         verdict = evaluate(g, candidate, D, platform).feasible
     if not verdict:
         return False, schedule
-    if state is not None:
-        _advance(g, D, tid, plan, d)
-    else:
-        _last_probed = [candidate.mapping, g, D, platform, dict(candidate.plans),
-                        _window_state(g, candidate, D, platform, check=False)]
+    if one:
+        _retime(g, schedule.mapping, windows, D, r, d)
+    elif windows is not None:
+        windows[:] = _window_state(g, candidate, D, platform, check=False)
     return True, candidate
 
 
@@ -244,75 +206,77 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
     inside an accepted task's enlarged interval are probed too. With
     ``slowdown_on_fail`` a rejected task, plus its cohort when
     ``with_cohort``, is slowed into the slack around it instead.
+
+    ``windows`` holds the current schedule's time windows, None while it is
+    infeasible.
     """
     reexec = ExecutionPlan(f_re_ex, f_re_ex)
+    windows = _window_state(g, schedule, D, platform)
     for tid in order(g, schedule, D, platform):
         if schedule.plans[tid].re_executed:
             continue
-        ok, schedule = feasibility_probe(g, schedule, D, platform, {tid: reexec})
+        ok, schedule = feasibility_probe(g, schedule, D, platform, {tid: reexec}, windows)
         if ok:
             if with_cohort:
                 # The super-weight set is taken after the task stretched to
                 # its two slow executions, so everything running inside that
                 # enlarged interval is pulled along.
-                for cid in cohort_of(g, *_times(g, schedule, D, platform), tid):
+                for cid in cohort_of(g, *_times(g, schedule, D, platform, windows), tid):
                     if not schedule.plans[cid].re_executed:
-                        _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec})
+                        _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec}, windows)
         elif slowdown_on_fail:
-            cohort = cohort_of(g, *_times(g, schedule, D, platform), tid) if with_cohort else []
+            cohort = cohort_of(g, *_times(g, schedule, D, platform, windows), tid) if with_cohort else []
             if cohort:
                 group = [tid, *cohort]
                 # Singles keep slack_reclaim's default floor, f_rel.
                 bounds = {cid: f_inf(g.weight(cid), platform) for cid in group if schedule.plans[cid].re_executed}
                 schedule = slack_reclaim(g, schedule, D, platform, group, bounds)
+                windows = _window_state(g, schedule, D, platform)
             else:
-                schedule = _slow_single(g, schedule, D, platform, tid)
+                schedule, windows = _slow_single(g, schedule, D, platform, tid, windows)
     return schedule
 
 
-def _times(g, schedule, D, platform):
+def _times(g, schedule, D, platform, windows):
     """Start and finish times of ``schedule`` by task id, bit-equal to ``evaluate``'s.
 
-    They come from the live windows (the walk's last probe left the memo on
-    ``schedule``), read through the position order, or from ``evaluate`` for
-    an infeasible schedule.
+    They are read from ``windows``, ``schedule``'s ``_window_state``, through
+    the position order, or taken from ``evaluate`` when ``windows`` is None.
     """
-    state = _windows(g, schedule, D, platform)
-    if state is None:
+    if windows is None:
         metrics = evaluate(g, schedule, D, platform)
         return metrics.start_times, metrics.finish_times
     order = _indexed(g, schedule.mapping)[0]
-    return dict(zip(order, state[0])), dict(zip(order, state[1]))
+    return dict(zip(order, windows[0])), dict(zip(order, windows[1]))
 
 
-def _slow_single(g, schedule, D, platform, tid):
+def _slow_single(g, schedule, D, platform, tid, windows):
     """``slack_reclaim(g, schedule, D, platform, [tid], {})`` for a tid that runs once.
 
-    With one target, the sweep's window for it is the plain forward and
-    backward pass, which ``_windows`` holds (a rejected probe of ``schedule``
-    has just filled its memo) with the same float operations, so only the
-    decision is left to make. The memo then moves to the slowed schedule in
-    place; its verdict is ``_window_state``'s check, of which only the
-    makespan and the slowed task can change, as every other task already
-    passed. An infeasible ``schedule``, which has no windows, gets the full
-    reclaim.
+    ``windows`` is ``schedule``'s ``_window_state``. With one target, the
+    sweep's window for it is the plain forward and backward pass, which
+    ``windows`` holds with the same float operations, so only the decision
+    is left to make. ``windows`` then moves to the slowed schedule in place
+    and is returned with it, or None when ``_window_state``'s check fails,
+    of which only the makespan and the slowed task can change, as every
+    other task already passed. An infeasible ``schedule``, whose windows are
+    None, gets the full reclaim and None.
     """
-    state = _windows(g, schedule, D, platform)
-    if state is None:
-        return slack_reclaim(g, schedule, D, platform, [tid], {})
-    est, finish, lft, _ = state
+    if windows is None:
+        return slack_reclaim(g, schedule, D, platform, [tid], {}), None
+    est, finish, lft, _ = windows
     r = _indexed(g, schedule.mapping)[1][tid]
     w = g.weight(tid)
     slowed = _slowed(w, schedule.plans[tid], lft[r] - est[r], platform.f_rel)
     if slowed is None:
-        return schedule
-    _advance(g, D, tid, slowed, exe_time(w, slowed))
+        return schedule, windows
+    _retime(g, schedule.mapping, windows, D, r, exe_time(w, slowed))
     if not (
         max(finish, default=0.0) <= D + SLACK_TOL
         and task_feasible(w, slowed, _thresholds(g, platform)[tid], platform)
     ):
-        _last_probed[5] = None
-    return schedule.with_plan(tid, slowed)
+        windows = None
+    return schedule.with_plan(tid, slowed), windows
 
 
 def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex):

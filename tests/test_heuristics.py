@@ -1,14 +1,18 @@
 """The seven scheduling heuristics, the best-of selector, and the probe."""
 
 import collections
+import concurrent.futures
 import math
 import random
+import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_platform, random_instance
-from trisched.graph import chain, generate_random
+from trisched.graph import TaskGraph, chain, generate_random
 from test_schedule import _reclaim_case
 from trisched import heuristics
 from trisched.heuristics import (
@@ -26,7 +30,7 @@ from trisched.heuristics import (
     min_deadline,
     run,
 )
-from trisched.model import SLACK_TOL, ExecutionPlan, ModelValidityWarning, f_inf, reexec_speed
+from trisched.model import SLACK_TOL, ExecutionPlan, ModelValidityWarning, Task, f_inf, reexec_speed
 from trisched.schedule import (
     Schedule,
     _indexed,
@@ -71,7 +75,7 @@ class TestFeasibilityProbe:
     def test_noop_on_feasible_schedule(self, platform):
         g = chain([1.0])
         sched = uniform_schedule(g, list_schedule(g, 1), 1.0)
-        ok, out = feasibility_probe(g, sched, 2.0, platform, {})
+        ok, out = feasibility_probe(g, sched, 2.0, platform, {}, _window_state(g, sched, 2.0, platform))
         assert ok and out is sched or out.plans == sched.plans
 
     def test_re_execution_past_deadline_rejected(self, platform):
@@ -79,7 +83,7 @@ class TestFeasibilityProbe:
         sched = uniform_schedule(g, list_schedule(g, 1), 1.0)
         f = reexec_speed(platform)
         ok, out = feasibility_probe(
-            g, sched, 2.0, platform, {0: ExecutionPlan(f, f)}
+            g, sched, 2.0, platform, {0: ExecutionPlan(f, f)}, _window_state(g, sched, 2.0, platform)
         )
         assert not ok
         assert out.plans == sched.plans
@@ -93,7 +97,7 @@ class TestFeasibilityProbe:
         sched = uniform_schedule(g, list_schedule(g, 1), 1.0)
         f = reexec_speed(platform)
         ok, _ = feasibility_probe(
-            g, sched, 1e9, platform, {0: ExecutionPlan(f, f)}
+            g, sched, 1e9, platform, {0: ExecutionPlan(f, f)}, _window_state(g, sched, 1e9, platform)
         )
         assert not ok
 
@@ -120,7 +124,7 @@ class TestFeasibilityProbe:
             ids = [t.id for t in g.tasks]
 
             def probe(deltas, D=D, base=sched):
-                ok, out = feasibility_probe(g, base, D, platform, deltas)
+                ok, out = feasibility_probe(g, base, D, platform, deltas, _window_state(g, base, D, platform))
                 candidate = base.with_plans(deltas)
                 assert ok == evaluate(g, candidate, D, platform).feasible, (case, deltas)
                 assert out.plans == (candidate if ok else base).plans
@@ -218,6 +222,67 @@ def test_validity_warning_once_per_call_site():
                     run(HeuristicKind.BEST, g, mapping, ratio * min_deadline(g, mapping, platform), platform)
     sites = collections.Counter((w.filename, w.lineno) for w in caught if w.category is ModelValidityWarning)
     assert sites and max(sites.values()) == 1
+
+
+def test_concurrent_solves_match_sequential(platform):
+    # A solve keeps its time windows to itself, so four BEST solves running
+    # at once in threads, switching as often as the interpreter allows,
+    # return what each returns alone.
+    instances = []
+    for seed in range(4):
+        g = generate_random(40, 80, seed=seed)
+        mapping = list_schedule(g, (1, 4)[seed % 2])
+        instances.append((g, mapping, 1.2 * min_deadline(g, mapping, platform)))
+
+    def solve(instance):
+        g, mapping, D = instance
+        sched, metrics = run(HeuristicKind.BEST, g, mapping, D, platform)
+        return sched.plans, metrics.energy, metrics.feasible
+
+    expected = [solve(instance) for instance in instances]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(instances)) as pool:
+            for _ in range(20):
+                assert list(pool.map(solve, instances)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+@given(
+    n=st.integers(min_value=5, max_value=30),
+    seed=st.integers(min_value=0, max_value=10**6),
+    p=st.sampled_from((1, 4)),
+    lambda0=st.sampled_from((1e-5, 1e-3)),
+    ratio=st.sampled_from((1.2, 2.0, 5.0)),
+)
+@settings(max_examples=30, deadline=None)
+def test_scaling_work_deadline_and_fault_rate_scales_only_the_energy(n, seed, p, lambda0, ratio):
+    # Work and deadline times a, fault rate over a: every duration and the
+    # deadline scale alike and every failure exponent lambda0 * w / f stays,
+    # so the speeds stay and the energy scales by a. A power of two scales
+    # every float exactly; another factor only up to rounding.
+    g = generate_random(n, 2 * n, seed=seed)
+    mapping = list_schedule(g, p)
+    platform = make_platform(lambda0=lambda0)
+    D = ratio * min_deadline(g, mapping, platform)
+    kinds = (*ALL_HEURISTICS, HeuristicKind.BEST)
+    expected = {kind: run(kind, g, mapping, D, platform) for kind in kinds}
+    for a, exact in ((0.5, True), (2.0, True), (4.0, True), (3.0, False)):
+        scaled = TaskGraph(tuple(Task(t.id, a * t.weight) for t in g.tasks), g.edges)
+        if exact:
+            assert list_schedule(scaled, p) == mapping
+        for kind in kinds:
+            sched, metrics = expected[kind]
+            out, out_metrics = run(kind, scaled, mapping, a * D, make_platform(lambda0=lambda0 / a))
+            assert out_metrics.feasible == metrics.feasible, (a, kind)
+            if exact:
+                assert out.plans == sched.plans, (a, kind)
+                assert out_metrics.energy == a * metrics.energy, (a, kind)
+            else:
+                assert out_metrics.energy == pytest.approx(a * metrics.energy, rel=1e-12, abs=0.0), (a, kind)
 
 
 class TestHeuristicOutputs:
@@ -383,24 +448,18 @@ class TestSlowSingle:
         slowed = 0
         for case in range(12):
             rng = random.Random(case)
-            for g, sched, D, f_re_ex in _type_b_starts(platform, case):
+            for g, sched, D, _ in _type_b_starts(platform, case):
                 singles = _singles(sched)
                 for tid in rng.sample(singles, min(len(singles), 8)):
-                    # A memo from a probe of sched, a stale one (the full-speed
-                    # schedule of the same mapping was probed last, and
-                    # rejected), and the live one an accept moves along.
-                    memo = rng.choice(("fresh", "stale", "accepted"))
-                    if memo == "fresh":
-                        feasibility_probe(g, sched, D, platform, {tid: ExecutionPlan(f_re_ex, f_re_ex)})
-                    elif memo == "stale":
-                        other = uniform_schedule(g, sched.mapping, platform.f_max)
-                        ok, _ = feasibility_probe(g, other, D, platform, {tid: ExecutionPlan(0.5 * platform.f_rel)})
-                        assert not ok and heuristics._last_probed[5] is not None
-                    else:
-                        _, sched = feasibility_probe(g, sched, D, platform, {tid: ExecutionPlan(platform.f_rel)})
+                    # Fresh windows of sched, or the windows an accept moved along.
+                    windows = _window_state(g, sched, D, platform)
+                    if rng.random() < 0.5:
+                        other = {rng.choice(singles): ExecutionPlan(platform.f_rel)}
+                        _, sched = feasibility_probe(g, sched, D, platform, other, windows)
                     expected = slack_reclaim(g, sched, D, platform, [tid], {})
-                    out = _slow_single(g, sched, D, platform, tid)
-                    assert out.plans == expected.plans, (case, tid, memo)
+                    out, out_windows = _slow_single(g, sched, D, platform, tid, windows)
+                    assert out.plans == expected.plans, (case, tid)
+                    assert out_windows == _window_state(g, out, D, platform), (case, tid)
                     slowed += out.plans != sched.plans
         assert slowed > 20
 
@@ -410,56 +469,57 @@ class TestSlowSingle:
         D = 2.0 * min_deadline(g, mapping, platform)
         sched = uniform_schedule(g, mapping, platform.f_max).with_plan(0, ExecutionPlan(0.5 * platform.f_rel))
         assert not evaluate(g, sched, D, platform).feasible
+        windows = _window_state(g, sched, D, platform)
+        assert windows is None
         for tid in range(1, len(g)):
-            assert _slow_single(g, sched, D, platform, tid).plans == slack_reclaim(g, sched, D, platform, [tid], {}).plans
+            out, out_windows = _slow_single(g, sched, D, platform, tid, windows)
+            assert out.plans == slack_reclaim(g, sched, D, platform, [tid], {}).plans
+            assert out_windows is None
 
 
 class TestLiveWindows:
-    """The probe's memo stays equal to a fresh computation across a whole walk."""
+    """A walk's windows stay equal to a fresh computation across the whole walk."""
 
     @pytest.mark.parametrize("case", range(0, 24, 2))
     def test_memo_equals_fresh_windows_after_every_change(self, platform, case, monkeypatch):
         g, start, D, _, _ = _reclaim_case(platform, case)
         seen = {"accept": 0, "slow": 0, "cohort": 0}
 
-        def assert_memo_is(sched):
-            # The memo describes sched, and equals fresh windows and evaluate.
-            mapping, _, _, _, plans, state = heuristics._last_probed
-            assert mapping is sched.mapping and plans == sched.plans
+        def assert_windows_of(sched, windows):
+            # The windows describe sched: fresh windows, and evaluate's times.
             metrics = evaluate(g, sched, D, platform)
-            assert (state is not None) == metrics.feasible
-            if state is not None:
+            assert (windows is not None) == metrics.feasible
+            if windows is not None:
                 order = _indexed(g, sched.mapping)[0]
-                assert dict(zip(order, state[0])) == metrics.start_times
-                assert dict(zip(order, state[1])) == metrics.finish_times
-                assert state == _window_state(g, sched, D, platform)
+                assert dict(zip(order, windows[0])) == metrics.start_times
+                assert dict(zip(order, windows[1])) == metrics.finish_times
+                assert windows == _window_state(g, sched, D, platform)
 
-        def probe(g_, sched, D_, platform_, deltas):
-            ok, out = feasibility_probe(g_, sched, D_, platform_, deltas)
+        def probe(g_, sched, D_, platform_, deltas, windows):
+            ok, out = feasibility_probe(g_, sched, D_, platform_, deltas, windows)
             assert ok == evaluate(g, sched.with_plans(deltas), D, platform).feasible
-            assert_memo_is(out)
+            assert_windows_of(out, windows)
             seen["accept"] += ok
             return ok, out
 
-        def slow(g_, sched, D_, platform_, tid):
-            out = _slow_single(g_, sched, D_, platform_, tid)
-            if heuristics._last_probed[4] == out.plans:
-                assert_memo_is(out)
-                seen["slow"] += out.plans != sched.plans
-            return out
+        def slow(g_, sched, D_, platform_, tid, windows):
+            out, out_windows = _slow_single(g_, sched, D_, platform_, tid, windows)
+            assert_windows_of(out, out_windows)
+            seen["slow"] += out.plans != sched.plans
+            return out, out_windows
 
-        def cohort(g_, start_times, finish_times, tid):
-            out = cohort_of(g_, start_times, finish_times, tid)
-            mapping, _, _, _, plans, _ = heuristics._last_probed
-            metrics = evaluate(g, Schedule(mapping, dict(plans)), D, platform)
-            assert start_times == metrics.start_times and finish_times == metrics.finish_times
-            assert out == cohort_of(g, metrics.start_times, metrics.finish_times, tid)
+        def times(g_, sched, D_, platform_, windows):
+            assert_windows_of(sched, windows)
+            metrics = evaluate(g, sched, D, platform)
+            out = heuristics_times(g_, sched, D_, platform_, windows)
+            assert out == (metrics.start_times, metrics.finish_times)
             seen["cohort"] += 1
             return out
 
+        heuristics_times = heuristics._times
         monkeypatch.setattr(heuristics, "feasibility_probe", probe)
         monkeypatch.setattr(heuristics, "_slow_single", slow)
-        monkeypatch.setattr(heuristics, "cohort_of", cohort)
+        monkeypatch.setattr(heuristics, "_times", times)
         for kind in (*TYPE_A, *TYPE_B):
             run(kind, g, start.mapping, D, platform)
         assert seen["accept"] > 0 and seen["cohort"] > 0
