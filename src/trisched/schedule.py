@@ -16,7 +16,6 @@ feasibility probe, ``_retime`` and ``swap_reclaims`` share.
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
 
 from .graph import TaskGraph, bottom_levels
@@ -157,18 +156,47 @@ def _augmented_dag(g: TaskGraph, mapping: Mapping):
 
 @functools.lru_cache(maxsize=4)
 def _indexed(g: TaskGraph, mapping: Mapping):
-    """The augmented DAG numbered by topological position: ``(order, pos, succ, pred)``.
+    """The augmented DAG's transitive reduction, numbered by topological position: ``(order, pos, succ, pred)``.
 
-    ``order`` is ``_augmented_dag``'s topological order, ``pos`` maps a task
-    id to its position in it, and ``succ[i]``/``pred[i]`` are the positions
-    of the augmented successors and predecessors of position i, in
-    ``_augmented_dag``'s order. Memoised on (g, mapping); do not mutate.
+    ``order`` is ``_augmented_dag``'s topological order and ``pos`` maps a
+    task id to its position in it. ``succ[i]``/``pred[i]`` are the positions
+    of the successors and predecessors of position i in the transitive
+    reduction, in increasing order: an augmented edge is kept only when no
+    other path joins its ends. Each position's successors are scanned in
+    increasing order, and one is kept unless a kept one already reaches it
+    (reachability as int bitsets, built in reverse order). At one processor
+    the augmented DAG is a total order and the reduction is the chain
+    ``i -> i + 1``. Memoised on (g, mapping); do not mutate.
+
+    Every pass over the reduction gives the windows of the full augmented
+    DAG, bit for bit. Let an edge u -> v be implied by a path u -> w -> ...
+    -> v of kept edges. Durations are non-negative and float addition and
+    subtraction round monotonically, so in any forward pass finish[u] <=
+    est[w] <= finish[w] <= ... <= est[v], and in any backward pass lft[w] -
+    dur[w] <= lft[w] <= ... <= lft[v] - dur[v]. The dropped edge's term is
+    therefore never above the forward ``max``, nor below the backward
+    ``min``, over the kept edges, and both return one of their inputs, so
+    each window comes out the same float.
     """
-    succs, preds, order = _augmented_dag(g, mapping)
+    succs, _, order = _augmented_dag(g, mapping)
+    n = len(order)
     pos = {tid: i for i, tid in enumerate(order)}
-    succ = tuple(tuple(pos[s] for s in succs[tid]) for tid in order)
-    pred = tuple(tuple(pos[p] for p in preds[tid]) for tid in order)
-    return order, pos, succ, pred
+    succ = [()] * n
+    pred = [[] for _ in range(n)]
+    reach = [0] * n  # bit j of reach[i]: position j is i or a descendant of i
+    for i in reversed(range(n)):
+        kept = []
+        below = 0
+        for s in sorted(pos[tid] for tid in succs[order[i]]):
+            if not below >> s & 1:
+                kept.append(s)
+                below |= reach[s]
+        reach[i] = below | 1 << i
+        succ[i] = tuple(kept)
+    for i, ss in enumerate(succ):
+        for s in ss:
+            pred[s].append(i)
+    return order, pos, tuple(succ), tuple(map(tuple, pred))
 
 
 def _start_times(preds, order, dur):
@@ -180,6 +208,24 @@ def _start_times(preds, order, dur):
         start[tid] = s
         finish[tid] = s + dur[tid]
     return start, finish
+
+
+def _forward(pred, dur):
+    """Forward pass over ``_indexed``'s edges: earliest starts and finishes, as lists by position.
+
+    Bit-equal to ``_start_times`` over the full augmented DAG (see
+    ``_indexed``). A lone predecessor is read directly.
+    """
+    est = [0.0] * len(dur)
+    finish = est[:]
+    for i, ps in enumerate(pred):
+        if len(ps) == 1:
+            s = finish[ps[0]]
+        else:
+            s = max([finish[p] for p in ps], default=0.0)
+        est[i] = s
+        finish[i] = s + dur[i]
+    return est, finish
 
 
 @functools.lru_cache(maxsize=4)
@@ -230,23 +276,24 @@ def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: Platform
     """``[est, finish, lft, dur]`` of every task, as lists indexed by position, or None.
 
     Position i is the task ``order[i]`` of ``_indexed(g, schedule.mapping)``.
-    ``est`` and ``finish`` are the forward pass, equal to evaluate's start
-    and finish times bit for bit; ``lft`` is the backward pass from D, taking
-    ``lft[u] = min(lft[s] - dur[s])`` over the augmented successors s of u (D
-    for a task without successors). With ``check``, the schedule must also be
-    feasible, decided from the same forward pass with the same float
-    operations as ``evaluate`` (makespan, every task's reliability
-    threshold, the speed rules), so the two verdicts agree; None when it is
-    not. Pass ``check=False`` only for a schedule already known to be
-    feasible. ``_retime`` updates the state in place.
+    Both passes run over ``_indexed``'s transitive reduction, which gives
+    the full augmented DAG's windows bit for bit, and read a lone
+    predecessor or successor directly. ``est`` and ``finish`` are the
+    forward pass (``_forward``), equal to evaluate's start and finish times
+    bit for bit; ``lft`` is the backward pass from D, taking ``lft[u] =
+    min(lft[s] - dur[s])`` over the successors s of u (D for a task without
+    successors). With ``check``, the schedule must also be feasible, decided
+    from the same forward pass with the same float operations as
+    ``evaluate`` (makespan, every task's reliability threshold, the speed
+    rules), so the two verdicts agree; None when it is not. Pass
+    ``check=False`` only for a schedule already known to be feasible.
+    ``_retime`` updates the state in place.
     """
     order, _, succ, pred = _indexed(g, schedule.mapping)
-    n = len(order)
     weights = [g.weight(tid) for tid in order]
     plans = [schedule.plans[tid] for tid in order]
     dur = [exe_time(w, plan) for w, plan in zip(weights, plans)]
-    est, finish = _start_times(pred, range(n), dur)
-    est, finish = list(est.values()), list(finish.values())
+    est, finish = _forward(pred, dur)
     if check:
         if not max(finish, default=0.0) <= D + SLACK_TOL:
             return None
@@ -254,9 +301,14 @@ def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: Platform
         if not all(task_feasible(w, plan, threshold[tid], platform)
                    for tid, w, plan in zip(order, weights, plans)):
             return None
-    lft = [D] * n
-    for i in reversed(range(n)):
-        lft[i] = min((lft[s] - dur[s] for s in succ[i]), default=D)
+    lft = [D] * len(order)
+    for i in reversed(range(len(order))):
+        ss = succ[i]
+        if len(ss) == 1:
+            s = ss[0]
+            lft[i] = lft[s] - dur[s]
+        elif ss:
+            lft[i] = min([lft[s] - dur[s] for s in ss])
     return [est, finish, lft, dur]
 
 
@@ -264,7 +316,7 @@ def _push_starts(succ, pred, est, finish, dur, r: int, d: float) -> list[int]:
     """Give position r the duration d, and move the earliest starts and finishes that follow, in place.
 
     Only r's descendants can start elsewhere. They are recomputed in
-    topological order with the forward pass's expressions, stopping where a
+    topological order with ``_forward``'s expressions, stopping where a
     start or a finish comes out bit-equal to the old one. Returns the
     positions whose start moved.
     """
@@ -274,11 +326,18 @@ def _push_starts(succ, pred, est, finish, dur, r: int, d: float) -> list[int]:
         return []
     finish[r] = f
     moved = []
-    heap = sorted(succ[r])
-    queued = set(heap)
-    while heap:
-        v = heapq.heappop(heap)
-        s = max((finish[p] for p in pred[v]), default=0.0)
+    queued = bytearray(len(est))
+    for x in succ[r]:
+        queued[x] = 1
+    left = len(succ[r])
+    for v in range(r + 1, len(est)):
+        if not left:
+            break
+        if not queued[v]:
+            continue
+        left -= 1
+        ps = pred[v]  # never empty: v succeeds r or a moved position
+        s = finish[ps[0]] if len(ps) == 1 else max([finish[p] for p in ps])
         if s == est[v]:
             continue
         est[v] = s
@@ -288,9 +347,9 @@ def _push_starts(succ, pred, est, finish, dur, r: int, d: float) -> list[int]:
             continue
         finish[v] = f
         for x in succ[v]:
-            if x not in queued:
-                queued.add(x)
-                heapq.heappush(heap, x)
+            if not queued[x]:
+                queued[x] = 1
+                left += 1
     return moved
 
 
@@ -307,19 +366,29 @@ def _retime(g: TaskGraph, mapping: Mapping, state, D: float, r: int, d: float) -
     _, _, succ, pred = _indexed(g, mapping)
     est, finish, lft, dur = state
     moved = _push_starts(succ, pred, est, finish, dur, r, d)
-    heap = [-p for p in pred[r]]
-    heapq.heapify(heap)
-    queued = set(pred[r])
-    while heap:
-        u = -heapq.heappop(heap)
-        lf = min((lft[s] - dur[s] for s in succ[u]), default=D)
+    queued = bytearray(len(lft))
+    for p in pred[r]:
+        queued[p] = 1
+    left = len(pred[r])
+    for u in range(r - 1, -1, -1):
+        if not left:
+            break
+        if not queued[u]:
+            continue
+        left -= 1
+        ss = succ[u]  # never empty: u precedes r or a moved position
+        if len(ss) == 1:
+            s = ss[0]
+            lf = lft[s] - dur[s]
+        else:
+            lf = min([lft[s] - dur[s] for s in ss])
         if lf == lft[u]:
             continue
         lft[u] = lf
         for p in pred[u]:
-            if p not in queued:
-                queued.add(p)
-                heapq.heappush(heap, -p)
+            if not queued[p]:
+                queued[p] = 1
+                left += 1
     return moved
 
 
@@ -339,17 +408,30 @@ def super_weight(g: TaskGraph, metrics: ScheduleMetrics, tid: int) -> float:
     This measures the work that can be slowed down together with the task —
     i.e. the slack reclaimable around it.
     """
-    s, f = metrics.start_times[tid], metrics.finish_times[tid]
+    return _nested_weight(_intervals(g, metrics), metrics.start_times[tid], metrics.finish_times[tid])
+
+
+def _intervals(g: TaskGraph, metrics: ScheduleMetrics) -> list[tuple[float, float, float]]:
+    """``(start, finish, weight)`` of every task, in ``g.tasks`` order."""
+    start, finish = metrics.start_times, metrics.finish_times
+    return [(start[t.id], finish[t.id], t.weight) for t in g.tasks]
+
+
+def _nested_weight(rows, s: float, f: float) -> float:
+    """``super_weight`` of the interval [s, f] over ``_intervals`` rows, added in their order."""
+    lo, hi = s - SLACK_TOL, f + SLACK_TOL
     total = 0.0
-    for t in g.tasks:
-        if metrics.start_times[t.id] >= s - SLACK_TOL and metrics.finish_times[t.id] <= f + SLACK_TOL:
-            total += t.weight
+    for start, finish, w in rows:
+        if start >= lo and finish <= hi:
+            total += w
     return total
 
 
 def sus_sort(g: TaskGraph, metrics: ScheduleMetrics, task_ids) -> list[int]:
     """Sort by decreasing super-weight; ties by decreasing weight, then id."""
-    sw = {tid: super_weight(g, metrics, tid) for tid in task_ids}
+    rows = _intervals(g, metrics)
+    start, finish = metrics.start_times, metrics.finish_times
+    sw = {tid: _nested_weight(rows, start[tid], finish[tid]) for tid in task_ids}
     return sorted(task_ids, key=lambda tid: (-sw[tid], -g.weight(tid), tid))
 
 
@@ -397,24 +479,30 @@ def slack_reclaim(
     slow further.
     """
     targets = set(targets)
-    succs, preds, order = _augmented_dag(g, schedule.mapping)
+    order, _, succ, pred = _indexed(g, schedule.mapping)
     plans = dict(schedule.plans)
     for tid in targets:
         plan = plans[tid]
         if plan.re_executed and abs(plan.speed1 - plan.speed2) > SLACK_TOL:
             raise ValueError(f"task {tid}: re-executed copies at different speeds {plan}")
-    weights = {t.id: t.weight for t in g.tasks}
-    dur = {tid: exe_time(weights[tid], plans[tid]) for tid in order}
-    est, _ = _start_times(preds, order, dur)
-    lft: dict[int, float] = {}
-    for tid in reversed(order):
-        lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
+    weights = [g.weight(tid) for tid in order]
+    dur = [exe_time(w, plans[tid]) for w, tid in zip(weights, order)]
+    est, _ = _forward(pred, dur)
+    lft = [D] * len(order)
+    for i in reversed(range(len(order))):
+        ss = succ[i]
+        if len(ss) == 1:
+            s = ss[0]
+            lft[i] = lft[s] - dur[s]
+        elif ss:
+            lft[i] = min([lft[s] - dur[s] for s in ss])
+        tid = order[i]
         if tid not in targets:
             continue
-        slowed = _slowed(weights[tid], plans[tid], lft[tid] - est[tid], lower_bounds.get(tid, platform.f_rel))
+        slowed = _slowed(weights[i], plans[tid], lft[i] - est[i], lower_bounds.get(tid, platform.f_rel))
         if slowed is not None:
             plans[tid] = slowed
-            dur[tid] = exe_time(weights[tid], slowed)
+            dur[i] = exe_time(weights[i], slowed)
     return Schedule(schedule.mapping, plans)
 
 
@@ -473,33 +561,49 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
         prefix.append(prefix[-1] + e)
     f_rel = platform.f_rel
     swap = ExecutionPlan(f_rel)
+    # Whether the sweep could slow the position: a single run above its
+    # floor. Below it, max(f_rel, needed) >= speed1 - SLACK_TOL, and
+    # ``_slowed`` returns None. The swap of r itself runs at f_rel.
+    slow = [not plan.re_executed and plan.speed1 - SLACK_TOL > f_rel for plan in plans]
     for r in map(pos.__getitem__, tids):
-        # Forward: the earliest starts that the shorter task r moves; decide
-        # collects r and the tasks whose earliest start moved.
+        # Forward: the earliest starts that the shorter task r moves.
         t_dur, t_est, t_finish, t_lft = dur[:], est[:], finish[:], lft[:]
-        decide = {r, *_push_starts(succ, pred, t_est, t_finish, t_dur, r, exe_time(weights[r], swap))}
-        # Backward: the sweep, from the last moved task down.
+        decide = _push_starts(succ, pred, t_est, t_finish, t_dur, r, exe_time(weights[r], swap))
+        # Backward: the sweep, from the last moved task down. queued[u] is 2
+        # for r and the tasks whose earliest start moved, 1 for the others
+        # whose latest finish may move.
         changes = {r: swap}
-        heap = [-u for u in decide]
-        heapq.heapify(heap)
-        queued = set(decide)
-        while heap:
-            u = -heapq.heappop(heap)
-            lf = min((t_lft[s] - t_dur[s] for s in succ[u]), default=D)
+        queued = bytearray(n)
+        queued[r] = 2
+        for u in decide:
+            queued[u] = 2
+        left = 1 + len(decide)
+        for u in range(decide[-1] if decide else r, -1, -1):
+            if not left:
+                break
+            q = queued[u]
+            if not q:
+                continue
+            left -= 1
+            ss = succ[u]
+            if len(ss) == 1:
+                s = ss[0]
+                lf = t_lft[s] - t_dur[s]
+            else:
+                lf = min([t_lft[s] - t_dur[s] for s in ss], default=D)
             moved = lf != lft[u]
             t_lft[u] = lf
-            plan = changes.get(u, plans[u])
-            if not plan.re_executed and (moved or u in decide):
-                slowed = _slowed(weights[u], plan, lf - t_est[u], f_rel)
+            if slow[u] and (moved or q == 2):
+                slowed = _slowed(weights[u], plans[u], lf - t_est[u], f_rel)
                 if slowed is not None:
                     changes[u] = slowed
                     t_dur[u] = exe_time(weights[u], slowed)
                     moved = True
             if moved or u == r:
                 for p in pred[u]:
-                    if p not in queued:
-                        queued.add(p)
-                        heapq.heappush(heap, -p)
+                    if not queued[p]:
+                        queued[p] = 1
+                        left += 1
         first = min(changes)
         total = prefix[first]
         for i in range(first, n):
