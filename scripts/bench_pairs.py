@@ -14,7 +14,11 @@ attempted ops and median reference chunk (the host's speed). With
 ``--acceptance``, it then runs ``pytest -q --durations=10
 tests/test_acceptance.py`` once per side, parent first, each on its own
 ``src``, and writes each side's wall time, pytest's summary line and the ten
-slowest test phases. Standard library only.
+slowest test phases. Each side's commit is read with ``git describe`` when
+its checkout is the top of a git work tree; for any other checkout, such as
+one made with ``git archive``, it must be named with ``--parent-commit`` or
+``--change-commit``, or the script exits with an error before it runs
+anything. Standard library only.
 """
 
 from __future__ import annotations
@@ -108,10 +112,20 @@ def summarise(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
     return out
 
 
-def describe(checkout: Path) -> str | None:
-    """The checkout's commit, marked ``-dirty`` when its files differ from it."""
-    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout, capture_output=True, text=True)
-    return proc.stdout.strip() or None
+def describe(checkout: Path) -> str:
+    """The checkout's commit, marked ``-dirty`` when its files differ from it.
+
+    ValueError unless the checkout is the top of its own git work tree: a
+    copy made with ``git archive`` has no commit to name, and a directory
+    inside another repository would name that repository's commit.
+    """
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=checkout, capture_output=True, text=True)
+    if top.returncode != 0 or Path(top.stdout.strip()).resolve() != checkout.resolve():
+        raise ValueError(f"{checkout} is not the top of a git work tree, so its commit is unknown; "
+                         "name it with --parent-commit or --change-commit")
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
 
 
 def main(argv=None) -> int:
@@ -124,9 +138,17 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=None)
+    ap.add_argument("--parent-commit", help="the parent's commit, when --parent is not a git work tree")
+    ap.add_argument("--change-commit", help="the change's commit, when --change is not a git work tree")
     args = ap.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {}
+    for side, given in (("parent", args.parent_commit), ("change", args.change_commit)):
+        try:
+            commits[side] = given or describe(checkouts[side])
+        except ValueError as exc:
+            ap.error(str(exc))
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -137,7 +159,7 @@ def main(argv=None) -> int:
             "order": "parent first in even pairs, change first in odd pairs",
         },
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine()},
-        "commits": {side: describe(path) for side, path in checkouts.items()},
+        "commits": commits,
         "workloads": {},
     }
     for workload in args.workloads:

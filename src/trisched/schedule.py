@@ -7,10 +7,15 @@ counted), total energy, per-task reliability slack and a feasibility verdict.
 
 The augmented DAG (precedence edges plus processor-order edges) and its
 topological order are derived once per (graph, mapping) and shared by every
-evaluation, critical-path search and slack reclaim on that pair; callers
-must not mutate it. So is its numbering by topological position
-(``_indexed``), which indexes the time windows (``_window_state``) that the
-feasibility probe, ``_retime`` and ``swap_reclaims`` share.
+evaluation and critical-path search on that pair; callers must not mutate
+it. So is its transitive reduction, numbered by topological position
+(``_indexed``): it keeps only the edges that no other path implies (at one
+processor, the chain of the processor's list) and gives the same time
+windows bit for bit. The time windows (``_window_state``) that the
+feasibility probe, ``_retime``, ``slack_reclaim`` and ``swap_reclaims``
+compute are lists indexed by that position, and each pass over them reads a
+lone predecessor or successor directly. Incremental passes visit the
+positions they mark in position order, which is topological.
 """
 
 from __future__ import annotations
@@ -44,9 +49,6 @@ class Mapping:
                 if tid in seen:
                     raise ValueError(f"task {tid} mapped more than once")
                 seen.add(tid)
-
-    def processor_of(self) -> dict[int, int]:
-        return {tid: p for p, lst in enumerate(self.proc_lists) for tid in lst}
 
 
 @dataclass(frozen=True)
@@ -315,10 +317,11 @@ def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: Platform
 def _push_starts(succ, pred, est, finish, dur, r: int, d: float) -> list[int]:
     """Give position r the duration d, and move the earliest starts and finishes that follow, in place.
 
-    Only r's descendants can start elsewhere. They are recomputed in
-    topological order with ``_forward``'s expressions, stopping where a
-    start or a finish comes out bit-equal to the old one. Returns the
-    positions whose start moved.
+    Only r's descendants can start elsewhere. They are recomputed with
+    ``_forward``'s expressions, in position order (a topological order),
+    visiting only the successors of r and of each position whose finish
+    moved, and stopping where a start or a finish comes out bit-equal to the
+    old one. Returns the positions whose start moved, in increasing order.
     """
     dur[r] = d
     f = est[r] + d
@@ -455,7 +458,8 @@ def slack_reclaim(
 ) -> Schedule:
     """Slow the target tasks toward their lower bounds without losing feasibility.
 
-    One sweep in reverse topological order of the augmented DAG: each target
+    One sweep in reverse topological order, over ``_indexed``'s positions
+    and reduced edges (the augmented DAG's windows, bit for bit): each target
     may expand into the window between its earliest start (forward pass) and
     its latest allowed finish (backward pass from D), down to its lower bound
     (f_rel when it has none). Speeds never increase, so energy never
@@ -605,10 +609,12 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
                         queued[p] = 1
                         left += 1
         first = min(changes)
+        terms = energies[first:]
+        for i, plan in changes.items():
+            terms[i - first] = energy(weights[i], plan)
         total = prefix[first]
-        for i in range(first, n):
-            plan = changes.get(i)
-            total += energies[i] if plan is None else energy(weights[i], plan)
+        for e in terms:
+            total += e
         yield total, {order[i]: plan for i, plan in changes.items()}
 
 

@@ -1,6 +1,8 @@
-"""The summary math of scripts/bench_pairs.py, on made-up runs (no benchmark is run)."""
+"""scripts/bench_pairs.py on made-up runs (no benchmark is run): its summary math and the commits it records."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,53 @@ def test_slowest_reads_the_durations_report():
         {"test": "tests/test_acceptance.py::test_criterion_5_feasibility_on_1000_instances", "phase": "call", "s": 41.23},
         {"test": "tests/test_acceptance.py::test_criterion_8a_single_processor_favors_type_a", "phase": "setup", "s": 12.0},
     ]
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd, check=True,
+                   capture_output=True)
+
+
+def test_describe_names_only_the_top_of_a_work_tree(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "sub").mkdir(parents=True)
+    (repo / "sub" / "f").write_text("x\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "one")
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=repo, capture_output=True, text=True,
+                          check=True).stdout.strip()
+    assert bench_pairs.describe(repo) == head
+    (repo / "sub" / "f").write_text("y\n")
+    assert bench_pairs.describe(repo) == head + "-dirty"
+    # A directory inside the repository, and one outside any.
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    for checkout in (repo / "sub", plain):
+        with pytest.raises(ValueError, match="not the top of a git work tree"):
+            bench_pairs.describe(checkout)
+
+
+def _checkout(path):
+    path.mkdir()
+    spec = {"run_seconds": 1, "end_to_end": [{"name": "solves_per_s", "better": "higher"},
+                                             {"name": "solve_s.p50", "better": "lower"}]}
+    (path / "BENCHMARK.json").write_text(json.dumps(spec))
+    return path
+
+
+def test_commits_of_copies_come_from_the_options(tmp_path, monkeypatch, capsys):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    monkeypatch.setattr(bench_pairs, "bench_once", lambda *args: _run(1.0, 0.5))
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--out", str(out),
+            "--workloads", "dag-loose", "--pairs", "1"]
+    # Neither copy is a git work tree: no commit named, nothing run or written.
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv + ["--change-commit", "def456"])
+    assert exc.value.code == 2 and "not the top of a git work tree" in capsys.readouterr().err
+    assert not out.exists()
+    assert bench_pairs.main(argv + ["--parent-commit", "abc123", "--change-commit", "def456"]) == 0
+    report = json.loads(out.read_text())
+    assert report["commits"] == {"parent": "abc123", "change": "def456"}
+    assert report["workloads"]["dag-loose"]["metrics"]["solves_per_s"]["pairs"] == 1

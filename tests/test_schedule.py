@@ -50,10 +50,6 @@ class TestMapping:
         with pytest.raises(ValueError):
             Mapping(((0, 1), (1,)))
 
-    def test_processor_of(self):
-        m = Mapping(((0, 2), (1,)))
-        assert m.processor_of() == {0: 0, 2: 0, 1: 1}
-
     @pytest.mark.parametrize("lists", [((0, 1),), ((0, 1, 2, 7),), ((0, 1), (2, 3))])
     def test_mapping_must_partition_the_graph(self, platform, lists):
         # A task left unmapped, an unknown task id, or both.
@@ -448,6 +444,80 @@ class TestRetime:
             moved_total += len(moved)
             lft_changes += lft_before != state[2]
         assert moved_total > 0 and lft_changes > 0
+
+
+def _reachable(succ, u, skip=None):
+    """Positions reachable from u by one or more edges of succ, leaving out the edge ``skip``."""
+    seen, stack = set(), [u]
+    while stack:
+        x = stack.pop()
+        for y in succ[x]:
+            if (x, y) != skip and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+class TestIndexedReduction:
+    """``_indexed``'s edges are the augmented DAG's transitive reduction, and give its windows."""
+
+    CASES = [(p, seed) for p in (1, 2, 4, 50) for seed in range(4)]
+
+    @staticmethod
+    def _case(p, seed):
+        rng = random.Random(1000 * p + seed)
+        n = rng.randint(30, 200)
+        g = generate_random(n, rng.randint(n, 3 * n), seed=seed)
+        mapping = list_schedule(g, p)
+        succs, _, order = _augmented_dag(g, mapping)
+        pos = {tid: i for i, tid in enumerate(order)}
+        full = [{pos[s] for s in succs[tid]} for tid in order]
+        return rng, g, mapping, full
+
+    @pytest.mark.parametrize("p, seed", CASES)
+    def test_reduction_keeps_reachability_and_no_redundant_edge(self, p, seed):
+        _, g, mapping, full = self._case(p, seed)
+        order, pos, succ, pred = _indexed(g, mapping)
+        n = len(order)
+        assert pos == {tid: i for i, tid in enumerate(order)}
+        assert pred == tuple(tuple(u for u in range(n) if v in succ[u]) for v in range(n))
+        for u in range(n):
+            assert list(succ[u]) == sorted(succ[u]) and set(succ[u]) <= full[u]
+            reach = _reachable(succ, u)
+            # Every augmented edge is implied by a path of kept edges.
+            assert full[u] <= reach, u
+            # No kept edge is implied by another path.
+            for v in succ[u]:
+                assert v not in _reachable(succ, u, skip=(u, v)), (u, v)
+        if p == 1:
+            assert succ == tuple((i + 1,) for i in range(n - 1)) + ((),)
+        else:
+            assert sum(map(len, succ)) < sum(map(len, full))
+
+    @pytest.mark.parametrize("p, seed", CASES)
+    def test_windows_equal_full_edge_passes(self, platform, p, seed):
+        rng, g, mapping, full = self._case(p, seed)
+        order = _indexed(g, mapping)[0]
+        n = len(order)
+        f_re_ex = 0.9 * platform.f_rel / math.sqrt(2.0)
+        plans = {
+            tid: ExecutionPlan(f_re_ex, f_re_ex) if rng.random() < 0.3 else ExecutionPlan(rng.uniform(0.5, 1.0))
+            for tid in order
+        }
+        sched = Schedule(mapping, plans)
+        D = rng.uniform(1.0, 3.0) * evaluate(g, sched, math.inf, platform).makespan
+        # The reference: both passes over every augmented edge.
+        preds = [[u for u in range(n) if v in full[u]] for v in range(n)]
+        dur = [exe_time(g.weight(tid), plans[tid]) for tid in order]
+        est, finish = [], []
+        for v in range(n):
+            est.append(max((finish[u] for u in preds[v]), default=0.0))
+            finish.append(est[v] + dur[v])
+        lft = [D] * n
+        for u in reversed(range(n)):
+            lft[u] = min((lft[s] - dur[s] for s in full[u]), default=D)
+        state = _window_state(g, sched, D, platform, check=False)
+        assert _bits(state) == _bits([est, finish, lft, dur])
 
 
 class TestAugmentedDag:
