@@ -566,8 +566,9 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
     f_rel = platform.f_rel
     swap = ExecutionPlan(f_rel)
     # Whether the sweep could slow the position: a single run above its
-    # floor. Below it, max(f_rel, needed) >= speed1 - SLACK_TOL, and
-    # ``_slowed`` returns None. The swap of r itself runs at f_rel.
+    # floor. Otherwise max(f_rel, needed) >= speed1 - SLACK_TOL, and
+    # ``_slowed`` returns None. That holds for r's swap too, at f_rel, and
+    # slow[r] is False, as r is re-executed in base.
     slow = [not plan.re_executed and plan.speed1 - SLACK_TOL > f_rel for plan in plans]
     for r in map(pos.__getitem__, tids):
         # Forward: the earliest starts that the shorter task r moves.
