@@ -2,7 +2,7 @@
 
 Subcommands: ``gen`` (emit a DAG file), ``solve`` (per-heuristic table for one
 instance), ``fork`` (exact fork solver), ``vdd-convert`` (continuous schedule
-to discrete modes), ``oracle`` (exhaustive chain lower bound) and ``sweep``
+to discrete modes), ``oracle`` (exact chain optimum, a lower bound) and ``sweep``
 (the full experiment campaign, CSV output). Defaults follow the simulation
 protocol: 100 nodes, 300 edges, 10 runs, lambda0 = 1e-5, f_rel = 2/3 * f_max.
 """
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", required=True, help="comma-separated mode speeds")
     p.set_defaults(func=cmd_vdd_convert)
 
-    p = sub.add_parser("oracle", help="exhaustive lower bound for a single-processor chain")
+    p = sub.add_parser("oracle", help="exact minimum energy (a lower bound) of a single-processor chain")
     _platform_args(p)
     p.add_argument("--chain-weights", help="comma-separated weights")
     p.add_argument("--n", type=int, default=8)

@@ -17,9 +17,11 @@ from .model import (
     SLACK_TOL,
     ExecutionPlan,
     PlatformModel,
-    SingleTaskResult,
     Task,
+    _case_plan,
+    _single_task_case,
     deadline_breakpoints,
+    f_inf,
     single_task_optimal,
 )
 
@@ -53,17 +55,22 @@ def independent_tasks_optimal(
     return plans, total
 
 
-def _inv_square_coeff(w: float, res: SingleTaskResult) -> tuple[float, float]:
-    """Decompose a single-task optimum as K/D^2 + const for its active case."""
-    if res.case == 2:
-        return w ** 3, 0.0
-    if res.case == 4:
-        return 8.0 * w ** 3, 0.0
-    return 0.0, res.energy
+def _inv_square_coeff(w: float, case: int) -> float:
+    """K of a single-task optimum's K/D^2 term in its active case (0 if constant)."""
+    if case == 2:
+        return w ** 3
+    if case == 4:
+        return 8.0 * w ** 3
+    return 0.0
 
 
 def fork_optimal(w0: float, leaves: list[Task], D: float, platform: PlatformModel) -> ForkSolution:
-    """Exact minimum-energy plans for a fork mapped one task per processor."""
+    """Exact minimum-energy plans for a fork mapped one task per processor.
+
+    Candidate splits are scored through ``model._single_task_case``, the
+    decision ``single_task_optimal`` makes, with each task's f_inf looked up
+    once; only the winning split's plans are built.
+    """
     if math.isnan(D):
         raise ValueError("deadline must not be NaN")
     if not leaves:
@@ -71,8 +78,11 @@ def fork_optimal(w0: float, leaves: list[Task], D: float, platform: PlatformMode
         plans = {0: res.plan} if res.feasible else {}
         return ForkSolution(res.feasible, 0.0, plans, res.energy)
 
-    src_bp = deadline_breakpoints(w0, platform)
-    leaf_bps = [deadline_breakpoints(t.weight, platform) for t in leaves]
+    weights = [t.weight for t in leaves]
+    fi0 = f_inf(w0, platform)
+    fis = [f_inf(w, platform) for w in weights]
+    src_bp = deadline_breakpoints(w0, platform, fi0)
+    leaf_bps = [deadline_breakpoints(w, platform, fi) for w, fi in zip(weights, fis)]
 
     lo = max(bp[0] for bp in leaf_bps)
     hi = D - src_bp[0]
@@ -95,19 +105,18 @@ def fork_optimal(w0: float, leaves: list[Task], D: float, platform: PlatformMode
         if v - dedup[-1] > _DEDUP_TOL:
             dedup.append(v)
 
-    def total_at(d2: float) -> tuple[float, Optional[dict[int, ExecutionPlan]]]:
-        plans, e_leaves = independent_tasks_optimal(leaves, d2, platform)
-        if plans is None:
-            return math.inf, None
-        src = single_task_optimal(w0, D - d2, platform)
-        if not src.feasible:
-            return math.inf, None
-        plans[0] = src.plan
-        return e_leaves + src.energy, plans
+    def total_at(d2: float) -> float:
+        """Energy of the leaves at d2 plus the source at D - d2 (math.inf if infeasible)."""
+        e_leaves = 0.0
+        for w, fi in zip(weights, fis):
+            case, _, e = _single_task_case(w, d2, platform, fi)
+            if case == 1:
+                return math.inf
+            e_leaves += e
+        return e_leaves + _single_task_case(w0, D - d2, platform, fi0)[2]
 
     best_energy = math.inf
     best_d2 = lo
-    best_plans: Optional[dict[int, ExecutionPlan]] = None
 
     intervals = list(zip(dedup, dedup[1:])) or [(lo, hi)]
     for a, b in intervals:
@@ -115,11 +124,10 @@ def fork_optimal(w0: float, leaves: list[Task], D: float, platform: PlatformMode
             candidates = [a]
         else:
             mid = 0.5 * (a + b)
-            k_src, _ = _inv_square_coeff(w0, single_task_optimal(w0, D - mid, platform))
+            k_src = _inv_square_coeff(w0, _single_task_case(w0, D - mid, platform, fi0)[0])
             k_leaf = 0.0
-            for t in leaves:
-                k, _ = _inv_square_coeff(t.weight, single_task_optimal(t.weight, mid, platform))
-                k_leaf += k
+            for w, fi in zip(weights, fis):
+                k_leaf += _inv_square_coeff(w, _single_task_case(w, mid, platform, fi)[0])
             candidates = [a, b]
             if k_src > 0.0 and k_leaf > 0.0:
                 # stationary point of K/(D-D2)^2 + K'/D2^2
@@ -130,13 +138,16 @@ def fork_optimal(w0: float, leaves: list[Task], D: float, platform: PlatformMode
             elif k_leaf == 0.0 and k_src > 0.0:
                 candidates = [a]
         for d2 in candidates:
-            e, plans = total_at(d2)
+            e = total_at(d2)
             if e < best_energy:
-                best_energy, best_d2, best_plans = e, d2, plans
+                best_energy, best_d2 = e, d2
 
-    if best_plans is None:
+    if best_energy == math.inf:
         return ForkSolution(False, 0.0, {}, math.inf)
-    return ForkSolution(True, best_d2, best_plans, best_energy)
+    plans = {t.id: _case_plan(*_single_task_case(t.weight, best_d2, platform, fi)[:2])
+             for t, fi in zip(leaves, fis)}
+    plans[0] = _case_plan(*_single_task_case(w0, D - best_d2, platform, fi0)[:2])
+    return ForkSolution(True, best_d2, plans, best_energy)
 
 
 def identical_fork_validity_bound(w: float, n: int, platform: PlatformModel) -> float:

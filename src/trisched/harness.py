@@ -143,62 +143,77 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
 
 
 def chain_oracle(g: TaskGraph, D: float, platform: PlatformModel, max_n: int = 12) -> float:
-    """Exhaustive energy lower bound for a single-processor chain.
+    """Exact minimum energy of a single-processor chain, over every re-execution set.
 
-    Enumerates all re-execution subsets; non-re-executed tasks run at the
-    uniform speed filling the residual time (floored at f_rel), re-executed
-    tasks share one speed found by ternary search in the admissible window.
+    With the set S of re-executed tasks fixed, the chain is a separable
+    convex problem with one time constraint: minimise sum m*w*f^2 subject to
+    sum m*w/f <= D (m = 1 for a single run, 2 for a re-execution), each speed
+    in its own box: [f_rel, f_max] for a single run, [f_inf(w), c) for a
+    re-execution, with c = f_rel/sqrt(2). The optimum is one common speed
+    clipped to each box. Every re-execution box lies below every single-run
+    box, so it has one of two shapes (s1, s2: single and re-executed work):
+
+    - re-executions at c, the single runs sharing s1/(D - 2*s2/c), which is
+      at least f_rel and at most f_max;
+    - single runs at f_rel, the re-executions water-filled over
+      D - s1/f_rel: scanned by decreasing f_inf, each is clamped at its floor
+      while the common speed 2*free_w/(rest - clamped_time) is below it.
+
+    The box is open at c (a re-execution at c itself breaks the speed rule),
+    so the first shape's value is an infimum: approached by valid schedules,
+    not reached. It is still a lower bound on every valid schedule's energy.
+    A set is skipped if a member's f_inf is at or above c, or if its single
+    runs would need more than f_max, or an all-re-executed set more than c.
+    Returns math.inf when no set fits the deadline. O(2^n * n).
     """
     n = len(g)
     if n > max_n:
         raise ValueError(f"chain oracle limited to {max_n} tasks, got {n}")
-    weights = [t.weight for t in g.tasks]
     fmax, frel = platform.f_max, platform.f_rel
-    fhi_window = frel / math.sqrt(2.0)
-    finfs = [f_inf(w, platform) for w in weights]
+    c = frel / math.sqrt(2.0)
+    # Bit k of a mask is the task with the k-th largest f_inf, so the
+    # water-filling scans a set's members in increasing bit order.
+    floors = sorted(((f_inf(t.weight, platform), t.weight) for t in g.tasks), reverse=True)
+    finfs = [fi for fi, _ in floors]
+    weights = [w for _, w in floors]
+    no_window = (1 << sum(fi >= c for fi in finfs)) - 1
+    full = (1 << n) - 1
+    work = [0.0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        work[mask] = work[mask ^ low] + weights[low.bit_length() - 1]
 
     best = math.inf
     for mask in range(1 << n):
-        s1 = sum(w for i, w in enumerate(weights) if not (mask >> i) & 1)
-        s2 = sum(w for i, w in enumerate(weights) if (mask >> i) & 1)
-
-        def once_energy(residual_time: float) -> float:
-            if s1 == 0.0:
-                return 0.0
-            if residual_time <= 0.0:
-                return math.inf
-            f1 = max(frel, s1 / residual_time)
+        if mask & no_window:
+            continue
+        s1, s2 = work[full ^ mask], work[mask]
+        rest = D - s1 / frel
+        if 2.0 * s2 < c * rest:
+            e = s1 * frel * frel
+            free_w = s2
+            m = mask
+            while m:
+                low = m & -m
+                m ^= low
+                k = low.bit_length() - 1
+                fi = finfs[k]
+                if 2.0 * free_w >= fi * rest:
+                    v = 2.0 * free_w / rest
+                    e += 2.0 * free_w * v * v
+                    break
+                w = weights[k]
+                free_w -= w
+                rest -= 2.0 * w / fi
+                e += 2.0 * w * fi * fi
+        else:
+            left = D - 2.0 * s2 / c
+            if s1 == 0.0 or left <= 0.0:
+                continue
+            f1 = s1 / left
             if f1 > fmax * (1.0 + 1e-12):
-                return math.inf
-            return s1 * f1 * f1
-
-        if mask == 0:
-            e = once_energy(D)
-            best = min(best, e)
-            continue
-
-        flo = max(fi for i, fi in enumerate(finfs) if (mask >> i) & 1)
-        # the re-execution block must leave room for the single executions
-        min_speed_for_time = 2.0 * s2 / max(D - s1 / fmax, 1e-300)
-        flo = max(flo, min_speed_for_time)
-        fhi = fhi_window * (1.0 - 1e-12)
-        if flo >= fhi:
-            continue
-
-        def total(f: float) -> float:
-            return once_energy(D - 2.0 * s2 / f) + 2.0 * s2 * f * f
-
-        a, b = flo, fhi
-        for _ in range(200):
-            if b - a <= 1e-10:
-                break
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            if total(m1) <= total(m2):
-                b = m2
-            else:
-                a = m1
-        candidates = [flo, fhi, 0.5 * (a + b)]
-        e = min(total(f) for f in candidates)
-        best = min(best, e)
+                continue
+            e = s1 * f1 * f1 + 2.0 * s2 * c * c
+        if e < best:
+            best = e
     return best

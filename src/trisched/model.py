@@ -235,15 +235,56 @@ class SingleTaskResult:
     case: int  # 1..5; 1 = infeasible
 
 
-def deadline_breakpoints(w: float, platform: PlatformModel) -> tuple[float, float, float, float]:
-    """Per-task deadline breakpoints separating the five optimizer cases."""
-    fi = f_inf(w, platform)
+def deadline_breakpoints(
+    w: float, platform: PlatformModel, fi: Optional[float] = None
+) -> tuple[float, float, float, float]:
+    """Per-task deadline breakpoints separating the five optimizer cases.
+
+    ``fi`` is the task's f_inf when the caller already has it.
+    """
+    if fi is None:
+        fi = f_inf(w, platform)
     return (
         w / platform.f_max,
         w / platform.f_rel,
         2.0 * math.sqrt(2.0) * w / platform.f_rel,
         2.0 * w / fi,
     )
+
+
+def _single_task_case(
+    w: float, D: float, platform: PlatformModel, fi: Optional[float] = None
+) -> tuple[int, float, float]:
+    """``single_task_optimal``'s case (1..5), the speed of each execution and the energy.
+
+    Speed and energy are math.inf in case 1 (infeasible). ``fi`` is the
+    task's f_inf when the caller already has it; otherwise it is looked up
+    only if the deadline reaches past case 2.
+    """
+    if not (w > 0.0 and D > 0.0):
+        raise ValueError("weight and deadline must be positive")
+    frel, fmax = platform.f_rel, platform.f_max
+    if D < w / fmax - SLACK_TOL:
+        return 1, math.inf, math.inf
+    if D <= w / frel + SLACK_TOL:
+        f = min(w / D, fmax)
+        return 2, f, w * f * f
+    if fi is None:
+        fi = f_inf(w, platform)
+    reexec_window = fi < frel / math.sqrt(2.0) - SLACK_TOL
+    if not reexec_window or D <= 2.0 * math.sqrt(2.0) * w / frel + SLACK_TOL:
+        return 3, frel, w * frel * frel
+    if D <= 2.0 * w / fi + SLACK_TOL:
+        f = 2.0 * w / D
+        return 4, f, 2.0 * w * f * f
+    return 5, fi, 2.0 * w * fi * fi
+
+
+def _case_plan(case: int, f: float) -> Optional[ExecutionPlan]:
+    """The plan of a ``_single_task_case`` outcome: none, one run, or two at one speed."""
+    if case == 1:
+        return None
+    return ExecutionPlan(f) if case < 4 else ExecutionPlan(f, f)
 
 
 def single_task_optimal(w: float, D: float, platform: PlatformModel) -> SingleTaskResult:
@@ -255,23 +296,5 @@ def single_task_optimal(w: float, D: float, platform: PlatformModel) -> SingleTa
     treated as unavailable and the task runs once at f_rel for any deadline
     past w/f_rel.
     """
-    if not (w > 0.0 and D > 0.0):
-        raise ValueError("weight and deadline must be positive")
-    frel, fmax = platform.f_rel, platform.f_max
-    d0 = w / fmax
-    if D < d0 - SLACK_TOL:
-        return SingleTaskResult(False, None, math.inf, 1)
-    d1 = w / frel
-    if D <= d1 + SLACK_TOL:
-        f = min(w / D, fmax)
-        return SingleTaskResult(True, ExecutionPlan(f), w * f * f, 2)
-    fi = f_inf(w, platform)
-    reexec_window = fi < frel / math.sqrt(2.0) - SLACK_TOL
-    d2 = 2.0 * math.sqrt(2.0) * w / frel
-    if not reexec_window or D <= d2 + SLACK_TOL:
-        return SingleTaskResult(True, ExecutionPlan(frel), w * frel * frel, 3)
-    d3 = 2.0 * w / fi
-    if D <= d3 + SLACK_TOL:
-        f = 2.0 * w / D
-        return SingleTaskResult(True, ExecutionPlan(f, f), 2.0 * w * f * f, 4)
-    return SingleTaskResult(True, ExecutionPlan(fi, fi), 2.0 * w * fi * fi, 5)
+    case, f, e = _single_task_case(w, D, platform)
+    return SingleTaskResult(case != 1, _case_plan(case, f), e, case)

@@ -1,5 +1,7 @@
 """Exact solvers for independent tasks and fork graphs, plus the closed form."""
 
+import hashlib
+import importlib
 import math
 import random
 
@@ -13,7 +15,10 @@ from trisched.fork import (
     identical_fork_validity_bound,
     independent_tasks_optimal,
 )
-from trisched.model import Task, single_task_optimal
+from trisched.model import PlatformModel, Task, single_task_optimal
+
+# ``trisched.fork`` the attribute is ``graph.fork``; the solver module is here.
+fork_module = importlib.import_module("trisched.fork")
 
 
 class TestIndependentTasks:
@@ -101,6 +106,62 @@ class TestForkOptimal:
             for tid, p in sol.plans.items()
         )
         assert sol.energy == pytest.approx(total, rel=1e-12)
+
+
+def _fork_grid():
+    """400 fixed random forks of 0-8 leaves (a quarter with identical leaves) over varied models."""
+    rng = random.Random(2011)
+    for _ in range(400):
+        platform = PlatformModel(
+            f_min=1e-6, f_max=1.0, f_rel=rng.choice((0.5, 2.0 / 3.0, 0.8)),
+            lambda0=rng.choice((1e-5, 1e-3, 0.023)), d_sensitivity=rng.choice((0.0, 0.5)),
+        )
+        w0 = rng.uniform(0.3, 10.0)
+        n = rng.randint(0, 8)
+        if rng.random() < 0.25:
+            leaves = [rng.uniform(0.3, 10.0)] * n
+        else:
+            leaves = [rng.uniform(0.3, 10.0) for _ in range(n)]
+        D = rng.uniform(0.8, 8.0) * (w0 + max(leaves, default=0.0)) / platform.f_max
+        yield w0, [Task(i + 1, w) for i, w in enumerate(leaves)], D, platform
+
+
+class TestForkOptimalOutputs:
+    # sha256 of the grid's outputs, pinned when the solver built a
+    # SingleTaskResult for every task at every candidate split.
+    GOLDEN = "a3bca5ee600be2f9b34a128f04c80f6c55ead03ed34962b5fa842f91b7c0387b"
+
+    def test_outputs_match_the_golden_digest(self):
+        h = hashlib.sha256()
+        for w0, leaves, D, platform in _fork_grid():
+            sol = fork_optimal(w0, leaves, D, platform)
+            plans = sorted((k, p.speed1, p.speed2) for k, p in sol.plans.items())
+            h.update(repr((sol.feasible, sol.energy, sol.d2, plans)).encode())
+        assert h.hexdigest() == self.GOLDEN
+
+    def test_solver_calls_do_not_grow_with_the_candidate_splits(self, platform, monkeypatch):
+        # Each call of single_task_optimal or f_inf is a span in a traced
+        # benchmark run: scoring a candidate split must make none, so one
+        # solve makes at most one of each per task.
+        calls = {"single_task_optimal": 0, "f_inf": 0}
+        for name in calls:
+            original = getattr(fork_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(fork_module, name, counted)
+        rng = random.Random(7)
+        for n in (1, 4, 15):
+            leaves = [Task(i + 1, rng.uniform(0.5, 10.0)) for i in range(n)]
+            w0 = rng.uniform(0.5, 10.0)
+            for ratio in (0.9, 1.5, 2.0, 3.0, 5.0, 50.0):
+                for name in calls:
+                    calls[name] = 0
+                fork_optimal(w0, leaves, ratio * (w0 + max(t.weight for t in leaves)), platform)
+                assert calls["single_task_optimal"] <= n + 1, (n, ratio)
+                assert calls["f_inf"] <= n + 1, (n, ratio)
 
 
 class TestIdenticalForkClosedForm:

@@ -1,6 +1,7 @@
 """Experiment driver, exhaustive chain oracle, CSV output and the CLI."""
 
 import csv
+import itertools
 import math
 import random
 
@@ -17,7 +18,7 @@ from trisched.harness import (
     sweep_records,
 )
 from trisched.heuristics import ALL_HEURISTICS, HeuristicKind, min_deadline, run
-from trisched.model import single_task_optimal
+from trisched.model import f_inf, single_task_optimal
 from trisched.schedule import list_schedule
 
 
@@ -50,6 +51,116 @@ class TestChainOracle:
     def test_size_limit(self, platform):
         with pytest.raises(ValueError):
             chain_oracle(chain([1.0] * 13), 100.0, platform)
+
+
+# A chain on which an oracle that floors every re-executed task at the
+# largest f_inf of its set returns 2.6978, above a.greedy's feasible 2.6466.
+ORACLE_COUNTEREXAMPLE = dict(
+    weights=(3.3199, 4.6569, 2.1531, 3.1845, 1.159, 4.4171), lambda0=0.023, deadline=150.33
+)
+
+
+def bisection_chain_oracle(weights, D, platform):
+    """Minimum chain energy by a bisection on the common speed of each re-execution set.
+
+    Every task runs at a common speed s clipped to its box: [f_rel, f_max]
+    for a single run, [f_inf, f_rel/sqrt(2)] for a re-execution (closed, so
+    the value is the infimum); s is the smallest speed whose total time fits D.
+    """
+    frel, fmax = platform.f_rel, platform.f_max
+    c = frel / math.sqrt(2.0)
+    floors = [f_inf(w, platform) for w in weights]
+    best = math.inf
+    for redo in itertools.product((False, True), repeat=len(weights)):
+        if any(r and fi >= c for r, fi in zip(redo, floors)):
+            continue
+        boxes = [(fi, c) if r else (frel, fmax) for r, fi in zip(redo, floors)]
+        mult = [2.0 if r else 1.0 for r in redo]
+
+        def speeds(s):
+            return [min(max(s, a), b) for a, b in boxes]
+
+        def total_time(s):
+            return sum(m * w / f for m, w, f in zip(mult, weights, speeds(s)))
+
+        if total_time(fmax) > D:
+            continue
+        lo, hi = 0.0, fmax
+        if total_time(lo) <= D:
+            hi = lo
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if total_time(mid) <= D:
+                hi = mid
+            else:
+                lo = mid
+        best = min(best, sum(m * w * f * f for m, w, f in zip(mult, weights, speeds(hi))))
+    return best
+
+
+class TestChainOracleExact:
+    """The water-filling oracle is the exact infimum, and behaves like one."""
+
+    @pytest.mark.parametrize("lambda0", [1e-5, 1e-3, 0.023])
+    @pytest.mark.parametrize("d", [0.0, 0.5])
+    def test_equals_per_set_bisection(self, lambda0, d):
+        platform = make_platform(lambda0=lambda0, d=d)
+        rng = random.Random(f"{lambda0}/{d}")
+        for n in range(1, 10):
+            weights = [rng.uniform(0.3, 6.0) for _ in range(n)]
+            # Tight, loose, and loose enough that re-executions reach their floors.
+            for ratio in (rng.uniform(0.95, 1.6), rng.uniform(1.6, 10.0), math.exp(rng.uniform(2.3, 6.2))):
+                D = ratio * sum(weights) / platform.f_max
+                oracle = chain_oracle(chain(weights), D, platform)
+                reference = bisection_chain_oracle(weights, D, platform)
+                if reference == math.inf:
+                    assert oracle == math.inf, (n, D)
+                else:
+                    assert oracle == pytest.approx(reference, rel=1e-9), (n, D)
+
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_counterexample_bounds_every_feasible_heuristic(self):
+        ce = ORACLE_COUNTEREXAMPLE
+        platform = make_platform(lambda0=ce["lambda0"])
+        g = chain(list(ce["weights"]))
+        oracle = chain_oracle(g, ce["deadline"], platform)
+        assert oracle == pytest.approx(2.4019, abs=1e-4)
+        mapping = list_schedule(g, 1)
+        energies = [run(kind, g, mapping, ce["deadline"], platform)[1] for kind in ALL_HEURISTICS]
+        feasible = [m.energy for m in energies if m.feasible]
+        assert feasible and oracle <= min(feasible)
+
+    def test_non_increasing_in_the_deadline(self, platform):
+        rng = random.Random(3)
+        for _ in range(10):
+            weights = [rng.uniform(0.3, 6.0) for _ in range(rng.randint(1, 8))]
+            g = chain(weights)
+            values = [chain_oracle(g, r * sum(weights), platform) for r in (0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0, 8.0, 20.0)]
+            for a, b in zip(values, values[1:]):
+                assert b <= a * (1.0 + 1e-12)
+
+    def test_invariant_under_permuting_the_chain(self, platform):
+        rng = random.Random(4)
+        for _ in range(10):
+            weights = [rng.uniform(0.3, 6.0) for _ in range(rng.randint(2, 8))]
+            D = rng.uniform(1.0, 8.0) * sum(weights)
+            shuffled = weights[:]
+            rng.shuffle(shuffled)
+            assert chain_oracle(chain(shuffled), D, platform) == pytest.approx(
+                chain_oracle(chain(weights), D, platform), rel=1e-12
+            )
+
+    def test_scales_with_work_time_and_fault_rate(self):
+        # f_inf depends on lambda0 * w only when d = 0, so every speed stays
+        # the same and energy scales with the work.
+        rng = random.Random(5)
+        for a in (0.5, 3.0, 10.0):
+            weights = [rng.uniform(0.3, 6.0) for _ in range(rng.randint(1, 8))]
+            D = rng.uniform(1.0, 8.0) * sum(weights)
+            lambda0 = rng.choice((1e-5, 1e-3))
+            base = chain_oracle(chain(weights), D, make_platform(lambda0=lambda0))
+            scaled = chain_oracle(chain([a * w for w in weights]), a * D, make_platform(lambda0=lambda0 / a))
+            assert scaled == pytest.approx(a * base, rel=1e-9)
 
 
 class TestExperimentConfig:
