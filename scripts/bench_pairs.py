@@ -14,11 +14,14 @@ attempted ops and median reference chunk (the host's speed). With
 ``--acceptance``, it then runs ``pytest -q --durations=10
 tests/test_acceptance.py`` once per side, parent first, each on its own
 ``src``, and writes each side's wall time, pytest's summary line and the ten
-slowest test phases. Each side's commit is read with ``git describe`` when
-its checkout is the top of a git work tree; for any other checkout, such as
-one made with ``git archive``, it must be named with ``--parent-commit`` or
-``--change-commit``, or the script exits with an error before it runs
-anything. Standard library only.
+slowest test phases. With ``--traced``, it runs ``bench/run.py --trace 1``
+once per side and workload, parent first, after that workload's pairs, and
+writes each run's wall time, exit code, peak resident memory (from
+``os.wait4``) and result line; ``--pairs 0`` runs only these. Each side's
+commit is read with ``git describe`` when its checkout is the top of a git
+work tree; for any other checkout, such as one made with ``git archive``, it
+must be named with ``--parent-commit`` or ``--change-commit``, or the script
+exits with an error before it runs anything. Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -52,6 +56,35 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict
     chunk = CHUNK.search(proc.stdout)
     result["median_chunk_ms"] = float(chunk.group(1)) if chunk else None
     return result
+
+
+def traced_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One traced run of the checkout's benchmark: wall time, exit code, peak RSS and result line.
+
+    The child is reaped with ``os.wait4``, so its peak RSS is its own, not
+    this script's. ``result`` is None when the last line is not JSON (a
+    crashed or killed run).
+    """
+    with tempfile.TemporaryFile("w+") as out:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "1"],
+            cwd=checkout, stdout=out, stderr=subprocess.DEVNULL,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        # Reaped here, so Popen must be told, or it warns of a running child.
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        lines = out.read().strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = None
+    # ru_maxrss is in KiB on Linux, as bench/run.py's peak_rss_mb reads it.
+    return {"wall_s": wall, "returncode": proc.returncode, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "result": result}
 
 
 def slowest(pytest_output: str) -> list[dict]:
@@ -135,6 +168,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--acceptance", action="store_true", help="also time each side's acceptance suite")
+    ap.add_argument("--traced", action="store_true", help="also run one --trace 1 run per side and workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=None)
@@ -162,6 +196,8 @@ def main(argv=None) -> int:
         "commits": commits,
         "workloads": {},
     }
+    if args.traced:
+        report["traced"] = {}
     for workload in args.workloads:
         runs = {side: [] for side in SIDES}
         for i in range(args.pairs):
@@ -171,7 +207,14 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} {side}: "
                       + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
                       file=sys.stderr, flush=True)
-        report["workloads"][workload] = summarise(runs, better)
+        if args.pairs:
+            report["workloads"][workload] = summarise(runs, better)
+        if args.traced:
+            report["traced"][workload] = traced = {}
+            for side in SIDES:
+                traced[side] = result = traced_once(checkouts[side], workload, args.seed, seconds)
+                print(f"{workload} traced {side}: {result['wall_s']:.1f} s, exit {result['returncode']}, "
+                      f"{result['peak_rss_mb']:.1f} MB", file=sys.stderr, flush=True)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.acceptance:
         report["acceptance"] = {}

@@ -167,7 +167,7 @@ def feasibility_probe(
     if not verdict:
         return False, schedule
     if one:
-        _retime(g, schedule.mapping, windows, D, r, d)
+        _retime(g, schedule.mapping, windows, r, d)
     elif windows is not None:
         windows[:] = _window_state(g, candidate, D, platform, check=False)
     return True, candidate
@@ -270,7 +270,7 @@ def _slow_single(g, schedule, D, platform, tid, windows):
     slowed = _slowed(w, schedule.plans[tid], lft[r] - est[r], platform.f_rel)
     if slowed is None:
         return schedule, windows
-    _retime(g, schedule.mapping, windows, D, r, exe_time(w, slowed))
+    _retime(g, schedule.mapping, windows, r, exe_time(w, slowed))
     if not (
         max(finish, default=0.0) <= D + SLACK_TOL
         and task_feasible(w, slowed, _thresholds(g, platform)[tid], platform)

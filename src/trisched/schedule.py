@@ -356,7 +356,7 @@ def _push_starts(succ, pred, est, finish, dur, r: int, d: float) -> list[int]:
     return moved
 
 
-def _retime(g: TaskGraph, mapping: Mapping, state, D: float, r: int, d: float) -> list[int]:
+def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> list[int]:
     """Give position r the duration d in a ``_window_state`` of (g, mapping, D), in place.
 
     Afterwards the state equals a fresh ``_window_state`` (without the check)

@@ -107,3 +107,45 @@ def test_commits_of_copies_come_from_the_options(tmp_path, monkeypatch, capsys):
     report = json.loads(out.read_text())
     assert report["commits"] == {"parent": "abc123", "change": "def456"}
     assert report["workloads"]["dag-loose"]["metrics"]["solves_per_s"]["pairs"] == 1
+
+
+FAKE_RUN = """
+import json, sys
+ballast = bytearray(64 * 1024 * 1024)  # touch 64 MB so the child's peak RSS shows it
+ballast[::4096] = b"x" * len(ballast[::4096])
+print("workload", sys.argv[sys.argv.index("--workload") + 1])
+print(json.dumps({"correct": True, "trace": sys.argv[sys.argv.index("--trace") + 1]}))
+sys.exit(3)
+"""
+
+
+def test_traced_once_reports_the_childs_exit_code_and_peak_rss(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(FAKE_RUN)
+    out = bench_pairs.traced_once(tmp_path, "exact", 1, 1.0)
+    assert out["returncode"] == 3 and out["wall_s"] > 0.0
+    assert out["result"] == {"correct": True, "trace": "1"}
+    # The child's own peak, not this process's: at least its 64 MB ballast.
+    assert out["peak_rss_mb"] >= 64.0
+    (tmp_path / "bench" / "run.py").write_text("import sys\nsys.exit(124)\n")
+    out = bench_pairs.traced_once(tmp_path, "exact", 1, 1.0)
+    assert out["returncode"] == 124 and out["result"] is None
+
+
+def test_traced_runs_parent_first_per_workload(tmp_path, monkeypatch):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    order = []
+
+    def fake_traced(checkout, workload, seed, seconds):
+        order.append((checkout.name, workload))
+        return {"wall_s": 1.0, "returncode": 0, "peak_rss_mb": 20.0, "result": None}
+
+    monkeypatch.setattr(bench_pairs, "traced_once", fake_traced)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--out", str(out),
+                             "--workloads", "exact", "dag-tight", "--pairs", "0", "--traced",
+                             "--parent-commit", "abc123", "--change-commit", "def456"]) == 0
+    assert order == [("parent", "exact"), ("change", "exact"), ("parent", "dag-tight"), ("change", "dag-tight")]
+    report = json.loads(out.read_text())
+    assert report["workloads"] == {}
+    assert report["traced"]["exact"]["change"]["peak_rss_mb"] == 20.0

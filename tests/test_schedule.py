@@ -438,7 +438,7 @@ class TestRetime:
                 plan = rng.choice((ExecutionPlan(f_re_ex, f_re_ex), ExecutionPlan(rng.uniform(0.5, 1.0))))
             sched = sched.with_plan(order[r], plan)
             est_before, lft_before = state[0][:], state[2][:]
-            moved = _retime(g, sched.mapping, state, D, r, exe_time(w, plan))
+            moved = _retime(g, sched.mapping, state, r, exe_time(w, plan))
             assert _bits(state) == _bits(_window_state(g, sched, D, platform, check=False)), (case, r)
             assert sorted(moved) == [i for i, (a, b) in enumerate(zip(est_before, state[0])) if a != b]
             moved_total += len(moved)
