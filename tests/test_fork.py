@@ -127,8 +127,9 @@ def _fork_grid():
 
 
 class TestForkOptimalOutputs:
-    # sha256 of the grid's outputs, pinned when the solver built a
-    # SingleTaskResult for every task at every candidate split.
+    # sha256 of the grid's outputs from a solver that built a
+    # SingleTaskResult for every task at every candidate split: scoring
+    # through the shared case decision must keep every bit.
     GOLDEN = "a3bca5ee600be2f9b34a128f04c80f6c55ead03ed34962b5fa842f91b7c0387b"
 
     def test_outputs_match_the_golden_digest(self):
