@@ -33,7 +33,19 @@ earliest start and latest finish are bit-equal to that schedule's would be
 left as it is by a full reclaim of the trial, so only the tasks the swap
 reaches are recomputed, with the same float operations and the same
 start propagation as ``schedule._retime`` (``schedule.swap_reclaims``).
-Outputs are bit-identical to full reclaims.
+A trial carries plain speeds, not plans, and is clipped to the slow span,
+the positions of the single runs above f_rel, since no other position can
+be slowed; plans are built for the kept swap alone. Outputs are
+bit-identical to full reclaims.
+
+Type B's tail (the unjam rounds, then the reclaim of re-executed tasks)
+runs once per distinct entering schedule of a solve. The kinds BEST runs
+share one ``DerivedSpeeds``, which carries a memo from the entering plans,
+in ``g.tasks`` order, with the graph, mapping, deadline and platform, to
+the tail's plans; two type-B walks often hand the tail equal plans. Speeds
+are positive, so equal plans hold identical bits, and the memo returns what
+the tail would. It lives and dies with the solve's ``speeds``: a new solve
+starts an empty one.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .graph import TaskGraph
@@ -97,8 +109,16 @@ ALL_HEURISTICS = (
 
 @dataclass(frozen=True)
 class DerivedSpeeds:
+    """The start speeds of a solve: f_dec for type A, f_re_ex for every re-execution.
+
+    ``_tails`` is the solve's memo of type B's tail (``_tail``): it takes no
+    part in equality, hashing or repr, and every ``derived_speeds`` call
+    starts an empty one.
+    """
+
     f_dec: float
     f_re_ex: float
+    _tails: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def min_deadline(g: TaskGraph, mapping: Mapping, platform: PlatformModel) -> float:
@@ -320,7 +340,8 @@ def _unjam_singles(g, sched, D, platform, f_re_ex):
     scores every swap of the round from that schedule's windows, moving only
     the tasks the swap reaches, with the same float operations as a full
     reclaim and energy sum; the result is bit-identical to reclaiming each
-    trial in full.
+    trial in full. Trials carry speeds, and plans are built for the kept
+    swap alone.
     """
     sched = slack_reclaim(g, sched, D, platform, _singles(sched), {})
     while True:
@@ -337,7 +358,7 @@ def _unjam_singles(g, sched, D, platform, f_re_ex):
                 best = (e, changes)
         if best is None:
             return sched
-        sched = sched.with_plans(best[1])
+        sched = sched.with_plans({tid: ExecutionPlan(f) for tid, f in best[1].items()})
 
 
 def _reclaim_redone(g, sched, D, platform, f_re_ex):
@@ -379,7 +400,8 @@ def run(
     For a deadline below the full-speed makespan every heuristic reports the
     full-speed schedule with an infeasible verdict. ``speeds``, when given,
     must be ``derived_speeds(g, mapping, D, platform)``; BEST derives them
-    once and passes them to every kind it runs. ValueError for a NaN or
+    once and passes them to every kind it runs, so the type-B kinds share
+    one memo of their tail (``_tail``). ValueError for a NaN or
     non-positive deadline.
     """
     if not D > 0.0:  # NaN too
@@ -401,6 +423,29 @@ def run(
         # A deadline below the minimum makespan: nothing is feasible.
         at_f_dec, phases = False, ()
     sched = uniform_schedule(g, mapping, speeds.f_dec if at_f_dec else platform.f_max)
-    for phase in phases:
+    for i, phase in enumerate(phases):
+        if phase is _unjam_singles:
+            sched = _tail(g, sched, D, platform, speeds, phases[i:])
+            break
         sched = phase(g, sched, D, platform, speeds.f_re_ex)
     return sched, evaluate(g, sched, D, platform)
+
+
+def _tail(g, sched, D, platform, speeds, phases):
+    """Type B's tail ``phases`` from ``sched``, once per distinct entry of a solve.
+
+    The memo is ``speeds._tails``, so it lives as long as the solve's
+    ``speeds`` and is shared by the kinds BEST runs. Its key is the entering
+    plans in ``g.tasks`` order, with the graph, mapping, deadline and
+    platform, which is everything the tail reads. Speeds are positive, so
+    equal plans hold identical bits and the tail's answer is the same. A
+    hit returns a fresh ``Schedule`` with its own copy of the plans.
+    """
+    key = (g, sched.mapping, D, platform, tuple(sched.plans[t.id] for t in g.tasks))
+    plans = speeds._tails.get(key)
+    if plans is None:
+        for phase in phases:
+            sched = phase(g, sched, D, platform, speeds.f_re_ex)
+        speeds._tails[key] = dict(sched.plans)
+        return sched
+    return Schedule(sched.mapping, dict(plans))

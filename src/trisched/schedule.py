@@ -314,14 +314,18 @@ def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: Platform
     return [est, finish, lft, dur]
 
 
-def _push_starts(succ, pred, est, finish, dur, r: int, d: float) -> list[int]:
+def _push_starts(succ, pred, est, finish, dur, r: int, d: float, end: int) -> list[int]:
     """Give position r the duration d, and move the earliest starts and finishes that follow, in place.
 
     Only r's descendants can start elsewhere. They are recomputed with
     ``_forward``'s expressions, in position order (a topological order),
     visiting only the successors of r and of each position whose finish
     moved, and stopping where a start or a finish comes out bit-equal to the
-    old one. Returns the positions whose start moved, in increasing order.
+    old one. Descendants from position ``end`` on are left as they are:
+    each position reads only lower ones, so the starts below ``end`` come
+    out the same whatever ``end`` is, and ``len(est)`` moves them all.
+    Returns the positions below ``end`` whose start moved, in increasing
+    order.
     """
     dur[r] = d
     f = est[r] + d
@@ -333,7 +337,7 @@ def _push_starts(succ, pred, est, finish, dur, r: int, d: float) -> list[int]:
     for x in succ[r]:
         queued[x] = 1
     left = len(succ[r])
-    for v in range(r + 1, len(est)):
+    for v in range(r + 1, end):
         if not left:
             break
         if not queued[v]:
@@ -368,7 +372,7 @@ def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> list[int
     """
     _, _, succ, pred = _indexed(g, mapping)
     est, finish, lft, dur = state
-    moved = _push_starts(succ, pred, est, finish, dur, r, d)
+    moved = _push_starts(succ, pred, est, finish, dur, r, d, len(est))
     queued = bytearray(len(lft))
     for p in pred[r]:
         queued[p] = 1
@@ -532,10 +536,17 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
     """Score each swap "tid runs once at f_rel" of ``base``, then a reclaim of the single runs.
 
     For each tid of ``tids`` (re-executed in ``base``) yields ``(energy,
-    changes)``: ``base.with_plans(changes)`` equals ``slack_reclaim(g, trial,
-    D, platform, singles, {})``, where ``trial`` is ``base`` with tid at
-    ``ExecutionPlan(f_rel)`` and ``singles`` its single-run tasks, and
-    ``energy`` equals ``schedule_energy`` of that schedule, bit for bit.
+    speeds)``: ``speeds`` maps tid to f_rel and every single run the reclaim
+    slows to its new speed, all of them single runs. ``base.with_plans({t:
+    ExecutionPlan(f) for t, f in speeds.items()})`` equals ``slack_reclaim(g,
+    trial, D, platform, singles, {})``, where ``trial`` is ``base`` with tid
+    at ``ExecutionPlan(f_rel)`` and ``singles`` its single-run tasks, and
+    ``energy`` equals ``schedule_energy`` of that schedule, bit for bit. A
+    trial builds no plan: a single run at speed f lasts ``w / f`` and burns
+    ``w * f ** 2``, ``exe_time``'s and ``energy``'s expressions, and the
+    slow-down is ``_slowed``'s, ``max(f_rel, w / window)``, kept when it is
+    below the old speed by SLACK_TOL. The caller builds plans for the swap
+    it keeps.
 
     Precondition: ``base`` is a reclaim fixpoint of its single runs, i.e.
     ``slack_reclaim(g, base, D, platform, singles of base, {})`` changes
@@ -553,6 +564,16 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
     or latest finish moved, plus tid. The energy continues base's running
     sum from the first changed position, one term at a time in the same
     order, as ``schedule_energy`` adds it.
+
+    Each trial is clipped to the slow span: ``low`` and ``hi``, the lowest
+    and highest positions of a single run above its floor, the only ones
+    the sweep can slow. Past ``hi`` no duration changes but tid's, so the
+    starts there would only mark positions to decide, none of which can
+    slow, and ``_push_starts`` stops after ``hi``; the latest finishes past
+    ``hi``, built from the same durations, are base's. Below ``low`` nothing
+    is decided, and a latest finish there is read only by lower positions,
+    so the sweep stops at ``low``. Without a single run above its floor a
+    trial changes tid alone.
     """
     order, pos, succ, pred = _indexed(g, base.mapping)
     n = len(order)
@@ -564,26 +585,28 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
     for e in energies:
         prefix.append(prefix[-1] + e)
     f_rel = platform.f_rel
-    swap = ExecutionPlan(f_rel)
     # Whether the sweep could slow the position: a single run above its
     # floor. Otherwise max(f_rel, needed) >= speed1 - SLACK_TOL, and
     # ``_slowed`` returns None. That holds for r's swap too, at f_rel, and
     # slow[r] is False, as r is re-executed in base.
     slow = [not plan.re_executed and plan.speed1 - SLACK_TOL > f_rel for plan in plans]
+    # The slow span, low to hi; without a slow position both passes are empty.
+    span = [i for i, s in enumerate(slow) if s]
+    low, hi = (span[0], span[-1]) if span else (n, -1)
     for r in map(pos.__getitem__, tids):
-        # Forward: the earliest starts that the shorter task r moves.
+        # Forward: the earliest starts up to hi that the shorter task r moves.
         t_dur, t_est, t_finish, t_lft = dur[:], est[:], finish[:], lft[:]
-        decide = _push_starts(succ, pred, t_est, t_finish, t_dur, r, exe_time(weights[r], swap))
-        # Backward: the sweep, from the last moved task down. queued[u] is 2
-        # for r and the tasks whose earliest start moved, 1 for the others
-        # whose latest finish may move.
-        changes = {r: swap}
+        decide = _push_starts(succ, pred, t_est, t_finish, t_dur, r, weights[r] / f_rel, hi + 1)
+        # Backward: the sweep, from the last moved task down to low. queued[u]
+        # is 2 for r and the tasks whose earliest start moved, 1 for the
+        # others whose latest finish may move.
+        changes = {r: f_rel}
         queued = bytearray(n)
         queued[r] = 2
         for u in decide:
             queued[u] = 2
         left = 1 + len(decide)
-        for u in range(decide[-1] if decide else r, -1, -1):
+        for u in range(decide[-1] if decide else r, low - 1, -1):
             if not left:
                 break
             q = queued[u]
@@ -599,11 +622,15 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
             moved = lf != lft[u]
             t_lft[u] = lf
             if slow[u] and (moved or q == 2):
-                slowed = _slowed(weights[u], plans[u], lf - t_est[u], f_rel)
-                if slowed is not None:
-                    changes[u] = slowed
-                    t_dur[u] = exe_time(weights[u], slowed)
-                    moved = True
+                # ``_slowed`` on a single run; the window is never NaN, as
+                # every earliest start is finite.
+                window = lf - t_est[u]
+                if window > 0.0:
+                    f = max(f_rel, weights[u] / window)
+                    if f < plans[u].speed1 - SLACK_TOL:
+                        changes[u] = f
+                        t_dur[u] = weights[u] / f
+                        moved = True
             if moved or u == r:
                 for p in pred[u]:
                     if not queued[p]:
@@ -611,12 +638,12 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
                         left += 1
         first = min(changes)
         terms = energies[first:]
-        for i, plan in changes.items():
-            terms[i - first] = energy(weights[i], plan)
+        for i, f in changes.items():
+            terms[i - first] = weights[i] * f ** 2
         total = prefix[first]
         for e in terms:
             total += e
-        yield total, {order[i]: plan for i, plan in changes.items()}
+        yield total, {order[i]: f for i, f in changes.items()}
 
 
 def format_schedule(g: TaskGraph, schedule: Schedule) -> str:

@@ -20,6 +20,7 @@ from trisched.heuristics import (
     ALL_HEURISTICS,
     TYPE_A,
     TYPE_B,
+    DerivedSpeeds,
     HeuristicKind,
     _reexecuted,
     _singles,
@@ -65,6 +66,17 @@ class TestDerivedSpeeds:
         assert ds.f_re_ex == pytest.approx(reexec_speed(platform), rel=1e-12)
         tight = derived_speeds(g, mapping, 2.5, platform)
         assert tight.f_dec == pytest.approx(2.0 / 2.5, rel=1e-12)  # deadline binds
+
+    def test_tail_memo_leaves_equality_hash_and_repr_alone(self, platform):
+        g, start, D, _ = next(_type_b_starts(platform, 0))
+        speeds = derived_speeds(g, start.mapping, D, platform)
+        fresh = DerivedSpeeds(speeds.f_dec, speeds.f_re_ex)
+        run(HeuristicKind.B_GREEDY, g, start.mapping, D, platform, speeds=speeds)
+        assert speeds._tails and not fresh._tails
+        assert speeds == fresh
+        assert hash(speeds) == hash(fresh) == hash((speeds.f_dec, speeds.f_re_ex))
+        expected = f"DerivedSpeeds(f_dec={speeds.f_dec!r}, f_re_ex={speeds.f_re_ex!r})"
+        assert repr(speeds) == repr(fresh) == expected
 
     def test_min_deadline_is_full_speed_makespan(self, platform):
         g = chain([1.0, 2.0])
@@ -413,20 +425,38 @@ def _type_b_starts(platform, case):
 
 class TestUnjamFromBaseWindows:
     def test_each_trial_equals_a_full_reclaim(self, platform):
-        trials = moved = 0
+        # Where the swapped task lies against the slow span, the lowest to
+        # highest position of a single run above f_rel: "none" when the
+        # round has no such position.
+        seen = collections.Counter()
+        moved = 0
         for case in range(0, 24, 2):
             for g, start, D, _ in _type_b_starts(platform, case):
                 base = slack_reclaim(g, start, D, platform, _singles(start), {})
+                order, pos, _, _ = _indexed(g, base.mapping)
+                span = [
+                    i for i, tid in enumerate(order)
+                    if not base.plans[tid].re_executed
+                    and base.plans[tid].speed1 - SLACK_TOL > platform.f_rel
+                ]
                 rids = _reexecuted(base)
-                for rid, (e, changes) in zip(rids, swap_reclaims(g, base, D, platform, rids)):
+                for rid, (e, speeds) in zip(rids, swap_reclaims(g, base, D, platform, rids)):
                     trial = base.with_plan(rid, ExecutionPlan(platform.f_rel))
                     expected = slack_reclaim(g, trial, D, platform, _singles(trial), {})
+                    assert all(type(f) is float for f in speeds.values()), (case, rid)
+                    changes = {tid: ExecutionPlan(f) for tid, f in speeds.items()}
                     assert base.with_plans(changes).plans == expected.plans, (case, rid)
                     assert e == schedule_energy(g, expected), (case, rid)
-                    trials += 1
-                    moved += len(changes) > 1
+                    r = pos[rid]
+                    if not span:
+                        seen["none"] += 1
+                        assert speeds == {rid: platform.f_rel}, (case, rid)
+                    else:
+                        seen["below" if r < span[0] else "above" if r > span[-1] else "inside"] += 1
+                    moved += len(speeds) > 1
         # Some swaps must free slack that other single runs take up.
-        assert trials > 100 and moved > 10
+        assert sum(seen.values()) > 100 and moved > 10
+        assert all(seen[where] > 5 for where in ("none", "below", "inside", "above")), seen
 
     @pytest.mark.parametrize("case", range(24))
     def test_same_schedule_as_full_reclaims(self, platform, case):
@@ -441,6 +471,89 @@ class TestUnjamFromBaseWindows:
         if case % 3 == 0:
             # On one processor all tasks lie on one chain; every such case swaps.
             assert swapped
+
+
+class TestTailMemo:
+    """BEST runs type B's tail once per distinct entering schedule, with every kind's result unchanged."""
+
+    # _reclaim_case cases where b.greedy and b.sus-crit enter the tail with
+    # equal plans and the tail runs unjam rounds.
+    CASES = (0, 9)
+
+    @staticmethod
+    def _entries(platform, case):
+        """Each type-B kind's schedule entering the tail, as plans in task order."""
+        return [
+            tuple(start.plans[t.id] for t in g.tasks)
+            for g, start, _, _ in _type_b_starts(platform, case)
+        ]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_best_is_the_best_of_the_kinds_run_alone(self, platform, case):
+        entries = self._entries(platform, case)
+        assert len(set(entries)) < len(entries)
+        g, start, D, _ = next(_type_b_starts(platform, case))
+        best = None
+        for kind in ALL_HEURISTICS:
+            sched, metrics = run(kind, g, start.mapping, D, platform)
+            if best is None or (
+                metrics.feasible and (not best[1].feasible or metrics.energy < best[1].energy)
+            ):
+                best = (sched, metrics)
+        sched, metrics = run(HeuristicKind.BEST, g, start.mapping, D, platform)
+        assert sched.plans == best[0].plans
+        assert (metrics.energy, metrics.makespan, metrics.feasible) == (
+            best[1].energy, best[1].makespan, best[1].feasible)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_tail_per_distinct_entry(self, platform, case, monkeypatch):
+        calls = []
+        spied = heuristics.swap_reclaims
+
+        def spy(*args):
+            calls.append(args[1])
+            return spied(*args)
+
+        monkeypatch.setattr(heuristics, "swap_reclaims", spy)
+        g, start, D, _ = next(_type_b_starts(platform, case))
+        rounds = {}
+        for kind, entry in zip(TYPE_B, self._entries(platform, case)):
+            calls.clear()
+            run(kind, g, start.mapping, D, platform)
+            rounds.setdefault(entry, []).append(len(calls))
+        # Kinds that enter with equal plans run the same rounds.
+        assert all(len(set(counts)) == 1 for counts in rounds.values())
+        assert all(counts[0] > 0 for counts in rounds.values() if len(counts) > 1)
+        calls.clear()
+        run(HeuristicKind.BEST, g, start.mapping, D, platform)
+        assert len(calls) == sum(counts[0] for counts in rounds.values())
+        assert len(calls) < sum(map(sum, rounds.values()))
+
+    def test_shared_speeds_return_distinct_plans(self, platform):
+        g, start, D, _ = next(_type_b_starts(platform, 0))
+        speeds = derived_speeds(g, start.mapping, D, platform)
+        first, _ = run(HeuristicKind.B_GREEDY, g, start.mapping, D, platform, speeds=speeds)
+        second, _ = run(HeuristicKind.B_GREEDY, g, start.mapping, D, platform, speeds=speeds)
+        assert first.plans == second.plans and first.plans is not second.plans
+        expected = dict(first.plans)
+        first.plans.clear()
+        second.plans.clear()
+        third, _ = run(HeuristicKind.B_SUS_CRIT, g, start.mapping, D, platform, speeds=speeds)
+        assert third.plans == expected
+
+    def test_equal_speeds_of_another_deadline_get_their_own_tail(self, platform):
+        # At loose deadlines f_dec is f_rel, so two deadlines derive equal
+        # speeds. At these two the walk re-executes every task, so the tail
+        # is entered with equal plans and reclaims into different slack.
+        g = generate_random(30, 60, seed=3)
+        mapping = list_schedule(g, 1)
+        loose, looser = (k * min_deadline(g, mapping, platform) for k in (8.0, 9.0))
+        speeds = derived_speeds(g, mapping, loose, platform)
+        assert speeds == derived_speeds(g, mapping, looser, platform)
+        run(HeuristicKind.B_GREEDY, g, mapping, loose, platform, speeds=speeds)
+        shared, _ = run(HeuristicKind.B_GREEDY, g, mapping, looser, platform, speeds=speeds)
+        alone, _ = run(HeuristicKind.B_GREEDY, g, mapping, looser, platform)
+        assert shared.plans == alone.plans
 
 
 class TestSlowSingle:
