@@ -181,6 +181,7 @@ def cmd_vdd_convert(args) -> int:
     print(f"discrete_energy={result.energy!r}")
     print(f"overhead={result.energy_overhead:.6%}")
     print(f"makespan={result.makespan!r} (deadline {D!r})")
+    print(f"feasible={result.feasible}")
     return 0
 
 

@@ -228,7 +228,8 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
     ``with_cohort``, is slowed into the slack around it instead.
 
     ``windows`` holds the current schedule's time windows, None while it is
-    infeasible.
+    infeasible. A cohort is read from them, or from unchecked windows of the
+    schedule while it has none; their starts and finishes are evaluate's.
     """
     reexec = ExecutionPlan(f_re_ex, f_re_ex)
     windows = _window_state(g, schedule, D, platform)
@@ -241,11 +242,15 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
                 # The super-weight set is taken after the task stretched to
                 # its two slow executions, so everything running inside that
                 # enlarged interval is pulled along.
-                for cid in cohort_of(g, *_times(g, schedule, D, platform, windows), tid):
+                times = windows or _window_state(g, schedule, D, platform, check=False)
+                for cid in cohort_of(g, schedule.mapping, times, tid):
                     if not schedule.plans[cid].re_executed:
                         _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec}, windows)
         elif slowdown_on_fail:
-            cohort = cohort_of(g, *_times(g, schedule, D, platform, windows), tid) if with_cohort else []
+            cohort = []
+            if with_cohort:
+                times = windows or _window_state(g, schedule, D, platform, check=False)
+                cohort = cohort_of(g, schedule.mapping, times, tid)
             if cohort:
                 group = [tid, *cohort]
                 # Singles keep slack_reclaim's default floor, f_rel.
@@ -255,19 +260,6 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
             else:
                 schedule, windows = _slow_single(g, schedule, D, platform, tid, windows)
     return schedule
-
-
-def _times(g, schedule, D, platform, windows):
-    """Start and finish times of ``schedule`` by task id, bit-equal to ``evaluate``'s.
-
-    They are read from ``windows``, ``schedule``'s ``_window_state``, through
-    the position order, or taken from ``evaluate`` when ``windows`` is None.
-    """
-    if windows is None:
-        metrics = evaluate(g, schedule, D, platform)
-        return metrics.start_times, metrics.finish_times
-    order = _indexed(g, schedule.mapping)[0]
-    return dict(zip(order, windows[0])), dict(zip(order, windows[1]))
 
 
 def _slow_single(g, schedule, D, platform, tid, windows):

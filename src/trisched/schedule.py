@@ -5,21 +5,21 @@ plus one execution plan per task. Evaluation derives start/finish times
 under worst-case accounting (both executions of a re-executed task always
 counted), total energy, per-task reliability slack and a feasibility verdict.
 
-The augmented DAG (precedence edges plus processor-order edges) and its
-topological order are derived once per (graph, mapping) and shared by every
-evaluation and critical-path search on that pair; callers must not mutate
-it. So is its transitive reduction, numbered by topological position
-(``_indexed``): it keeps only the edges that no other path implies (at one
-processor, the chain of the processor's list) and gives the same time
-windows bit for bit. The time windows (``_window_state``) that the
-feasibility probe, ``_retime``, ``slack_reclaim`` and ``swap_reclaims``
-compute are lists indexed by that position, and each pass over them reads a
-lone predecessor or successor directly. Incremental passes visit the
-positions they mark in position order, which is topological.
+The augmented DAG (precedence edges plus processor-order edges) has one
+form, ``_indexed``, built once per (graph, mapping): its topological order,
+each task's position in it, and by position the edges that no other path
+implies (at one processor, the chain of the processor's list). Every pass
+over these edges gives the full augmented DAG's times bit for bit.
+Evaluation, critical paths, the time windows (``_window_state``, moved in
+place by ``_retime``), the reclaims and cohorts all run on lists indexed by
+position; only ``ScheduleMetrics`` keys its times by task id. Incremental
+passes visit the positions they mark in position order, which is
+topological.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass
 
@@ -116,13 +116,31 @@ def uniform_schedule(g: TaskGraph, mapping: Mapping, speed: float) -> Schedule:
 
 
 @functools.lru_cache(maxsize=4)
-def _augmented_dag(g: TaskGraph, mapping: Mapping):
-    """Successors, predecessors and topological order of the augmented DAG.
+def _indexed(g: TaskGraph, mapping: Mapping):
+    """The augmented DAG, numbered by topological position: ``(order, pos, succ, pred)``.
 
     The augmented DAG holds the precedence edges plus the processor-order
-    edges (consecutive tasks of one list). A solve keeps one mapping, so the
-    result is memoised on (g, mapping); callers share it and must not mutate it.
-    ValueError unless the mapping is a partition of g's tasks.
+    edges (consecutive tasks of one list). ``order`` is its topological order
+    (Kahn's algorithm on a stack: the sources, then each popped task's newly
+    ready successors, the smallest id on top) and ``pos`` maps a task id to
+    its position in it. ``succ[i]``/``pred[i]`` are the positions of the
+    successors and predecessors of position i in the transitive reduction,
+    in increasing order: each position's successors are scanned in
+    increasing order, and one is kept unless a kept one already reaches it
+    (reachability as int bitsets, built in reverse order). At one processor
+    that is the chain ``i -> i + 1``. Memoised on (g, mapping), as a solve
+    keeps one mapping; do not mutate. ValueError unless the mapping is a
+    partition of g's tasks whose order agrees with precedence.
+
+    Every pass over the reduction gives that of the full augmented DAG, bit
+    for bit. Let an edge u -> v be implied by a path u -> w -> ... -> v of
+    kept edges. Durations are non-negative and float addition and
+    subtraction round monotonically, so finish[u] <= est[w] <= finish[w] <=
+    ... <= est[v] forward, lft[w] - dur[w] <= lft[w] <= ... <= lft[v] -
+    dur[v] backward, and bot[w] >= ... >= bot[v] for bottom levels. The
+    dropped edge's term is never above a ``max`` nor below a ``min`` over
+    the kept edges, and both return one of their inputs, so every time comes
+    out the same float.
     """
     mapped = {tid for lst in mapping.proc_lists for tid in lst}
     ids = {t.id for t in g.tasks}
@@ -132,13 +150,11 @@ def _augmented_dag(g: TaskGraph, mapping: Mapping):
             f"unknown {sorted(mapped - ids)}"
         )
     succs = {t.id: set(g.successors(t.id)) for t in g.tasks}
-    preds = {t.id: set(g.predecessors(t.id)) for t in g.tasks}
     for lst in mapping.proc_lists:
         for a, b in zip(lst, lst[1:]):
             succs[a].add(b)
-            preds[b].add(a)
-    indeg = {tid: len(ps) for tid, ps in preds.items()}
-    stack = sorted((tid for tid, d in indeg.items() if d == 0), reverse=True)
+    indeg = collections.Counter(v for vs in succs.values() for v in vs)
+    stack = sorted((tid for tid in succs if not indeg[tid]), reverse=True)
     order = []
     while stack:
         u = stack.pop()
@@ -147,40 +163,8 @@ def _augmented_dag(g: TaskGraph, mapping: Mapping):
             indeg[v] -= 1
             if indeg[v] == 0:
                 stack.append(v)
-    if len(order) != len(indeg):
+    if len(order) != len(succs):
         raise ValueError("mapping order conflicts with task precedence (cycle)")
-    return (
-        {tid: tuple(vs) for tid, vs in succs.items()},
-        {tid: tuple(ps) for tid, ps in preds.items()},
-        tuple(order),
-    )
-
-
-@functools.lru_cache(maxsize=4)
-def _indexed(g: TaskGraph, mapping: Mapping):
-    """The augmented DAG's transitive reduction, numbered by topological position: ``(order, pos, succ, pred)``.
-
-    ``order`` is ``_augmented_dag``'s topological order and ``pos`` maps a
-    task id to its position in it. ``succ[i]``/``pred[i]`` are the positions
-    of the successors and predecessors of position i in the transitive
-    reduction, in increasing order: an augmented edge is kept only when no
-    other path joins its ends. Each position's successors are scanned in
-    increasing order, and one is kept unless a kept one already reaches it
-    (reachability as int bitsets, built in reverse order). At one processor
-    the augmented DAG is a total order and the reduction is the chain
-    ``i -> i + 1``. Memoised on (g, mapping); do not mutate.
-
-    Every pass over the reduction gives the windows of the full augmented
-    DAG, bit for bit. Let an edge u -> v be implied by a path u -> w -> ...
-    -> v of kept edges. Durations are non-negative and float addition and
-    subtraction round monotonically, so in any forward pass finish[u] <=
-    est[w] <= finish[w] <= ... <= est[v], and in any backward pass lft[w] -
-    dur[w] <= lft[w] <= ... <= lft[v] - dur[v]. The dropped edge's term is
-    therefore never above the forward ``max``, nor below the backward
-    ``min``, over the kept edges, and both return one of their inputs, so
-    each window comes out the same float.
-    """
-    succs, _, order = _augmented_dag(g, mapping)
     n = len(order)
     pos = {tid: i for i, tid in enumerate(order)}
     succ = [()] * n
@@ -198,24 +182,13 @@ def _indexed(g: TaskGraph, mapping: Mapping):
     for i, ss in enumerate(succ):
         for s in ss:
             pred[s].append(i)
-    return order, pos, tuple(succ), tuple(map(tuple, pred))
-
-
-def _start_times(preds, order, dur):
-    """Forward pass: earliest start and finish of every task under durations dur."""
-    start: dict[int, float] = {}
-    finish: dict[int, float] = {}
-    for tid in order:
-        s = max((finish[p] for p in preds[tid]), default=0.0)
-        start[tid] = s
-        finish[tid] = s + dur[tid]
-    return start, finish
+    return tuple(order), pos, tuple(succ), tuple(map(tuple, pred))
 
 
 def _forward(pred, dur):
     """Forward pass over ``_indexed``'s edges: earliest starts and finishes, as lists by position.
 
-    Bit-equal to ``_start_times`` over the full augmented DAG (see
+    Equal to the pass over the full augmented DAG, bit for bit (see
     ``_indexed``). A lone predecessor is read directly.
     """
     est = [0.0] * len(dur)
@@ -244,9 +217,17 @@ def task_feasible(w: float, plan: ExecutionPlan, threshold: float, platform: Pla
     return not _speed_fault(plan, platform) and reliability(w, plan, platform) - threshold >= -SLACK_TOL
 
 
+def _plans_at(schedule: Schedule, tids) -> list[ExecutionPlan]:
+    """The plans of ``tids``, in their order; ValueError naming the first task without one."""
+    try:
+        return [schedule.plans[tid] for tid in tids]
+    except KeyError as exc:
+        raise ValueError(f"no execution plan for task {exc.args[0]}") from None
+
+
 def schedule_energy(g: TaskGraph, schedule: Schedule) -> float:
     """Total energy, summed in augmented topological order (the order evaluate uses)."""
-    _, _, order = _augmented_dag(g, schedule.mapping)
+    order = _indexed(g, schedule.mapping)[0]
     plans = schedule.plans
     total = 0.0
     for tid in order:
@@ -255,23 +236,21 @@ def schedule_energy(g: TaskGraph, schedule: Schedule) -> float:
 
 
 def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel) -> ScheduleMetrics:
-    """Forward pass over precedence plus processor-order constraints."""
-    _, preds, order = _augmented_dag(g, schedule.mapping)
-    plans = schedule.plans
-    try:
-        dur = {tid: exe_time(g.weight(tid), plans[tid]) for tid in order}
-    except KeyError as exc:
-        raise ValueError(f"no execution plan for task {exc.args[0]}") from None
-    start, finish = _start_times(preds, order, dur)
-    makespan = max(finish.values(), default=0.0)
+    """Forward pass (``_forward``) over precedence plus processor-order constraints."""
+    order, _, _, pred = _indexed(g, schedule.mapping)
+    plans = _plans_at(schedule, order)
+    est, finish = _forward(pred, [exe_time(g.weight(tid), plan) for tid, plan in zip(order, plans)])
+    makespan = max(finish, default=0.0)
     threshold = _thresholds(g, platform)
-    slack = {t.id: reliability(t.weight, plans[t.id], platform) - threshold[t.id] for t in g.tasks}
+    slack = {t.id: reliability(t.weight, schedule.plans[t.id], platform) - threshold[t.id] for t in g.tasks}
     feasible = (
         makespan <= D + SLACK_TOL
         and all(v >= -SLACK_TOL for v in slack.values())
-        and not any(_speed_fault(plans[tid], platform) for tid in order)
+        and not any(_speed_fault(plan, platform) for plan in plans)
     )
-    return ScheduleMetrics(makespan, schedule_energy(g, schedule), start, finish, slack, feasible, D)
+    return ScheduleMetrics(
+        makespan, schedule_energy(g, schedule), dict(zip(order, est)), dict(zip(order, finish)), slack, feasible, D
+    )
 
 
 def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel, check: bool = True):
@@ -400,13 +379,16 @@ def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> list[int
 
 
 def critical_path_tasks(g: TaskGraph, schedule: Schedule, metrics: ScheduleMetrics) -> list[int]:
-    """Tasks on some longest path of the augmented DAG under current durations."""
-    succs, _, order = _augmented_dag(g, schedule.mapping)
-    dur = {t.id: exe_time(t.weight, schedule.plans[t.id]) for t in g.tasks}
-    bot: dict[int, float] = {}
-    for tid in reversed(order):
-        bot[tid] = dur[tid] + max((bot[s] for s in succs[tid]), default=0.0)
-    return [tid for tid in order if metrics.start_times[tid] + bot[tid] >= metrics.makespan - SLACK_TOL]
+    """Tasks on some longest path of the augmented DAG under current durations, in topological order.
+
+    Bottom levels are built over ``_indexed``'s edges, in reverse position
+    order; they equal those of the full augmented DAG, bit for bit.
+    """
+    order, _, succ, _ = _indexed(g, schedule.mapping)
+    bot = [exe_time(g.weight(tid), schedule.plans[tid]) for tid in order]
+    for i in reversed(range(len(order))):
+        bot[i] += max([bot[s] for s in succ[i]], default=0.0)
+    return [tid for tid, b in zip(order, bot) if metrics.start_times[tid] + b >= metrics.makespan - SLACK_TOL]
 
 
 def super_weight(g: TaskGraph, metrics: ScheduleMetrics, tid: int) -> float:
@@ -442,14 +424,17 @@ def sus_sort(g: TaskGraph, metrics: ScheduleMetrics, task_ids) -> list[int]:
     return sorted(task_ids, key=lambda tid: (-sw[tid], -g.weight(tid), tid))
 
 
-def cohort_of(g: TaskGraph, start_times: dict[int, float], finish_times: dict[int, float], tid: int) -> list[int]:
-    """Tasks counted in tid's super-weight under these start and finish times, excluding tid."""
-    s, f = start_times[tid], finish_times[tid]
-    return [
-        t.id
-        for t in g.tasks
-        if t.id != tid and start_times[t.id] >= s - SLACK_TOL and finish_times[t.id] <= f + SLACK_TOL
-    ]
+def cohort_of(g: TaskGraph, mapping: Mapping, state, tid: int) -> list[int]:
+    """Tasks counted in tid's super-weight, excluding tid, in ``g.tasks`` order.
+
+    The times are the starts and finishes of ``state``, a ``_window_state``
+    of a schedule on (g, mapping), indexed by position in ``_indexed``.
+    """
+    pos = _indexed(g, mapping)[1]
+    est, finish = state[0], state[1]
+    r = pos[tid]
+    lo, hi = est[r] - SLACK_TOL, finish[r] + SLACK_TOL
+    return [t.id for t in g.tasks if est[i := pos[t.id]] >= lo and finish[i] <= hi and i != r]
 
 
 def slack_reclaim(

@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 
 from .graph import TaskGraph
-from .model import PlatformModel
-from .schedule import Schedule, _augmented_dag, _start_times
+from .model import SLACK_TOL, PlatformModel
+from .model import energy as cont_energy
+from .schedule import Schedule, _forward, _indexed, _plans_at, _thresholds
 
 _REL_TOL = 1e-12
 
@@ -125,6 +126,7 @@ class VddScheduleResult:
     makespan: float
     energy: float
     continuous_energy: float
+    feasible: bool  # within the deadline and every task's reliability threshold
 
     @property
     def energy_overhead(self) -> float:
@@ -134,22 +136,30 @@ class VddScheduleResult:
 def vdd_schedule_convert(
     g: TaskGraph, schedule: Schedule, modes, D: float, platform: PlatformModel
 ) -> VddScheduleResult:
-    """Convert every execution of a continuous schedule to the discrete modes."""
-    from .model import energy as cont_energy
+    """Convert every execution of a continuous schedule to the discrete modes.
 
+    The makespan is the forward pass of the converted durations over the
+    augmented DAG (``schedule._indexed``). ``feasible`` holds when it is at
+    most D + SLACK_TOL and each task's discrete reliability, ``1 - prod(1 -
+    VddPlan.reliability)`` over its executions, is at least its reliability
+    threshold - SLACK_TOL, ``evaluate``'s tolerances. ValueError, as in
+    ``evaluate``, for a task without a plan.
+    """
+    order, _, _, pred = _indexed(g, schedule.mapping)
+    threshold = _thresholds(g, platform)
     vdd_plans: dict[int, tuple[VddPlan, ...]] = {}
     cont_total = 0.0
-    for t in g.tasks:
-        plan = schedule.plans[t.id]
+    reliable = True
+    for t, plan in zip(g.tasks, _plans_at(schedule, [t.id for t in g.tasks])):
         parts = [continuous_to_vdd(plan.speed1, t.weight, modes, platform)]
         if plan.speed2 is not None:
             parts.append(continuous_to_vdd(plan.speed2, t.weight, modes, platform))
         vdd_plans[t.id] = tuple(parts)
         cont_total += cont_energy(t.weight, plan)
+        fails = math.prod(1.0 - p.reliability(platform) for p in parts)
+        reliable = reliable and 1.0 - fails >= threshold[t.id] - SLACK_TOL
 
-    _, preds, order = _augmented_dag(g, schedule.mapping)
-    dur = {tid: sum(p.time for p in vdd_plans[tid]) for tid in order}
-    _, finish = _start_times(preds, order, dur)
-    makespan = max(finish.values(), default=0.0)
+    _, finish = _forward(pred, [sum(p.time for p in vdd_plans[tid]) for tid in order])
+    makespan = max(finish, default=0.0)
     total = sum(p.energy for parts in vdd_plans.values() for p in parts)
-    return VddScheduleResult(vdd_plans, makespan, total, cont_total)
+    return VddScheduleResult(vdd_plans, makespan, total, cont_total, makespan <= D + SLACK_TOL and reliable)

@@ -283,7 +283,7 @@ class TestCli:
                        "--modes", "0.2,0.4,0.6,0.8,1.0"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "discrete_energy=" in out and "overhead=" in out
+        assert "discrete_energy=" in out and "overhead=" in out and "feasible=True" in out
 
     def test_sweep_with_config_file_and_output_dir(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "sweep.cfg"

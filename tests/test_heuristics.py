@@ -613,6 +613,7 @@ class TestLiveWindows:
             assert ok == evaluate(g, sched.with_plans(deltas), D, platform).feasible
             assert_windows_of(out, windows)
             seen["accept"] += ok
+            seen["last"] = out
             return ok, out
 
         def slow(g_, sched, D_, platform_, tid, windows):
@@ -621,18 +622,23 @@ class TestLiveWindows:
             seen["slow"] += out.plans != sched.plans
             return out, out_windows
 
-        def times(g_, sched, D_, platform_, windows):
-            assert_windows_of(sched, windows)
+        def cohort(g_, mapping, state, tid):
+            # A cohort is that of the schedule the last probe returned, by the
+            # dict definition on evaluate's times.
+            sched = seen["last"]
+            assert mapping == sched.mapping
+            assert state == _window_state(g, sched, D, platform, check=False)
             metrics = evaluate(g, sched, D, platform)
-            out = heuristics_times(g_, sched, D_, platform_, windows)
-            assert out == (metrics.start_times, metrics.finish_times)
+            start, finish = metrics.start_times, metrics.finish_times
+            lo, hi = start[tid] - SLACK_TOL, finish[tid] + SLACK_TOL
+            out = cohort_of(g_, mapping, state, tid)
+            assert out == [t.id for t in g.tasks if t.id != tid and start[t.id] >= lo and finish[t.id] <= hi]
             seen["cohort"] += 1
             return out
 
-        heuristics_times = heuristics._times
         monkeypatch.setattr(heuristics, "feasibility_probe", probe)
         monkeypatch.setattr(heuristics, "_slow_single", slow)
-        monkeypatch.setattr(heuristics, "_times", times)
+        monkeypatch.setattr(heuristics, "cohort_of", cohort)
         for kind in (*TYPE_A, *TYPE_B):
             run(kind, g, start.mapping, D, platform)
         assert seen["accept"] > 0 and seen["cohort"] > 0

@@ -14,10 +14,8 @@ from trisched.schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
-    _augmented_dag,
     _indexed,
     _retime,
-    _start_times,
     _window_state,
     cohort_of,
     critical_path_tasks,
@@ -30,6 +28,7 @@ from trisched.schedule import (
     sus_sort,
     uniform_schedule,
 )
+from trisched.vdd import vdd_schedule_convert
 
 
 def _metrics(start_times, finish_times, weights):
@@ -232,7 +231,10 @@ class TestSuperWeight:
         m = _metrics({0: 0.0, 1: 2.0, 2: 5.0}, {0: 10.0, 1: 4.0, 2: 6.0}, None)
         assert super_weight(g, m, 0) == 6.0
         assert super_weight(g, m, 1) == 1.0
-        assert cohort_of(g, m.start_times, m.finish_times, 0) == [1, 2]
+        mapping = Mapping(((0,), (1,), (2,)))
+        order = _indexed(g, mapping)[0]
+        state = [[m.start_times[tid] for tid in order], [m.finish_times[tid] for tid in order]]
+        assert cohort_of(g, mapping, state, 0) == [1, 2]
 
     def test_containment_monotonicity(self):
         g = TaskGraph((Task(0, 1.0), Task(1, 2.0), Task(2, 4.0)), frozenset())
@@ -292,8 +294,43 @@ class TestSlackReclaim:
         assert evaluate(g, out, D, platform).makespan <= D + 1e-9
 
 
+def _full_dag(g, mapping):
+    """The augmented DAG with every edge: id-keyed successor and predecessor sets, and its order.
+
+    The oracle of the full-edge passes. The order is Kahn's on a stack,
+    smallest id on top, and must be ``_indexed``'s.
+    """
+    succs = {t.id: set(g.successors(t.id)) for t in g.tasks}
+    preds = {t.id: set(g.predecessors(t.id)) for t in g.tasks}
+    for lst in mapping.proc_lists:
+        for a, b in zip(lst, lst[1:]):
+            succs[a].add(b)
+            preds[b].add(a)
+    indeg = {tid: len(ps) for tid, ps in preds.items()}
+    stack = sorted((tid for tid, d in indeg.items() if d == 0), reverse=True)
+    order = []
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for v in sorted(succs[u], reverse=True):
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                stack.append(v)
+    assert tuple(order) == _indexed(g, mapping)[0]
+    return succs, preds, order
+
+
+def _full_forward(preds, order, dur):
+    """Forward pass over every augmented edge: earliest start and finish of every task, by id."""
+    start, finish = {}, {}
+    for tid in order:
+        start[tid] = max((finish[p] for p in preds[tid]), default=0.0)
+        finish[tid] = start[tid] + dur[tid]
+    return start, finish
+
+
 def _est_lft(succs, preds, order, dur, D):
-    est, _ = _start_times(preds, order, dur)
+    est, _ = _full_forward(preds, order, dur)
     lft = {}
     for tid in reversed(order):
         lft[tid] = min((lft[s] - dur[s] for s in succs[tid]), default=D)
@@ -307,7 +344,7 @@ def _full_recompute_reclaim(g, schedule, D, platform, targets, lower_bounds):
     same plans, bit for bit.
     """
     targets = set(targets)
-    succs, preds, order = _augmented_dag(g, schedule.mapping)
+    succs, preds, order = _full_dag(g, schedule.mapping)
     plans = dict(schedule.plans)
     weights = {t.id: t.weight for t in g.tasks}
     dur = {tid: exe_time(weights[tid], plans[tid]) for tid in order}
@@ -469,10 +506,21 @@ class TestIndexedReduction:
         n = rng.randint(30, 200)
         g = generate_random(n, rng.randint(n, 3 * n), seed=seed)
         mapping = list_schedule(g, p)
-        succs, _, order = _augmented_dag(g, mapping)
+        succs, _, order = _full_dag(g, mapping)
         pos = {tid: i for i, tid in enumerate(order)}
         full = [{pos[s] for s in succs[tid]} for tid in order]
         return rng, g, mapping, full
+
+    @staticmethod
+    def _schedule(rng, g, mapping, platform):
+        """A schedule of random single runs and re-executions, and a deadline above its makespan."""
+        f_re_ex = 0.9 * platform.f_rel / math.sqrt(2.0)
+        plans = {
+            tid: ExecutionPlan(f_re_ex, f_re_ex) if rng.random() < 0.3 else ExecutionPlan(rng.uniform(0.5, 1.0))
+            for tid in _indexed(g, mapping)[0]
+        }
+        sched = Schedule(mapping, plans)
+        return sched, rng.uniform(1.0, 3.0) * evaluate(g, sched, math.inf, platform).makespan
 
     @pytest.mark.parametrize("p, seed", CASES)
     def test_reduction_keeps_reachability_and_no_redundant_edge(self, p, seed):
@@ -499,16 +547,10 @@ class TestIndexedReduction:
         rng, g, mapping, full = self._case(p, seed)
         order = _indexed(g, mapping)[0]
         n = len(order)
-        f_re_ex = 0.9 * platform.f_rel / math.sqrt(2.0)
-        plans = {
-            tid: ExecutionPlan(f_re_ex, f_re_ex) if rng.random() < 0.3 else ExecutionPlan(rng.uniform(0.5, 1.0))
-            for tid in order
-        }
-        sched = Schedule(mapping, plans)
-        D = rng.uniform(1.0, 3.0) * evaluate(g, sched, math.inf, platform).makespan
+        sched, D = self._schedule(rng, g, mapping, platform)
         # The reference: both passes over every augmented edge.
         preds = [[u for u in range(n) if v in full[u]] for v in range(n)]
-        dur = [exe_time(g.weight(tid), plans[tid]) for tid in order]
+        dur = [exe_time(g.weight(tid), sched.plans[tid]) for tid in order]
         est, finish = [], []
         for v in range(n):
             est.append(max((finish[u] for u in preds[v]), default=0.0))
@@ -519,17 +561,37 @@ class TestIndexedReduction:
         state = _window_state(g, sched, D, platform, check=False)
         assert _bits(state) == _bits([est, finish, lft, dur])
 
+    @pytest.mark.parametrize("p, seed", CASES)
+    def test_evaluate_critical_paths_and_vdd_equal_full_edge_passes(self, platform, p, seed):
+        rng, g, mapping, _ = self._case(p, seed)
+        succs, preds, order = _full_dag(g, mapping)
+        sched, D = self._schedule(rng, g, mapping, platform)
+        dur = {tid: exe_time(g.weight(tid), sched.plans[tid]) for tid in order}
+        start, finish = _full_forward(preds, order, dur)
+        metrics = evaluate(g, sched, D, platform)
+        assert {t: x.hex() for t, x in metrics.start_times.items()} == {t: x.hex() for t, x in start.items()}
+        assert {t: x.hex() for t, x in metrics.finish_times.items()} == {t: x.hex() for t, x in finish.items()}
+        assert metrics.makespan.hex() == max(finish.values()).hex()
+        # Bottom levels over every augmented edge.
+        bot = {}
+        for tid in reversed(order):
+            bot[tid] = dur[tid] + max((bot[s] for s in succs[tid]), default=0.0)
+        critical = [tid for tid in order if start[tid] + bot[tid] >= metrics.makespan - SLACK_TOL]
+        assert critical_path_tasks(g, sched, metrics) == critical
+        result = vdd_schedule_convert(g, sched, (0.2, 0.4, 0.6, 0.8, 1.0), D, platform)
+        _, vdd_finish = _full_forward(preds, order, {tid: sum(q.time for q in result.plans[tid]) for tid in order})
+        assert result.makespan.hex() == max(vdd_finish.values()).hex()
+
 
 class TestAugmentedDag:
     def test_one_best_solve_builds_it_once(self, platform):
         g = generate_random(30, 60, seed=5)
         mapping = list_schedule(g, 4)
         D = 2.0 * min_deadline(g, mapping, platform)
-        _augmented_dag.cache_clear()
         _indexed.cache_clear()
         run(HeuristicKind.BEST, g, mapping, D, platform)
-        dag, indexed = _augmented_dag.cache_info(), _indexed.cache_info()
-        assert dag.misses == 1 and indexed.misses == 1 and dag.hits + indexed.hits > 100
+        indexed = _indexed.cache_info()
+        assert indexed.misses == 1 and indexed.hits > 100
 
 
 class TestFormat:

@@ -9,7 +9,7 @@ from conftest import make_platform
 from trisched.graph import chain, generate_random
 from trisched.heuristics import HeuristicKind, min_deadline, run
 from trisched.model import ExecutionPlan
-from trisched.schedule import evaluate, list_schedule, uniform_schedule
+from trisched.schedule import Schedule, evaluate, list_schedule, uniform_schedule
 from trisched.vdd import (
     VddInfeasibleError,
     VddPlan,
@@ -129,6 +129,7 @@ class TestScheduleConversion:
         speeds |= {p.speed2 for p in sched.plans.values() if p.speed2}
         modes = tuple(sorted(speeds))
         result = vdd_schedule_convert(g, sched, modes, D, platform)
+        assert metrics.feasible and result.feasible
         assert result.energy == pytest.approx(metrics.energy, rel=1e-9)
         assert result.energy_overhead == pytest.approx(0.0, abs=1e-9)
 
@@ -140,6 +141,7 @@ class TestScheduleConversion:
         if any(p.re_executed for p in sched.plans.values()):
             sched = uniform_schedule(g, mapping, platform.f_rel)
         result = vdd_schedule_convert(g, sched, (platform.f_max,), D, platform)
+        assert evaluate(g, sched, D, platform).feasible and result.feasible
         _, hfmax = run(HeuristicKind.HFMAX, g, mapping, D, platform)
         assert result.energy == pytest.approx(hfmax.energy, rel=1e-12)
 
@@ -150,6 +152,29 @@ class TestScheduleConversion:
         assert result.energy >= result.continuous_energy - 1e-9
         assert result.makespan == pytest.approx(metrics.makespan, rel=1e-9)
         assert result.makespan <= D + 1e-9
+        assert metrics.feasible and result.feasible
+
+    def test_verdict_reads_the_deadline(self, platform):
+        g, sched, metrics, D = self._best_schedule(platform, seed=52, ratio=3.0)
+        modes = (0.2, 0.4, 0.6, 0.8, 1.0)
+        assert vdd_schedule_convert(g, sched, modes, D, platform).feasible
+        assert not vdd_schedule_convert(g, sched, modes, metrics.makespan / 2, platform).feasible
+
+    def test_verdict_reads_reliability(self, platform):
+        # Below f_rel a single run misses its threshold, on the mode grid too.
+        g = chain([1.0, 2.0])
+        f = 0.9 * platform.f_rel
+        sched = uniform_schedule(g, list_schedule(g, 1), f)
+        assert not evaluate(g, sched, 100.0, platform).feasible
+        result = vdd_schedule_convert(g, sched, (f, platform.f_max), 100.0, platform)
+        assert result.makespan <= 100.0 and not result.feasible
+        assert vdd_schedule_convert(g, sched, (platform.f_rel, platform.f_max), 100.0, platform).feasible
+
+    def test_missing_plan_named(self, platform):
+        g = chain([1.0, 2.0])
+        sched = Schedule(list_schedule(g, 1), {0: ExecutionPlan(1.0)})
+        with pytest.raises(ValueError, match="no execution plan for task 1"):
+            vdd_schedule_convert(g, sched, (0.5, 1.0), 10.0, platform)
 
     def test_mode_floor_above_needed_speed_fails(self, platform):
         g = chain([1.0])
