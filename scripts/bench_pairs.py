@@ -17,7 +17,10 @@ tests/test_acceptance.py`` once per side, parent first, each on its own
 slowest test phases. With ``--traced``, it runs ``bench/run.py --trace 1``
 once per side and workload, parent first, after that workload's pairs, and
 writes each run's wall time, exit code, peak resident memory (from
-``os.wait4``) and result line; ``--pairs 0`` runs only these. Each side's
+``os.wait4``) and result line; ``--pairs 0`` runs only these. With
+``--digest``, it first records ``scripts/digest_grid.py``'s digest of each
+side's ``src``, so that a speed claim carries the evidence that both sides
+give the same outputs, bit for bit. Each side's
 commit is read with ``git describe`` when its checkout is the top of a git
 work tree; for any other checkout, such as one made with ``git archive``, it
 must be named with ``--parent-commit`` or ``--change-commit``, or the script
@@ -169,6 +172,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--acceptance", action="store_true", help="also time each side's acceptance suite")
     ap.add_argument("--traced", action="store_true", help="also run one --trace 1 run per side and workload")
+    ap.add_argument("--digest", action="store_true", help="also record digest_grid.py's digest of each side's src")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=None)
@@ -196,6 +200,13 @@ def main(argv=None) -> int:
         "commits": commits,
         "workloads": {},
     }
+    if args.digest:
+        # This script's directory is first on sys.path when it runs.
+        from digest_grid import tree_digest
+
+        report["digest"] = {side: tree_digest(checkouts[side] / "src") for side in SIDES}
+        print("digest " + " ".join(f"{side}={d}" for side, d in report["digest"].items()), file=sys.stderr, flush=True)
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.traced:
         report["traced"] = {}
     for workload in args.workloads:

@@ -25,6 +25,11 @@ class TaskGraph:
     _topo: tuple = field(init=False, repr=False, compare=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    # Per-graph memos of data derived from the graph and one more value:
+    # ``schedule._indexed`` keyed by the mapping, ``schedule._thresholds`` by
+    # the platform. They live as long as the graph, and an equal graph has
+    # its own, so a lookup never compares two graphs.
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [t.id for t in self.tasks]
@@ -49,10 +54,11 @@ class TaskGraph:
         object.__setattr__(self, "_topo", tuple(_kahn(ids, succs, preds)))
         object.__setattr__(self, "_by_id", {t.id: t for t in self.tasks})
         object.__setattr__(self, "_hash", hash((self.tasks, self.edges)))
+        object.__setattr__(self, "_memo", {})
 
     def __hash__(self) -> int:
         # The value the dataclass would compute, but once: the graph is
-        # immutable and every memoised per-graph helper hashes it.
+        # immutable and memo keys that hold it (the type-B tail's) hash it.
         return self._hash
 
     def successors(self, tid: int) -> list[int]:

@@ -170,14 +170,16 @@ def meets_reliability(w: float, plan: ExecutionPlan, platform: PlatformModel) ->
     return reliability(w, plan, platform) >= reliability_threshold(w, platform) - SLACK_TOL
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=4096)
 def f_inf(w: float, platform: PlatformModel) -> float:
     """Minimum speed at which two executions still meet the reliability threshold.
 
     Unique positive root of  lambda0 * w * exp(-2 d f) / f^2 = exp(-d f_rel) / f_rel,
     found by bisection (the left-hand side is monotone decreasing in f).
     A pure function of its arguments, memoised per (w, platform): heuristics,
-    solvers and oracles ask for the same task's floor many times.
+    solvers and oracles ask for the same task's floor many times. The memo
+    holds 4,096 entries, room for the about 1,500 distinct weights that the
+    benchmark's ``exact`` pool asks for.
     """
     if w <= 0.0:
         raise ValueError("weight must be positive")

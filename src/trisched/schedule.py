@@ -6,21 +6,32 @@ under worst-case accounting (both executions of a re-executed task always
 counted), total energy, per-task reliability slack and a feasibility verdict.
 
 The augmented DAG (precedence edges plus processor-order edges) has one
-form, ``_indexed``, built once per (graph, mapping): its topological order,
-each task's position in it, and by position the edges that no other path
-implies (at one processor, the chain of the processor's list). Every pass
-over these edges gives the full augmented DAG's times bit for bit.
-Evaluation, critical paths, the time windows (``_window_state``, moved in
-place by ``_retime``), the reclaims and cohorts all run on lists indexed by
+form, ``_indexed``, built once per (graph, mapping) and kept on the graph:
+its topological order, each task's position in it, by position the edges
+that no other path implies, and whether those edges are the chain 0 -> 1
+-> ... -> n - 1 (at one processor, the processor's list). Every pass over
+these edges gives the full augmented DAG's times bit for bit. Evaluation,
+critical paths, the time windows (``_window_state``, moved in place by
+``_retime``), the reclaims and cohorts all run on lists indexed by
 position; only ``ScheduleMetrics`` keys its times by task id. Incremental
 passes visit the positions they mark in position order, which is
 topological.
+
+On a chain, the forward and backward passes (``_forward``, ``_backward``)
+and the incremental ones (``_push_starts``, ``_retime``, the backward sweep
+of ``swap_reclaims``) read one neighbour per position, without a queue:
+the passes are running sums and differences (``itertools.accumulate``),
+which add and subtract the same floats in the same order as the general
+loops, so every output is the same, bit for bit. ``slack_reclaim``'s sweep
+decides as it builds the backward pass, so it keeps its own loop.
 """
 
 from __future__ import annotations
 
+import bisect
 import collections
-import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .graph import TaskGraph, bottom_levels
@@ -115,9 +126,8 @@ def uniform_schedule(g: TaskGraph, mapping: Mapping, speed: float) -> Schedule:
     return Schedule(mapping, {t.id: ExecutionPlan(speed) for t in g.tasks})
 
 
-@functools.lru_cache(maxsize=4)
 def _indexed(g: TaskGraph, mapping: Mapping):
-    """The augmented DAG, numbered by topological position: ``(order, pos, succ, pred)``.
+    """The augmented DAG, numbered by topological position: ``(order, pos, succ, pred, chain)``.
 
     The augmented DAG holds the precedence edges plus the processor-order
     edges (consecutive tasks of one list). ``order`` is its topological order
@@ -127,10 +137,13 @@ def _indexed(g: TaskGraph, mapping: Mapping):
     successors and predecessors of position i in the transitive reduction,
     in increasing order: each position's successors are scanned in
     increasing order, and one is kept unless a kept one already reaches it
-    (reachability as int bitsets, built in reverse order). At one processor
-    that is the chain ``i -> i + 1``. Memoised on (g, mapping), as a solve
-    keeps one mapping; do not mutate. ValueError unless the mapping is a
-    partition of g's tasks whose order agrees with precedence.
+    (reachability as int bitsets, built in reverse order). ``chain`` is
+    whether that reduction is the path ``0 -> 1 -> ... -> n - 1`` (n >= 1),
+    as it is at one processor, and for a chain graph on any number. Built
+    once per (g, mapping) and kept in ``g._memo``, keyed by the mapping, for
+    as long as the graph lives (a solve keeps one mapping); do not mutate.
+    ValueError unless the mapping is a partition of g's tasks whose order
+    agrees with precedence.
 
     Every pass over the reduction gives that of the full augmented DAG, bit
     for bit. Let an edge u -> v be implied by a path u -> w -> ... -> v of
@@ -141,7 +154,23 @@ def _indexed(g: TaskGraph, mapping: Mapping):
     dropped edge's term is never above a ``max`` nor below a ``min`` over
     the kept edges, and both return one of their inputs, so every time comes
     out the same float.
+
+    On a chain every position but the first has one predecessor, the one
+    below it, and every position but the last one successor, the one above
+    it. A pass then reads one term per position: the finishes are the
+    running sum of the durations from 0.0, and the latest finishes the
+    running difference from D down. The chain kernels compute these with
+    ``itertools.accumulate``, which adds or subtracts the same floats in the
+    same order as the general loops, so their bits are the same.
     """
+    indexed = g._memo.get(mapping)
+    if indexed is None:
+        indexed = g._memo[mapping] = _build_indexed(g, mapping)
+    return indexed
+
+
+def _build_indexed(g: TaskGraph, mapping: Mapping):
+    """``_indexed(g, mapping)``, built afresh."""
     mapped = {tid for lst in mapping.proc_lists for tid in lst}
     ids = {t.id for t in g.tasks}
     if mapped != ids:
@@ -182,15 +211,22 @@ def _indexed(g: TaskGraph, mapping: Mapping):
     for i, ss in enumerate(succ):
         for s in ss:
             pred[s].append(i)
-    return tuple(order), pos, tuple(succ), tuple(map(tuple, pred))
+    # Every position below the last has the one successor above it; the
+    # last has none, as successors sit higher.
+    chain = n > 0 and all(ss == (i + 1,) for i, ss in enumerate(succ[:-1]))
+    return tuple(order), pos, tuple(succ), tuple(map(tuple, pred)), chain
 
 
-def _forward(pred, dur):
+def _forward(pred, dur, chain):
     """Forward pass over ``_indexed``'s edges: earliest starts and finishes, as lists by position.
 
     Equal to the pass over the full augmented DAG, bit for bit (see
-    ``_indexed``). A lone predecessor is read directly.
+    ``_indexed``). A lone predecessor is read directly; on a chain the
+    finishes are the running sum of the durations from 0.0.
     """
+    if chain:
+        acc = list(itertools.accumulate(dur, initial=0.0))
+        return acc[:-1], acc[1:]
     est = [0.0] * len(dur)
     finish = est[:]
     for i, ps in enumerate(pred):
@@ -203,10 +239,36 @@ def _forward(pred, dur):
     return est, finish
 
 
-@functools.lru_cache(maxsize=4)
+def _backward(succ, dur, D, chain):
+    """Backward pass from D over ``_indexed``'s edges: latest finishes, as a list by position.
+
+    ``lft[u] = min(lft[s] - dur[s])`` over the successors s of u, D for a
+    position without successors; equal to the pass over the full augmented
+    DAG, bit for bit (see ``_indexed``). A lone successor is read directly;
+    on a chain the latest finishes are the running difference from D of the
+    durations above, from the top down.
+    """
+    if chain:
+        lft = list(itertools.accumulate(reversed(dur[1:]), operator.sub, initial=D))
+        lft.reverse()
+        return lft
+    lft = [D] * len(dur)
+    for i in reversed(range(len(dur))):
+        ss = succ[i]
+        if len(ss) == 1:
+            s = ss[0]
+            lft[i] = lft[s] - dur[s]
+        elif ss:
+            lft[i] = min([lft[s] - dur[s] for s in ss])
+    return lft
+
+
 def _thresholds(g: TaskGraph, platform: PlatformModel) -> dict[int, float]:
-    """Reliability threshold of every task, memoised on (g, platform); do not mutate."""
-    return {t.id: reliability_threshold(t.weight, platform) for t in g.tasks}
+    """Reliability threshold of every task, kept in ``g._memo`` keyed by the platform; do not mutate."""
+    threshold = g._memo.get(platform)
+    if threshold is None:
+        threshold = g._memo[platform] = {t.id: reliability_threshold(t.weight, platform) for t in g.tasks}
+    return threshold
 
 
 def task_feasible(w: float, plan: ExecutionPlan, threshold: float, platform: PlatformModel) -> bool:
@@ -237,9 +299,9 @@ def schedule_energy(g: TaskGraph, schedule: Schedule) -> float:
 
 def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel) -> ScheduleMetrics:
     """Forward pass (``_forward``) over precedence plus processor-order constraints."""
-    order, _, _, pred = _indexed(g, schedule.mapping)
+    order, _, _, pred, chain = _indexed(g, schedule.mapping)
     plans = _plans_at(schedule, order)
-    est, finish = _forward(pred, [exe_time(g.weight(tid), plan) for tid, plan in zip(order, plans)])
+    est, finish = _forward(pred, [exe_time(g.weight(tid), plan) for tid, plan in zip(order, plans)], chain)
     makespan = max(finish, default=0.0)
     threshold = _thresholds(g, platform)
     slack = {t.id: reliability(t.weight, schedule.plans[t.id], platform) - threshold[t.id] for t in g.tasks}
@@ -261,20 +323,20 @@ def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: Platform
     the full augmented DAG's windows bit for bit, and read a lone
     predecessor or successor directly. ``est`` and ``finish`` are the
     forward pass (``_forward``), equal to evaluate's start and finish times
-    bit for bit; ``lft`` is the backward pass from D, taking ``lft[u] =
-    min(lft[s] - dur[s])`` over the successors s of u (D for a task without
-    successors). With ``check``, the schedule must also be feasible, decided
-    from the same forward pass with the same float operations as
-    ``evaluate`` (makespan, every task's reliability threshold, the speed
-    rules), so the two verdicts agree; None when it is not. Pass
-    ``check=False`` only for a schedule already known to be feasible.
-    ``_retime`` updates the state in place.
+    bit for bit; ``lft`` is the backward pass from D (``_backward``), taking
+    ``lft[u] = min(lft[s] - dur[s])`` over the successors s of u (D for a
+    task without successors). With ``check``, the schedule must also be
+    feasible, decided from the same forward pass with the same float
+    operations as ``evaluate`` (makespan, every task's reliability
+    threshold, the speed rules), so the two verdicts agree; None when it
+    is not. Pass ``check=False`` only for a schedule already known to be
+    feasible. ``_retime`` updates the state in place.
     """
-    order, _, succ, pred = _indexed(g, schedule.mapping)
+    order, _, succ, pred, chain = _indexed(g, schedule.mapping)
     weights = [g.weight(tid) for tid in order]
     plans = [schedule.plans[tid] for tid in order]
     dur = [exe_time(w, plan) for w, plan in zip(weights, plans)]
-    est, finish = _forward(pred, dur)
+    est, finish = _forward(pred, dur, chain)
     if check:
         if not max(finish, default=0.0) <= D + SLACK_TOL:
             return None
@@ -282,18 +344,10 @@ def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: Platform
         if not all(task_feasible(w, plan, threshold[tid], platform)
                    for tid, w, plan in zip(order, weights, plans)):
             return None
-    lft = [D] * len(order)
-    for i in reversed(range(len(order))):
-        ss = succ[i]
-        if len(ss) == 1:
-            s = ss[0]
-            lft[i] = lft[s] - dur[s]
-        elif ss:
-            lft[i] = min([lft[s] - dur[s] for s in ss])
-    return [est, finish, lft, dur]
+    return [est, finish, _backward(succ, dur, D, chain), dur]
 
 
-def _push_starts(succ, pred, est, finish, dur, r: int, d: float, end: int) -> list[int]:
+def _push_starts(succ, pred, est, finish, dur, r: int, d: float, end: int, chain: bool) -> list[int]:
     """Give position r the duration d, and move the earliest starts and finishes that follow, in place.
 
     Only r's descendants can start elsewhere. They are recomputed with
@@ -305,12 +359,26 @@ def _push_starts(succ, pred, est, finish, dur, r: int, d: float, end: int) -> li
     out the same whatever ``end`` is, and ``len(est)`` moves them all.
     Returns the positions below ``end`` whose start moved, in increasing
     order.
+
+    On a chain (``_indexed``'s flag) the finishes from r up to ``end`` are
+    the running sum of the durations from r's new finish, as ``_forward``
+    adds them. The moved positions run from r + 1 up to the first start that
+    comes out bit-equal: from there on every start and finish is the old
+    one, as each is the one below plus the same duration.
     """
     dur[r] = d
     f = est[r] + d
     if f == finish[r]:
         return []
     finish[r] = f
+    if chain:
+        new = list(itertools.accumulate(dur[r + 1:end], initial=f))  # new[k]: the finish of r + k
+        same = list(map(operator.eq, new, est[r + 1:end]))  # same[k]: r + k + 1 starts where it did
+        same.append(True)
+        k = same.index(True)
+        est[r + 1:r + 1 + k] = new[:k]
+        finish[r + 1:r + 1 + k] = new[1:k + 1]
+        return list(range(r + 1, r + 1 + k))
     moved = []
     queued = bytearray(len(est))
     for x in succ[r]:
@@ -345,13 +413,20 @@ def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> list[int
     Afterwards the state equals a fresh ``_window_state`` (without the check)
     of the changed schedule, bit for bit. The earliest starts move as
     ``_push_starts`` moves them; only r's ancestors can have another latest
-    finish, so those are recomputed next, with ``_window_state``'s
-    expression, in reverse topological order, stopping where one comes out
-    bit-equal. Returns the positions whose start moved.
+    finish, so those are recomputed next, with ``_backward``'s expression,
+    in reverse topological order, stopping where one comes out bit-equal;
+    on a chain, positions r - 1 down to 0, as ``_backward``'s running
+    difference from r's latest finish. Returns the positions whose start
+    moved.
     """
-    _, _, succ, pred = _indexed(g, mapping)
+    _, _, succ, pred, chain = _indexed(g, mapping)
     est, finish, lft, dur = state
-    moved = _push_starts(succ, pred, est, finish, dur, r, d, len(est))
+    moved = _push_starts(succ, pred, est, finish, dur, r, d, len(est), chain)
+    if chain:
+        back = list(itertools.accumulate(reversed(dur[1:r + 1]), operator.sub, initial=lft[r]))
+        back.reverse()
+        lft[:r + 1] = back
+        return moved
     queued = bytearray(len(lft))
     for p in pred[r]:
         queued[p] = 1
@@ -384,7 +459,7 @@ def critical_path_tasks(g: TaskGraph, schedule: Schedule, metrics: ScheduleMetri
     Bottom levels are built over ``_indexed``'s edges, in reverse position
     order; they equal those of the full augmented DAG, bit for bit.
     """
-    order, _, succ, _ = _indexed(g, schedule.mapping)
+    order, _, succ, _, _ = _indexed(g, schedule.mapping)
     bot = [exe_time(g.weight(tid), schedule.plans[tid]) for tid in order]
     for i in reversed(range(len(order))):
         bot[i] += max([bot[s] for s in succ[i]], default=0.0)
@@ -417,10 +492,28 @@ def _nested_weight(rows, s: float, f: float) -> float:
 
 
 def sus_sort(g: TaskGraph, metrics: ScheduleMetrics, task_ids) -> list[int]:
-    """Sort by decreasing super-weight; ties by decreasing weight, then id."""
+    """Sort by decreasing super-weight; ties by decreasing weight, then id.
+
+    The super-weights are ``super_weight``'s, bit for bit, without a scan of
+    every task per task. A task counted in [s, f] starts at or after lo = s -
+    SLACK_TOL and finishes at or before hi = f + SLACK_TOL; one that
+    finishes no earlier than it starts, as in ``evaluate``'s metrics, then
+    also starts at or before hi. So the candidates are the rows whose start
+    lies in [lo, hi], found by bisection in the rows sorted by start, plus
+    any row that does not finish at or after its start (a NaN too), and
+    ``_nested_weight`` filters them and adds their weights in ``g.tasks``
+    order.
+    """
     rows = _intervals(g, metrics)
+    by_start = sorted((s, i) for i, (s, f, _) in enumerate(rows) if s <= f)
+    starts = [s for s, _ in by_start]
+    others = [i for i, (s, f, _) in enumerate(rows) if not s <= f]
     start, finish = metrics.start_times, metrics.finish_times
-    sw = {tid: _nested_weight(rows, start[tid], finish[tid]) for tid in task_ids}
+    sw = {}
+    for tid in task_ids:
+        s, f = start[tid], finish[tid]
+        window = by_start[bisect.bisect_left(starts, s - SLACK_TOL):bisect.bisect_right(starts, f + SLACK_TOL)]
+        sw[tid] = _nested_weight([rows[i] for i in sorted([i for _, i in window] + others)], s, f)
     return sorted(task_ids, key=lambda tid: (-sw[tid], -g.weight(tid), tid))
 
 
@@ -472,7 +565,7 @@ def slack_reclaim(
     slow further.
     """
     targets = set(targets)
-    order, _, succ, pred = _indexed(g, schedule.mapping)
+    order, _, succ, pred, chain = _indexed(g, schedule.mapping)
     plans = dict(schedule.plans)
     for tid in targets:
         plan = plans[tid]
@@ -480,7 +573,7 @@ def slack_reclaim(
             raise ValueError(f"task {tid}: re-executed copies at different speeds {plan}")
     weights = [g.weight(tid) for tid in order]
     dur = [exe_time(w, plans[tid]) for w, tid in zip(weights, order)]
-    est, _ = _forward(pred, dur)
+    est, _ = _forward(pred, dur, chain)
     lft = [D] * len(order)
     for i in reversed(range(len(order))):
         ss = succ[i]
@@ -546,9 +639,13 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
     (``_push_starts``); then, in reverse topological order from the last
     moved position, a latest finish wherever a successor's latest finish or
     duration moved, and the slow-down decision only where the earliest start
-    or latest finish moved, plus tid. The energy continues base's running
-    sum from the first changed position, one term at a time in the same
-    order, as ``schedule_energy`` adds it.
+    or latest finish moved, plus tid. On a chain (``_indexed``'s flag) the
+    moved starts run from tid's position r up to the last moved one, so the
+    sweep decides every position from there down to r, and below r goes on
+    while a latest finish moves or a task slows down: the positions the
+    general queue would visit, in the same order. The energy continues
+    base's running sum from the first changed position, one term at a time
+    in the same order, as ``schedule_energy`` adds it.
 
     Each trial is clipped to the slow span: ``low`` and ``hi``, the lowest
     and highest positions of a single run above its floor, the only ones
@@ -560,7 +657,7 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
     so the sweep stops at ``low``. Without a single run above its floor a
     trial changes tid alone.
     """
-    order, pos, succ, pred = _indexed(g, base.mapping)
+    order, pos, succ, pred, chain = _indexed(g, base.mapping)
     n = len(order)
     est, finish, lft, dur = _window_state(g, base, D, platform, check=False)
     weights = [g.weight(tid) for tid in order]
@@ -581,46 +678,66 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
     for r in map(pos.__getitem__, tids):
         # Forward: the earliest starts up to hi that the shorter task r moves.
         t_dur, t_est, t_finish, t_lft = dur[:], est[:], finish[:], lft[:]
-        decide = _push_starts(succ, pred, t_est, t_finish, t_dur, r, weights[r] / f_rel, hi + 1)
-        # Backward: the sweep, from the last moved task down to low. queued[u]
-        # is 2 for r and the tasks whose earliest start moved, 1 for the
-        # others whose latest finish may move.
+        decide = _push_starts(succ, pred, t_est, t_finish, t_dur, r, weights[r] / f_rel, hi + 1, chain)
         changes = {r: f_rel}
-        queued = bytearray(n)
-        queued[r] = 2
-        for u in decide:
-            queued[u] = 2
-        left = 1 + len(decide)
-        for u in range(decide[-1] if decide else r, low - 1, -1):
-            if not left:
-                break
-            q = queued[u]
-            if not q:
-                continue
-            left -= 1
-            ss = succ[u]
-            if len(ss) == 1:
-                s = ss[0]
-                lf = t_lft[s] - t_dur[s]
-            else:
-                lf = min([t_lft[s] - t_dur[s] for s in ss], default=D)
-            moved = lf != lft[u]
-            t_lft[u] = lf
-            if slow[u] and (moved or q == 2):
-                # ``_slowed`` on a single run; the window is never NaN, as
-                # every earliest start is finite.
-                window = lf - t_est[u]
-                if window > 0.0:
-                    f = max(f_rel, weights[u] / window)
-                    if f < plans[u].speed1 - SLACK_TOL:
-                        changes[u] = f
-                        t_dur[u] = weights[u] / f
-                        moved = True
-            if moved or u == r:
-                for p in pred[u]:
-                    if not queued[p]:
-                        queued[p] = 1
-                        left += 1
+        if chain:
+            # Backward on a chain: decide[-1] down to r + 1 all moved their
+            # start, so every position at or above r is decided; below r the
+            # sweep goes on while a latest finish moves or a task slows down,
+            # as the general loop's queue would.
+            for u in range(decide[-1] if decide else r, low - 1, -1):
+                lf = t_lft[u + 1] - t_dur[u + 1] if u + 1 < n else D
+                moved = lf != lft[u]
+                t_lft[u] = lf
+                if slow[u] and (moved or u >= r):
+                    window = lf - t_est[u]
+                    if window > 0.0:
+                        f = max(f_rel, weights[u] / window)
+                        if f < plans[u].speed1 - SLACK_TOL:
+                            changes[u] = f
+                            t_dur[u] = weights[u] / f
+                            moved = True
+                if u < r and not moved:
+                    break
+        else:
+            # Backward: the sweep, from the last moved task down to low.
+            # queued[u] is 2 for r and the tasks whose earliest start moved, 1
+            # for the others whose latest finish may move.
+            queued = bytearray(n)
+            queued[r] = 2
+            for u in decide:
+                queued[u] = 2
+            left = 1 + len(decide)
+            for u in range(decide[-1] if decide else r, low - 1, -1):
+                if not left:
+                    break
+                q = queued[u]
+                if not q:
+                    continue
+                left -= 1
+                ss = succ[u]
+                if len(ss) == 1:
+                    s = ss[0]
+                    lf = t_lft[s] - t_dur[s]
+                else:
+                    lf = min([t_lft[s] - t_dur[s] for s in ss], default=D)
+                moved = lf != lft[u]
+                t_lft[u] = lf
+                if slow[u] and (moved or q == 2):
+                    # ``_slowed`` on a single run; the window is never NaN, as
+                    # every earliest start is finite.
+                    window = lf - t_est[u]
+                    if window > 0.0:
+                        f = max(f_rel, weights[u] / window)
+                        if f < plans[u].speed1 - SLACK_TOL:
+                            changes[u] = f
+                            t_dur[u] = weights[u] / f
+                            moved = True
+                if moved or u == r:
+                    for p in pred[u]:
+                        if not queued[p]:
+                            queued[p] = 1
+                            left += 1
         first = min(changes)
         terms = energies[first:]
         for i, f in changes.items():

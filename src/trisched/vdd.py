@@ -145,7 +145,7 @@ def vdd_schedule_convert(
     threshold - SLACK_TOL, ``evaluate``'s tolerances. ValueError, as in
     ``evaluate``, for a task without a plan.
     """
-    order, _, _, pred = _indexed(g, schedule.mapping)
+    order, _, _, pred, chain = _indexed(g, schedule.mapping)
     threshold = _thresholds(g, platform)
     vdd_plans: dict[int, tuple[VddPlan, ...]] = {}
     cont_total = 0.0
@@ -159,7 +159,7 @@ def vdd_schedule_convert(
         fails = math.prod(1.0 - p.reliability(platform) for p in parts)
         reliable = reliable and 1.0 - fails >= threshold[t.id] - SLACK_TOL
 
-    _, finish = _forward(pred, [sum(p.time for p in vdd_plans[tid]) for tid in order])
+    _, finish = _forward(pred, [sum(p.time for p in vdd_plans[tid]) for tid in order], chain)
     makespan = max(finish, default=0.0)
     total = sum(p.energy for parts in vdd_plans.values() for p in parts)
     return VddScheduleResult(vdd_plans, makespan, total, cont_total, makespan <= D + SLACK_TOL and reliable)

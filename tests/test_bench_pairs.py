@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -106,6 +108,29 @@ def test_commits_of_copies_come_from_the_options(tmp_path, monkeypatch, capsys):
     assert bench_pairs.main(argv + ["--parent-commit", "abc123", "--change-commit", "def456"]) == 0
     report = json.loads(out.read_text())
     assert report["commits"] == {"parent": "abc123", "change": "def456"}
+    assert report["workloads"]["dag-loose"]["metrics"]["solves_per_s"]["pairs"] == 1
+
+
+def test_digest_records_both_sides_src(tmp_path, monkeypatch):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    digested = []
+
+    def fake_digest(src):
+        digested.append(src)
+        return f"digest of {src.parent.name}"
+
+    # The grid is not run: scripts/digest_grid.py's tree_digest is replaced.
+    monkeypatch.setitem(sys.modules, "digest_grid", types.SimpleNamespace(tree_digest=fake_digest))
+    monkeypatch.setattr(bench_pairs, "bench_once", lambda *args: _run(1.0, 0.5))
+    out = tmp_path / "out.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--out", str(out), "--workloads", "dag-loose",
+            "--pairs", "1", "--parent-commit", "abc123", "--change-commit", "def456"]
+    assert bench_pairs.main(argv) == 0
+    assert "digest" not in json.loads(out.read_text()) and not digested
+    assert bench_pairs.main(argv + ["--digest"]) == 0
+    assert digested == [parent.resolve() / "src", change.resolve() / "src"]
+    report = json.loads(out.read_text())
+    assert report["digest"] == {"parent": "digest of parent", "change": "digest of change"}
     assert report["workloads"]["dag-loose"]["metrics"]["solves_per_s"]["pairs"] == 1
 
 

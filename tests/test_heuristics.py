@@ -433,7 +433,7 @@ class TestUnjamFromBaseWindows:
         for case in range(0, 24, 2):
             for g, start, D, _ in _type_b_starts(platform, case):
                 base = slack_reclaim(g, start, D, platform, _singles(start), {})
-                order, pos, _, _ = _indexed(g, base.mapping)
+                order, pos, _, _, _ = _indexed(g, base.mapping)
                 span = [
                     i for i, tid in enumerate(order)
                     if not base.plans[tid].re_executed

@@ -10,11 +10,15 @@ from conftest import make_platform
 from trisched.graph import TaskGraph, chain, fork, generate_random
 from trisched.heuristics import HeuristicKind, min_deadline, run
 from trisched.model import SLACK_TOL, ExecutionPlan, Task, exe_time, f_inf
+from trisched import schedule as schedule_module
 from trisched.schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
+    _backward,
+    _forward,
     _indexed,
+    _push_starts,
     _retime,
     _window_state,
     cohort_of,
@@ -26,6 +30,7 @@ from trisched.schedule import (
     slack_reclaim,
     super_weight,
     sus_sort,
+    swap_reclaims,
     uniform_schedule,
 )
 from trisched.vdd import vdd_schedule_convert
@@ -337,6 +342,30 @@ def _est_lft(succs, preds, order, dur, D):
     return est, lft
 
 
+def _full_windows(g, sched, D):
+    """``_window_state``'s lists by position, from both passes over every augmented edge."""
+    succs, preds, order = _full_dag(g, sched.mapping)
+    dur = {tid: exe_time(g.weight(tid), sched.plans[tid]) for tid in order}
+    _, finish = _full_forward(preds, order, dur)
+    est, lft = _est_lft(succs, preds, order, dur, D)
+    return [[x[tid] for tid in order] for x in (est, finish, lft, dur)]
+
+
+# Mappings whose reduction is the chain 0 -> 1 -> ... -> n - 1, as (n, p,
+# graph): a chain graph, or a random DAG with 2n edges, on p processors.
+CHAINS = [(1, 1, "chain"), (2, 1, "chain"), (2, 50, "chain"), (40, 50, "chain"), (60, 1, "dag"), (100, 1, "dag")]
+
+
+def _chain_case(n, p, graph):
+    """A seeded rng, the graph and its list-scheduled mapping of a ``CHAINS`` entry."""
+    rng = random.Random(n * p)
+    if graph == "chain":
+        g = chain([rng.uniform(0.1, 10.0) for _ in range(n)])
+    else:
+        g = generate_random(n, 2 * n, seed=n)
+    return rng, g, list_schedule(g, p)
+
+
 def _full_recompute_reclaim(g, schedule, D, platform, targets, lower_bounds):
     """The earlier slack_reclaim, which redid both passes after every change.
 
@@ -482,6 +511,84 @@ class TestRetime:
             lft_changes += lft_before != state[2]
         assert moved_total > 0 and lft_changes > 0
 
+    @pytest.mark.parametrize("n, p, graph", CHAINS)
+    def test_chain_state_equals_full_edge_windows_after_every_change(self, platform, n, p, graph):
+        rng, g, mapping = _chain_case(n, p, graph)
+        assert _indexed(g, mapping)[4]
+        sched, D = TestIndexedReduction._schedule(rng, g, mapping, platform)
+        order = _indexed(g, mapping)[0]
+        state = _window_state(g, sched, D, platform, check=False)
+        for _ in range(60):
+            r = rng.randrange(n)
+            old = sched.plans[order[r]]
+            # A speed a few ulps off, or another speed; either may keep r's finish.
+            if rng.random() < 0.5:
+                speed = old.speed1 * (1.0 + rng.randint(-4, 4) * sys.float_info.epsilon)
+            else:
+                speed = rng.uniform(0.5, 1.0)
+            plan = ExecutionPlan(speed, speed) if old.re_executed else ExecutionPlan(speed)
+            sched = sched.with_plan(order[r], plan)
+            est_before = state[0][:]
+            moved = _retime(g, mapping, state, r, exe_time(g.weight(order[r]), plan))
+            assert _bits(state) == _bits(_full_windows(g, sched, D)), r
+            assert moved == [i for i, (a, b) in enumerate(zip(est_before, state[0])) if a != b]
+
+    @pytest.mark.parametrize("n, p, graph", CHAINS)
+    def test_chain_push_equals_the_general_push(self, platform, n, p, graph):
+        # The same push on the chain's edges, with the flag and without it.
+        rng, g, mapping = _chain_case(n, p, graph)
+        _, _, succ, pred, chain_flag = _indexed(g, mapping)
+        assert chain_flag
+        sched, D = TestIndexedReduction._schedule(rng, g, mapping, platform)
+        base = _window_state(g, sched, D, platform, check=False)
+        stopped = 0
+        for _ in range(300):
+            r, end = rng.randrange(n), rng.randint(0, n)
+            d = base[3][r]
+            if rng.random() < 0.7:
+                d *= 1.0 + rng.randint(-4, 4) * sys.float_info.epsilon
+            else:
+                d *= rng.uniform(0.5, 2.0)
+            pushed = []
+            for flag in (True, False):
+                est, finish, dur = base[0][:], base[1][:], base[3][:]
+                moved = _push_starts(succ, pred, est, finish, dur, r, d, end, flag)
+                pushed.append((moved, _bits([est, finish, dur])))
+            assert pushed[0] == pushed[1], (r, end)
+            # r's finish moved, but not every start below end after it.
+            moved, (_, finish_bits, _) = pushed[0]
+            stopped += finish_bits[r] != base[1][r].hex() and len(moved) < end - r - 1
+        if n >= 40:
+            assert stopped > 5
+
+
+class TestChainSwapReclaims:
+    @pytest.mark.parametrize("n, p, graph", CHAINS)
+    def test_each_trial_equals_a_full_reclaim(self, platform, n, p, graph):
+        rng, g, mapping = _chain_case(n, p, graph)
+        assert _indexed(g, mapping)[4]
+        f_re_ex = 0.9 * platform.f_rel / math.sqrt(2.0)
+        trials = widened = 0
+        for ratio in (1.05, 1.5, 3.0, 6.0):
+            for _ in range(3):
+                plans = {t.id: ExecutionPlan(f_re_ex, f_re_ex) if rng.random() < 0.4 else ExecutionPlan(1.0)
+                         for t in g.tasks}
+                start = Schedule(mapping, plans)
+                D = ratio * evaluate(g, start, math.inf, platform).makespan
+                base = slack_reclaim(g, start, D, platform, [t for t, q in plans.items() if not q.re_executed], {})
+                rids = [tid for tid, plan in base.plans.items() if plan.re_executed]
+                for rid, (e, speeds) in zip(rids, swap_reclaims(g, base, D, platform, rids)):
+                    trial = base.with_plan(rid, ExecutionPlan(platform.f_rel))
+                    singles = [tid for tid, plan in trial.plans.items() if not plan.re_executed]
+                    expected = slack_reclaim(g, trial, D, platform, singles, {})
+                    assert base.with_plans({t: ExecutionPlan(f) for t, f in speeds.items()}).plans == expected.plans
+                    assert e == schedule_energy(g, expected)
+                    trials += 1
+                    widened += len(speeds) > 1
+        if n >= 40:
+            # Some swaps free slack that other single runs take up.
+            assert trials > 100 and widened > 10
+
 
 def _reachable(succ, u, skip=None):
     """Positions reachable from u by one or more edges of succ, leaving out the edge ``skip``."""
@@ -525,9 +632,11 @@ class TestIndexedReduction:
     @pytest.mark.parametrize("p, seed", CASES)
     def test_reduction_keeps_reachability_and_no_redundant_edge(self, p, seed):
         _, g, mapping, full = self._case(p, seed)
-        order, pos, succ, pred = _indexed(g, mapping)
+        order, pos, succ, pred, chain = _indexed(g, mapping)
         n = len(order)
         assert pos == {tid: i for i, tid in enumerate(order)}
+        # The chain flag: set at one processor, not on these DAGs at more.
+        assert chain is (p == 1)
         assert pred == tuple(tuple(u for u in range(n) if v in succ[u]) for v in range(n))
         for u in range(n):
             assert list(succ[u]) == sorted(succ[u]) and set(succ[u]) <= full[u]
@@ -561,6 +670,22 @@ class TestIndexedReduction:
         state = _window_state(g, sched, D, platform, check=False)
         assert _bits(state) == _bits([est, finish, lft, dur])
 
+    @pytest.mark.parametrize("n, p, graph", CHAINS)
+    def test_chain_passes_equal_full_edge_passes(self, platform, n, p, graph):
+        rng, g, mapping = _chain_case(n, p, graph)
+        order, _, succ, pred, chain_flag = _indexed(g, mapping)
+        assert chain_flag and succ == tuple((i + 1,) for i in range(n - 1)) + ((),)
+        sched, D = self._schedule(rng, g, mapping, platform)
+        state = _window_state(g, sched, D, platform, check=False)
+        assert _bits(state) == _bits(_full_windows(g, sched, D))
+        # The running sums against the general loops on the same edges.
+        dur = state[3]
+        assert _bits(_forward(pred, dur, True)) == _bits(_forward(pred, dur, False))
+        assert _bits([_backward(succ, dur, D, True)]) == _bits([_backward(succ, dur, D, False)])
+        metrics = evaluate(g, sched, D, platform)
+        assert [metrics.start_times[tid].hex() for tid in order] == [x.hex() for x in state[0]]
+        assert metrics.makespan.hex() == max(state[1]).hex()
+
     @pytest.mark.parametrize("p, seed", CASES)
     def test_evaluate_critical_paths_and_vdd_equal_full_edge_passes(self, platform, p, seed):
         rng, g, mapping, _ = self._case(p, seed)
@@ -584,14 +709,34 @@ class TestIndexedReduction:
 
 
 class TestAugmentedDag:
-    def test_one_best_solve_builds_it_once(self, platform):
+    def test_one_best_solve_builds_it_once(self, platform, monkeypatch):
         g = generate_random(30, 60, seed=5)
         mapping = list_schedule(g, 4)
         D = 2.0 * min_deadline(g, mapping, platform)
-        _indexed.cache_clear()
-        run(HeuristicKind.BEST, g, mapping, D, platform)
-        indexed = _indexed.cache_info()
-        assert indexed.misses == 1 and indexed.hits > 100
+        # An equal graph built afresh, whose memo is empty.
+        g = TaskGraph(g.tasks, g.edges)
+        builds = []
+        build = schedule_module._build_indexed
+        monkeypatch.setattr(schedule_module, "_build_indexed", lambda *args: builds.append(args) or build(*args))
+        first, _ = run(HeuristicKind.BEST, g, mapping, D, platform)
+        assert builds == [(g, mapping)]
+        again, _ = run(HeuristicKind.BEST, g, mapping, D, platform)
+        assert len(builds) == 1 and again.plans == first.plans
+
+    def test_a_solve_on_an_equal_graph_never_compares_graphs(self, platform, monkeypatch):
+        g = generate_random(100, 300, seed=5)
+        mapping = list_schedule(g, 1)
+        D = 5.0 * min_deadline(g, mapping, platform)
+        expected, _ = run(HeuristicKind.BEST, g, mapping, D, platform)
+        copy = TaskGraph(g.tasks, g.edges)
+        assert copy == g and copy is not g
+
+        def compared(self, other):
+            raise AssertionError("two graphs compared")
+
+        monkeypatch.setattr(TaskGraph, "__eq__", compared)
+        out, _ = run(HeuristicKind.BEST, copy, mapping, D, platform)
+        assert out.plans == expected.plans
 
 
 class TestFormat:
