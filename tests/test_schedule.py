@@ -514,9 +514,9 @@ class TestRetime:
     @pytest.mark.parametrize("n, p, graph", CHAINS)
     def test_chain_state_equals_full_edge_windows_after_every_change(self, platform, n, p, graph):
         rng, g, mapping = _chain_case(n, p, graph)
-        assert _indexed(g, mapping)[4]
+        order, _, _, _, chain_flag = _indexed(g, mapping)
+        assert chain_flag
         sched, D = TestIndexedReduction._schedule(rng, g, mapping, platform)
-        order = _indexed(g, mapping)[0]
         state = _window_state(g, sched, D, platform, check=False)
         for _ in range(60):
             r = rng.randrange(n)
@@ -632,11 +632,11 @@ class TestIndexedReduction:
     @pytest.mark.parametrize("p, seed", CASES)
     def test_reduction_keeps_reachability_and_no_redundant_edge(self, p, seed):
         _, g, mapping, full = self._case(p, seed)
-        order, pos, succ, pred, chain = _indexed(g, mapping)
+        order, pos, succ, pred, chain_flag = _indexed(g, mapping)
         n = len(order)
         assert pos == {tid: i for i, tid in enumerate(order)}
         # The chain flag: set at one processor, not on these DAGs at more.
-        assert chain is (p == 1)
+        assert chain_flag is (p == 1)
         assert pred == tuple(tuple(u for u in range(n) if v in succ[u]) for v in range(n))
         for u in range(n):
             assert list(succ[u]) == sorted(succ[u]) and set(succ[u]) <= full[u]
