@@ -415,17 +415,15 @@ def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> list[int
     ``_push_starts`` moves them; only r's ancestors can have another latest
     finish, so those are recomputed next, with ``_backward``'s expression,
     in reverse topological order, stopping where one comes out bit-equal;
-    on a chain, positions r - 1 down to 0, as ``_backward``'s running
-    difference from r's latest finish. Returns the positions whose start
-    moved.
+    on a chain, positions r - 1 down to 0, by ``_backward`` of the
+    durations up to r from r's latest finish. Returns the positions whose
+    start moved.
     """
     _, _, succ, pred, chain = _indexed(g, mapping)
     est, finish, lft, dur = state
     moved = _push_starts(succ, pred, est, finish, dur, r, d, len(est), chain)
     if chain:
-        back = list(itertools.accumulate(reversed(dur[1:r + 1]), operator.sub, initial=lft[r]))
-        back.reverse()
-        lft[:r + 1] = back
+        lft[:r + 1] = _backward(succ, dur[:r + 1], lft[r], chain)
         return moved
     queued = bytearray(len(lft))
     for p in pred[r]:
