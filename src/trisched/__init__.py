@@ -29,13 +29,10 @@ from .schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
-    critical_path_tasks,
     evaluate,
     list_schedule,
     schedule_energy,
     slack_reclaim,
-    super_weight,
-    sus_sort,
 )
 from .heuristics import ALL_HEURISTICS, HeuristicKind, derived_speeds, min_deadline, run
 from .fork import ForkSolution, fork_optimal, identical_fork_closed_form, independent_tasks_optimal

@@ -5,8 +5,9 @@ Each heuristic is a table entry: a start speed for every task, then phases
 at f_dec and then tries to re-execute (good when parallelism is low); type B
 re-executes first from f_max and slows what is left (good for tight deadlines
 and many processors). A phase is a ReExec walk over a task order, the
-critical-path fixpoint, type B's reclaim and unjam of single runs, or the
-closing reclaim of re-executed tasks; HFMAX and HNO_REEX have none. Every
+critical-path fixpoint, or type A's closing reclaim of re-executed tasks;
+HFMAX and HNO_REEX have none. Every type-B kind then runs its tail, found by
+kind: the unjam of single runs, then the reclaim of re-executed ones. Every
 accepted change passes a feasibility probe whose verdict is exactly that of
 evaluating the whole changed schedule, so intermediate states are always
 feasible. A probe that changes one task of a feasible schedule is decided in
@@ -17,13 +18,18 @@ finishes and durations of the schedule it is at, as lists indexed by
 position in the augmented DAG's topological order (``schedule._indexed``,
 numbered once per graph and mapping); a task id is looked up as
 ``pos[tid]``. The walk builds them once, at its start, and passes them to
-each probe, slow-down and cohort lookup. An accepted one-task probe, and a
+its order and to each probe, slow-down and cohort lookup. An accepted one-task probe, and a
 task slowed alone after a rejected one, move them in place, recomputing
 only the descendants' starts and the ancestors' latest finishes that the
 change moves (``schedule._retime``), so a walk rebuilds its windows only
-after a multi-task reclaim. Its cohorts are read from the same windows,
-whose starts and finishes are evaluate's, bit for bit. Nothing is shared
-between walks, so concurrent solves do not interfere.
+after a multi-task reclaim. Its order and its cohorts are read from the
+same windows, whose starts, finishes and durations are evaluate's, bit for
+bit: the critical path (``schedule.critical_path_tasks``, latest finishes by
+``schedule._backward`` from the makespan) and the super-weight order
+(``schedule.sus_sort``) of the schedule it starts from. So a walk calls
+evaluate only for a probe the windows cannot decide; evaluate judges and
+reports: the probe's fallback, ``min_deadline`` and ``run``'s result.
+Nothing is shared between walks, so concurrent solves do not interfere.
 
 Type B's reclaims are incremental and exact. A task slowed alone after a
 rejected probe takes its window from the walk's windows, which hold the window
@@ -201,25 +207,23 @@ def _singles(schedule: Schedule) -> list[int]:
     return [tid for tid, plan in schedule.plans.items() if not plan.re_executed]
 
 
-def _greedy_order(g, sched, D, platform):
+def _greedy_order(g, sched, state):
     """Every task by decreasing weight, ties by id."""
     return sorted((t.id for t in g.tasks), key=lambda tid: (-g.weight(tid), tid))
 
 
-def _critical_order(g, sched, D, platform):
+def _critical_order(g, sched, state):
     """The tasks on a critical path of ``sched``, in super-weight order."""
-    metrics = evaluate(g, sched, D, platform)
-    return sus_sort(g, metrics, critical_path_tasks(g, sched, metrics))
+    return sus_sort(g, sched.mapping, state, critical_path_tasks(g, sched.mapping, state))
 
 
-def _singles_order(g, sched, D, platform):
+def _singles_order(g, sched, state):
     """The single-execution tasks of ``sched``, in super-weight order."""
-    metrics = evaluate(g, sched, D, platform)
-    return sus_sort(g, metrics, _singles(sched))
+    return sus_sort(g, sched.mapping, state, _singles(sched))
 
 
 def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False, slowdown_on_fail=False):
-    """ReExec (optionally ReExec&SlowDown) walk over ``order(g, schedule, D, platform)``.
+    """ReExec (optionally ReExec&SlowDown) walk over ``order(g, schedule, state)``.
 
     The order is taken from the schedule the walk starts from. Each task still
     running once is probed at f_re_ex. With ``with_cohort`` the tasks running
@@ -228,12 +232,18 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
     ``with_cohort``, is slowed into the slack around it instead.
 
     ``windows`` holds the current schedule's time windows, None while it is
-    infeasible. A cohort is read from them, or from unchecked windows of the
-    schedule while it has none; their starts and finishes are evaluate's.
+    infeasible. The order and every cohort are read from them, or from
+    unchecked windows of the schedule while it has none (``times``); their
+    starts, finishes and durations are evaluate's. A walk calls evaluate only
+    for a probe the windows cannot decide.
     """
     reexec = ExecutionPlan(f_re_ex, f_re_ex)
     windows = _window_state(g, schedule, D, platform)
-    for tid in order(g, schedule, D, platform):
+
+    def times():
+        return windows or _window_state(g, schedule, D, platform, check=False)
+
+    for tid in order(g, schedule, times()):
         if schedule.plans[tid].re_executed:
             continue
         ok, schedule = feasibility_probe(g, schedule, D, platform, {tid: reexec}, windows)
@@ -242,15 +252,11 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
                 # The super-weight set is taken after the task stretched to
                 # its two slow executions, so everything running inside that
                 # enlarged interval is pulled along.
-                times = windows or _window_state(g, schedule, D, platform, check=False)
-                for cid in cohort_of(g, schedule.mapping, times, tid):
+                for cid in cohort_of(g, schedule.mapping, times(), tid):
                     if not schedule.plans[cid].re_executed:
                         _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec}, windows)
         elif slowdown_on_fail:
-            cohort = []
-            if with_cohort:
-                times = windows or _window_state(g, schedule, D, platform, check=False)
-                cohort = cohort_of(g, schedule.mapping, times, tid)
+            cohort = cohort_of(g, schedule.mapping, times(), tid) if with_cohort else []
             if cohort:
                 group = [tid, *cohort]
                 # Singles keep slack_reclaim's default floor, f_rel.
@@ -362,19 +368,18 @@ def _reclaim_redone(g, sched, D, platform, f_re_ex):
 
 _greedy_walk = functools.partial(_reexec_over, order=_greedy_order)
 _critical_walk = functools.partial(_reexec_over, order=_critical_order, with_cohort=True)
-_TAIL_B = (_unjam_singles, _reclaim_redone)
 
 # Per kind: whether every task starts at f_dec (else at f_max), and the
-# phases applied in order.
+# phases applied in order. Type B then runs its tail (``_tail``).
 _PHASES = {
     HeuristicKind.HFMAX: (False, ()),
     HeuristicKind.HNO_REEX: (True, ()),
     HeuristicKind.A_GREEDY: (True, (_greedy_walk, _reclaim_redone)),
     HeuristicKind.A_SUS_CRIT: (True, (_reexec_critical_fixpoint, _reclaim_redone)),
-    HeuristicKind.B_GREEDY: (False, (_greedy_walk, *_TAIL_B)),
-    HeuristicKind.B_SUS_CRIT: (False, (_critical_walk, _greedy_walk, *_TAIL_B)),
+    HeuristicKind.B_GREEDY: (False, (_greedy_walk,)),
+    HeuristicKind.B_SUS_CRIT: (False, (_critical_walk, _greedy_walk)),
     HeuristicKind.B_SUS_CRIT_SLOW: (False, (functools.partial(_critical_walk, slowdown_on_fail=True),
-                                            functools.partial(_greedy_walk, slowdown_on_fail=True), *_TAIL_B)),
+                                            functools.partial(_greedy_walk, slowdown_on_fail=True))),
 }
 
 
@@ -411,33 +416,34 @@ def run(
         return best
 
     at_f_dec, phases = _PHASES[kind]
+    tail = kind in TYPE_B
     if speeds.f_dec > platform.f_max + SLACK_TOL:
         # A deadline below the minimum makespan: nothing is feasible.
-        at_f_dec, phases = False, ()
+        at_f_dec, phases, tail = False, (), False
     sched = uniform_schedule(g, mapping, speeds.f_dec if at_f_dec else platform.f_max)
-    for i, phase in enumerate(phases):
-        if phase is _unjam_singles:
-            sched = _tail(g, sched, D, platform, speeds, phases[i:])
-            break
+    for phase in phases:
         sched = phase(g, sched, D, platform, speeds.f_re_ex)
+    if tail:
+        sched = _tail(g, sched, D, platform, speeds)
     return sched, evaluate(g, sched, D, platform)
 
 
-def _tail(g, sched, D, platform, speeds, phases):
-    """Type B's tail ``phases`` from ``sched``, once per distinct entry of a solve.
+def _tail(g, sched, D, platform, speeds):
+    """Type B's tail from ``sched``: the unjam rounds, then the reclaim of re-executed tasks.
 
-    The memo is ``speeds._tails``, so it lives as long as the solve's
-    ``speeds`` and is shared by the kinds BEST runs. Its key is the entering
-    plans in ``g.tasks`` order, with the graph, mapping, deadline and
-    platform, which is everything the tail reads. Speeds are positive, so
-    equal plans hold identical bits and the tail's answer is the same. A
-    hit returns a fresh ``Schedule`` with its own copy of the plans.
+    It runs once per distinct entry of a solve. The memo is
+    ``speeds._tails``, so it lives as long as the solve's ``speeds`` and is
+    shared by the kinds BEST runs. Its key is the entering plans in
+    ``g.tasks`` order, with the graph, mapping, deadline and platform, which
+    is everything the tail reads. Speeds are positive, so equal plans hold
+    identical bits and the tail's answer is the same. A hit returns a fresh
+    ``Schedule`` with its own copy of the plans.
     """
     key = (g, sched.mapping, D, platform, tuple(sched.plans[t.id] for t in g.tasks))
     plans = speeds._tails.get(key)
     if plans is None:
-        for phase in phases:
-            sched = phase(g, sched, D, platform, speeds.f_re_ex)
+        sched = _unjam_singles(g, sched, D, platform, speeds.f_re_ex)
+        sched = _reclaim_redone(g, sched, D, platform, speeds.f_re_ex)
         speeds._tails[key] = dict(sched.plans)
         return sched
     return Schedule(sched.mapping, dict(plans))

@@ -1,4 +1,4 @@
-"""Mappings, schedule evaluation, critical paths, super-weights, slack reclamation.
+"""Mappings, schedule evaluation, critical paths, super-weight order, slack reclamation.
 
 A schedule is a value object: a mapping (ordered task list per processor)
 plus one execution plan per task. Evaluation derives start/finish times
@@ -11,11 +11,13 @@ its topological order, each task's position in it, by position the edges
 that no other path implies, and whether those edges are the chain 0 -> 1
 -> ... -> n - 1 (at one processor, the processor's list). Every pass over
 these edges gives the full augmented DAG's times bit for bit. Evaluation,
-critical paths, the time windows (``_window_state``, moved in place by
-``_retime``), the reclaims and cohorts all run on lists indexed by
-position; only ``ScheduleMetrics`` keys its times by task id. Incremental
-passes visit the positions they mark in position order, which is
-topological.
+the time windows (``_window_state``, moved in place by ``_retime``), the
+reclaims, and the ReExec walks' critical paths (``critical_path_tasks``, by
+``_backward`` from the makespan), super-weight order (``sus_sort``) and
+cohorts (``cohort_of``), which read a walk's window state, all run on lists
+indexed by position; only ``ScheduleMetrics`` keys its times by task id.
+Incremental passes visit the positions they mark in position order, which
+is topological.
 
 On a chain, the forward and backward passes (``_forward``, ``_backward``)
 and the incremental ones (``_push_starts``, ``_retime``, the backward sweep
@@ -451,67 +453,46 @@ def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> list[int
     return moved
 
 
-def critical_path_tasks(g: TaskGraph, schedule: Schedule, metrics: ScheduleMetrics) -> list[int]:
-    """Tasks on some longest path of the augmented DAG under current durations, in topological order.
+def critical_path_tasks(g: TaskGraph, mapping: Mapping, state) -> list[int]:
+    """Tasks on some longest path of the augmented DAG under ``state``'s durations, in topological order.
 
-    Bottom levels are built over ``_indexed``'s edges, in reverse position
-    order; they equal those of the full augmented DAG, bit for bit.
+    ``state`` is a ``_window_state`` of a schedule on (g, mapping), by
+    position in ``_indexed``. A task is critical when its latest start
+    against the makespan, by ``_backward`` from ``max(finish)``, is at most
+    its earliest start plus SLACK_TOL.
     """
-    order, _, succ, _, _ = _indexed(g, schedule.mapping)
-    bot = [exe_time(g.weight(tid), schedule.plans[tid]) for tid in order]
-    for i in reversed(range(len(order))):
-        bot[i] += max([bot[s] for s in succ[i]], default=0.0)
-    return [tid for tid, b in zip(order, bot) if metrics.start_times[tid] + b >= metrics.makespan - SLACK_TOL]
+    order, _, succ, _, chain = _indexed(g, mapping)
+    est, finish, _, dur = state
+    lft = _backward(succ, dur, max(finish, default=0.0), chain)
+    return [tid for tid, s, lf, d in zip(order, est, lft, dur) if lf - d <= s + SLACK_TOL]
 
 
-def super_weight(g: TaskGraph, metrics: ScheduleMetrics, tid: int) -> float:
-    """Sum of weights of tasks whose execution interval nests inside tid's.
-
-    This measures the work that can be slowed down together with the task —
-    i.e. the slack reclaimable around it.
-    """
-    return _nested_weight(_intervals(g, metrics), metrics.start_times[tid], metrics.finish_times[tid])
-
-
-def _intervals(g: TaskGraph, metrics: ScheduleMetrics) -> list[tuple[float, float, float]]:
-    """``(start, finish, weight)`` of every task, in ``g.tasks`` order."""
-    start, finish = metrics.start_times, metrics.finish_times
-    return [(start[t.id], finish[t.id], t.weight) for t in g.tasks]
-
-
-def _nested_weight(rows, s: float, f: float) -> float:
-    """``super_weight`` of the interval [s, f] over ``_intervals`` rows, added in their order."""
-    lo, hi = s - SLACK_TOL, f + SLACK_TOL
-    total = 0.0
-    for start, finish, w in rows:
-        if start >= lo and finish <= hi:
-            total += w
-    return total
-
-
-def sus_sort(g: TaskGraph, metrics: ScheduleMetrics, task_ids) -> list[int]:
+def sus_sort(g: TaskGraph, mapping: Mapping, state, task_ids) -> list[int]:
     """Sort by decreasing super-weight; ties by decreasing weight, then id.
 
-    The super-weights are ``super_weight``'s, bit for bit, without a scan of
-    every task per task. A task counted in [s, f] starts at or after lo = s -
-    SLACK_TOL and finishes at or before hi = f + SLACK_TOL; one that
-    finishes no earlier than it starts, as in ``evaluate``'s metrics, then
-    also starts at or before hi. So the candidates are the rows whose start
-    lies in [lo, hi], found by bisection in the rows sorted by start, plus
-    any row that does not finish at or after its start (a NaN too), and
-    ``_nested_weight`` filters them and adds their weights in ``g.tasks``
-    order.
+    A task's super-weight is the weight of the tasks running inside its
+    interval [s, f] of ``state`` (a ``_window_state`` of a schedule on (g,
+    mapping)), itself included: those that start at or after lo = s -
+    SLACK_TOL and finish at or before hi = f + SLACK_TOL, added in
+    ``g.tasks`` order. It measures the work that can be slowed down with the
+    task. No task of a window state finishes before it starts, so the
+    candidates are those whose start lies in [lo, hi], found by bisection in
+    the tasks sorted by start.
     """
-    rows = _intervals(g, metrics)
-    by_start = sorted((s, i) for i, (s, f, _) in enumerate(rows) if s <= f)
+    pos = _indexed(g, mapping)[1]
+    est, finish = state[0], state[1]
+    rows = [(est[i := pos[t.id]], finish[i], t.weight) for t in g.tasks]
+    by_start = sorted((s, k) for k, (s, _, _) in enumerate(rows))
     starts = [s for s, _ in by_start]
-    others = [i for i, (s, f, _) in enumerate(rows) if not s <= f]
-    start, finish = metrics.start_times, metrics.finish_times
     sw = {}
     for tid in task_ids:
-        s, f = start[tid], finish[tid]
-        window = by_start[bisect.bisect_left(starts, s - SLACK_TOL):bisect.bisect_right(starts, f + SLACK_TOL)]
-        sw[tid] = _nested_weight([rows[i] for i in sorted([i for _, i in window] + others)], s, f)
+        r = pos[tid]
+        lo, hi = est[r] - SLACK_TOL, finish[r] + SLACK_TOL
+        total = 0.0
+        for k in sorted(k for _, k in by_start[bisect.bisect_left(starts, lo):bisect.bisect_right(starts, hi)]):
+            if rows[k][1] <= hi:
+                total += rows[k][2]
+        sw[tid] = total
     return sorted(task_ids, key=lambda tid: (-sw[tid], -g.weight(tid), tid))
 
 

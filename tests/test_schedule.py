@@ -1,4 +1,4 @@
-"""Mappings, schedule evaluation, critical paths, super-weights, slack reclaim."""
+"""Mappings, schedule evaluation, critical paths, super-weight order, slack reclaim."""
 
 import math
 import random
@@ -14,7 +14,6 @@ from trisched import schedule as schedule_module
 from trisched.schedule import (
     Mapping,
     Schedule,
-    ScheduleMetrics,
     _backward,
     _forward,
     _indexed,
@@ -28,7 +27,6 @@ from trisched.schedule import (
     list_schedule,
     schedule_energy,
     slack_reclaim,
-    super_weight,
     sus_sort,
     swap_reclaims,
     uniform_schedule,
@@ -36,17 +34,49 @@ from trisched.schedule import (
 from trisched.vdd import vdd_schedule_convert
 
 
-def _metrics(start_times, finish_times, weights):
-    """Hand-built metrics for interval-geometry tests."""
-    return ScheduleMetrics(
-        makespan=max(finish_times.values()),
-        energy=0.0,
-        start_times=start_times,
-        finish_times=finish_times,
-        reliability_slack={tid: 0.0 for tid in start_times},
-        feasible=True,
-        deadline=math.inf,
-    )
+def _state(g, mapping, start_times, finish_times):
+    """A hand-built window state: id-keyed times laid out by position in ``_indexed``.
+
+    Its durations are finish minus start; it has no latest finishes, which
+    neither ``critical_path_tasks`` nor ``sus_sort`` reads.
+    """
+    order = _indexed(g, mapping)[0]
+    est = [start_times[tid] for tid in order]
+    finish = [finish_times[tid] for tid in order]
+    return [est, finish, None, [f - s for s, f in zip(est, finish)]]
+
+
+def _super_weight(g, start, finish, tid):
+    """The super-weight by its definition, on id-keyed times.
+
+    The weight of the tasks running inside tid's interval, itself included,
+    within SLACK_TOL, added in ``g.tasks`` order.
+    """
+    lo, hi = start[tid] - SLACK_TOL, finish[tid] + SLACK_TOL
+    total = 0.0
+    for t in g.tasks:
+        if start[t.id] >= lo and finish[t.id] <= hi:
+            total += t.weight
+    return total
+
+
+def _sus_reference(g, start, finish, task_ids):
+    """``sus_sort``'s order from ``_super_weight``: decreasing super-weight, then weight, then id."""
+    sw = {tid: _super_weight(g, start, finish, tid) for tid in task_ids}
+    return sorted(task_ids, key=lambda tid: (-sw[tid], -g.weight(tid), tid))
+
+
+def _critical_reference(g, sched, metrics):
+    """The critical tasks from evaluate's metrics, by bottom levels over every augmented edge.
+
+    A task is critical when its start plus its bottom level reaches the
+    makespan within SLACK_TOL; in topological order.
+    """
+    succs, _, order = _full_dag(g, sched.mapping)
+    bot = {}
+    for tid in reversed(order):
+        bot[tid] = exe_time(g.weight(tid), sched.plans[tid]) + max((bot[s] for s in succs[tid]), default=0.0)
+    return [tid for tid in order if metrics.start_times[tid] + bot[tid] >= metrics.makespan - SLACK_TOL]
 
 
 class TestMapping:
@@ -199,58 +229,104 @@ class TestEvaluate:
 
 
 class TestCriticalPath:
-    def test_chain_everything_critical(self, platform):
+    def test_chain_everything_critical(self):
         g = chain([1.0, 2.0])
-        sched = uniform_schedule(g, list_schedule(g, 1), 1.0)
-        m = evaluate(g, sched, 10.0, platform)
-        assert sorted(critical_path_tasks(g, sched, m)) == [0, 1]
+        mapping = list_schedule(g, 1)
+        state = _state(g, mapping, {0: 0.0, 1: 1.0}, {0: 1.0, 1: 3.0})
+        assert sorted(critical_path_tasks(g, mapping, state)) == [0, 1]
 
-    def test_symmetric_fork_all_critical(self, platform):
+    def test_symmetric_fork_all_critical(self):
         g = fork(1.0, [1.0, 1.0])
-        sched = uniform_schedule(g, list_schedule(g, 3), 1.0)
-        m = evaluate(g, sched, 10.0, platform)
-        assert sorted(critical_path_tasks(g, sched, m)) == [0, 1, 2]
+        mapping = list_schedule(g, 3)
+        state = _state(g, mapping, {0: 0.0, 1: 1.0, 2: 1.0}, {0: 1.0, 1: 2.0, 2: 2.0})
+        assert sorted(critical_path_tasks(g, mapping, state)) == [0, 1, 2]
 
-    def test_asymmetric_fork(self, platform):
+    def test_asymmetric_fork(self):
         g = fork(1.0, [5.0, 1.0])
-        sched = uniform_schedule(g, list_schedule(g, 3), 1.0)
-        m = evaluate(g, sched, 10.0, platform)
-        assert sorted(critical_path_tasks(g, sched, m)) == [0, 1]  # source + heavy leaf
+        mapping = list_schedule(g, 3)
+        state = _state(g, mapping, {0: 0.0, 1: 1.0, 2: 1.0}, {0: 1.0, 1: 6.0, 2: 2.0})
+        assert sorted(critical_path_tasks(g, mapping, state)) == [0, 1]  # source + heavy leaf
 
     def test_nonempty_on_any_instance(self, platform):
         g = generate_random(40, 80, seed=2)
         sched = uniform_schedule(g, list_schedule(g, 5), 1.0)
-        m = evaluate(g, sched, math.inf, platform)
-        assert critical_path_tasks(g, sched, m)
+        state = _window_state(g, sched, math.inf, platform, check=False)
+        assert critical_path_tasks(g, sched.mapping, state)
 
 
 class TestSuperWeight:
+    """``sus_sort`` on hand-built states, against ``_super_weight``'s definition."""
+
+    @staticmethod
+    def _case(weights, start, finish):
+        g = TaskGraph(tuple(Task(tid, w) for tid, w in enumerate(weights)), frozenset())
+        mapping = Mapping(tuple((tid,) for tid in range(len(weights))))
+        return g, mapping, _state(g, mapping, start, finish)
+
     def test_isolated_task_counts_itself(self):
-        g = TaskGraph((Task(0, 7.0),), frozenset())
-        m = _metrics({0: 0.0}, {0: 3.0}, {0: 7.0})
-        assert super_weight(g, m, 0) == 7.0
+        g, mapping, state = self._case([7.0], {0: 0.0}, {0: 3.0})
+        assert _super_weight(g, {0: 0.0}, {0: 3.0}, 0) == 7.0
+        assert sus_sort(g, mapping, state, [0]) == [0]
+        # Task 0 stands alone (3); task 1 (weight 1) holds task 2 (1.5). Only
+        # counting itself puts task 0 first: without it, 0 < 1.5 for task 1.
+        start, finish = {0: 0.0, 1: 5.0, 2: 6.0}, {0: 1.0, 1: 10.0, 2: 7.0}
+        g, mapping, state = self._case([3.0, 1.0, 1.5], start, finish)
+        assert sus_sort(g, mapping, state, [0, 1, 2]) == [0, 1, 2]
+        assert sus_sort(g, mapping, state, [2, 1, 0]) == _sus_reference(g, start, finish, [2, 1, 0])
 
     def test_nested_intervals_example(self):
         # interval [0,10] (w=3) contains [2,4] (w=1) and [5,6] (w=2): SW = 6
-        g = TaskGraph((Task(0, 3.0), Task(1, 1.0), Task(2, 2.0)), frozenset())
-        m = _metrics({0: 0.0, 1: 2.0, 2: 5.0}, {0: 10.0, 1: 4.0, 2: 6.0}, None)
-        assert super_weight(g, m, 0) == 6.0
-        assert super_weight(g, m, 1) == 1.0
-        mapping = Mapping(((0,), (1,), (2,)))
-        order = _indexed(g, mapping)[0]
-        state = [[m.start_times[tid] for tid in order], [m.finish_times[tid] for tid in order]]
+        start, finish = {0: 0.0, 1: 2.0, 2: 5.0}, {0: 10.0, 1: 4.0, 2: 6.0}
+        g, mapping, state = self._case([3.0, 1.0, 2.0], start, finish)
+        assert _super_weight(g, start, finish, 0) == 6.0
+        assert _super_weight(g, start, finish, 1) == 1.0
+        assert sus_sort(g, mapping, state, [1, 2, 0]) == _sus_reference(g, start, finish, [1, 2, 0]) == [0, 2, 1]
         assert cohort_of(g, mapping, state, 0) == [1, 2]
 
     def test_containment_monotonicity(self):
-        g = TaskGraph((Task(0, 1.0), Task(1, 2.0), Task(2, 4.0)), frozenset())
-        m = _metrics({0: 0.0, 1: 1.0, 2: 2.0}, {0: 10.0, 1: 9.0, 2: 8.0}, None)
-        assert super_weight(g, m, 0) >= super_weight(g, m, 1) >= super_weight(g, m, 2)
+        start, finish = {0: 0.0, 1: 1.0, 2: 2.0}, {0: 10.0, 1: 9.0, 2: 8.0}
+        g, mapping, state = self._case([1.0, 2.0, 4.0], start, finish)
+        sw = [_super_weight(g, start, finish, tid) for tid in range(3)]
+        assert sw[0] >= sw[1] >= sw[2]
+        # The outer intervals come first although they are the lighter tasks.
+        assert sus_sort(g, mapping, state, [2, 1, 0]) == [0, 1, 2]
 
     def test_sus_sort_order_and_ties(self):
-        g = TaskGraph((Task(0, 1.0), Task(1, 2.0), Task(2, 2.0)), frozenset())
         # disjoint unit intervals: SW = own weight; ties by weight then id
-        m = _metrics({0: 0.0, 1: 2.0, 2: 4.0}, {0: 1.0, 1: 3.0, 2: 5.0}, None)
-        assert sus_sort(g, m, [0, 1, 2]) == [1, 2, 0]
+        start, finish = {0: 0.0, 1: 2.0, 2: 4.0}, {0: 1.0, 1: 3.0, 2: 5.0}
+        g, mapping, state = self._case([1.0, 2.0, 2.0], start, finish)
+        assert sus_sort(g, mapping, state, [0, 1, 2]) == [1, 2, 0]
+
+    def test_intervals_within_the_tolerance_nest(self):
+        # Task 1 starts SLACK_TOL / 2 before task 0 and ends SLACK_TOL / 2 after it.
+        start, finish = {0: 1.0, 1: 1.0 - SLACK_TOL / 2}, {0: 2.0, 1: 2.0 + SLACK_TOL / 2}
+        g, mapping, state = self._case([1.0, 1.0], start, finish)
+        assert _super_weight(g, start, finish, 0) == _super_weight(g, start, finish, 1) == 2.0
+        assert sus_sort(g, mapping, state, [1, 0]) == [0, 1]
+
+
+class TestOrdersEqualReferences:
+    """``critical_path_tasks`` and ``sus_sort`` on a window state equal their definitions on evaluate's metrics."""
+
+    @pytest.mark.parametrize("p", (1, 4, 50))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_dags(self, platform, p, seed):
+        rng = random.Random(seed)
+        n = rng.randint(30, 150)
+        g = generate_random(n, rng.randint(n, 3 * n), seed=seed)
+        mapping = list_schedule(g, p)
+        mixed = TestIndexedReduction._schedule(rng, g, mapping, platform)
+        # At f_max many times are equal: ties in the order and in the nesting.
+        uniform = uniform_schedule(g, mapping, platform.f_max)
+        for sched, D in (mixed, (uniform, min_deadline(g, mapping, platform))):
+            metrics = evaluate(g, sched, D, platform)
+            state = _window_state(g, sched, D, platform, check=False)
+            critical = critical_path_tasks(g, mapping, state)
+            assert critical == _critical_reference(g, sched, metrics)
+            ids = [t.id for t in g.tasks]
+            for task_ids in (critical, ids, rng.sample(ids, n // 2)):
+                expected = _sus_reference(g, metrics.start_times, metrics.finish_times, task_ids)
+                assert sus_sort(g, mapping, state, task_ids) == expected
 
 
 class TestSlackReclaim:
@@ -697,12 +773,11 @@ class TestIndexedReduction:
         assert {t: x.hex() for t, x in metrics.start_times.items()} == {t: x.hex() for t, x in start.items()}
         assert {t: x.hex() for t, x in metrics.finish_times.items()} == {t: x.hex() for t, x in finish.items()}
         assert metrics.makespan.hex() == max(finish.values()).hex()
-        # Bottom levels over every augmented edge.
-        bot = {}
-        for tid in reversed(order):
-            bot[tid] = dur[tid] + max((bot[s] for s in succs[tid]), default=0.0)
-        critical = [tid for tid in order if start[tid] + bot[tid] >= metrics.makespan - SLACK_TOL]
-        assert critical_path_tasks(g, sched, metrics) == critical
+        # Latest finishes against the makespan over every augmented edge.
+        _, lft = _est_lft(succs, preds, order, dur, metrics.makespan)
+        critical = [tid for tid in order if lft[tid] - dur[tid] <= start[tid] + SLACK_TOL]
+        state = _window_state(g, sched, D, platform, check=False)
+        assert critical_path_tasks(g, mapping, state) == critical
         result = vdd_schedule_convert(g, sched, (0.2, 0.4, 0.6, 0.8, 1.0), D, platform)
         _, vdd_finish = _full_forward(preds, order, {tid: sum(q.time for q in result.plans[tid]) for tid in order})
         assert result.makespan.hex() == max(vdd_finish.values()).hex()
