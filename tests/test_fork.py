@@ -126,19 +126,53 @@ def _fork_grid():
         yield w0, [Task(i + 1, w) for i, w in enumerate(leaves)], D, platform
 
 
+def _wide_fork_grid():
+    """96 fixed random forks of 12-20 leaves at the benchmark's exact deadline ratios.
+
+    The same models as ``_fork_grid`` (a quarter with identical leaves), at
+    the leaf counts where a split shares the most breakpoints.
+    """
+    rng = random.Random(2012)
+    for _ in range(24):
+        platform = PlatformModel(
+            f_min=1e-6, f_max=1.0, f_rel=rng.choice((0.5, 2.0 / 3.0, 0.8)),
+            lambda0=rng.choice((1e-5, 1e-3, 0.023)), d_sensitivity=rng.choice((0.0, 0.5)),
+        )
+        w0 = rng.uniform(0.3, 10.0)
+        n = rng.randint(12, 20)
+        if rng.random() < 0.25:
+            leaves = [rng.uniform(0.3, 10.0)] * n
+        else:
+            leaves = [rng.uniform(0.3, 10.0) for _ in range(n)]
+        for ratio in (1.5, 2.0, 3.0, 5.0):
+            D = ratio * (w0 + max(leaves)) / platform.f_max
+            yield w0, [Task(i + 1, w) for i, w in enumerate(leaves)], D, platform
+
+
+def _outputs_digest(forks) -> str:
+    h = hashlib.sha256()
+    for w0, leaves, D, platform in forks:
+        sol = fork_optimal(w0, leaves, D, platform)
+        plans = sorted((k, p.speed1, p.speed2) for k, p in sol.plans.items())
+        h.update(repr((sol.feasible, sol.energy, sol.d2, plans)).encode())
+    return h.hexdigest()
+
+
 class TestForkOptimalOutputs:
     # sha256 of the grid's outputs from a solver that built a
     # SingleTaskResult for every task at every candidate split: scoring
     # through the shared case decision must keep every bit.
     GOLDEN = "a3bca5ee600be2f9b34a128f04c80f6c55ead03ed34962b5fa842f91b7c0387b"
 
+    # sha256 of the wide grid's outputs from the solver that scored every
+    # split through model._single_task_case.
+    WIDE_GOLDEN = "6e3ca7866b2f21ad9264ee402b9dac3bfabee5780834f524702f4a45ca423c1d"
+
     def test_outputs_match_the_golden_digest(self):
-        h = hashlib.sha256()
-        for w0, leaves, D, platform in _fork_grid():
-            sol = fork_optimal(w0, leaves, D, platform)
-            plans = sorted((k, p.speed1, p.speed2) for k, p in sol.plans.items())
-            h.update(repr((sol.feasible, sol.energy, sol.d2, plans)).encode())
-        assert h.hexdigest() == self.GOLDEN
+        assert _outputs_digest(_fork_grid()) == self.GOLDEN
+
+    def test_wide_fork_outputs_match_their_golden_digest(self):
+        assert _outputs_digest(_wide_fork_grid()) == self.WIDE_GOLDEN
 
     def test_solver_calls_do_not_grow_with_the_candidate_splits(self, platform, monkeypatch):
         # Each call of single_task_optimal or f_inf is a span in a traced
