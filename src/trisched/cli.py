@@ -140,8 +140,12 @@ def cmd_fork(args) -> int:
     w0 = args.source_weight if args.source_weight is not None else (
         args.weight if not args.leaf_weights else leaf_w[0]
     )
-    leaves = [Task(i + 1, w) for i, w in enumerate(leaf_w)]
-    sol = fork_mod.fork_optimal(w0, leaves, args.deadline, platform)
+    try:
+        leaves = [Task(i + 1, w) for i, w in enumerate(leaf_w)]
+        sol = fork_mod.fork_optimal(w0, leaves, args.deadline, platform)
+    except ValueError as exc:
+        print(f"fork failed: {exc}", file=sys.stderr)
+        return 1
     if not sol.feasible:
         print("infeasible: deadline too tight for the fork", file=sys.stderr)
         return 1

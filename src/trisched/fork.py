@@ -5,6 +5,13 @@ leaves running in parallel (share D2). On each interval between per-task case
 breakpoints, total energy is K/(D-D2)^2 + K'/D2^2 + K'', convex, minimized in
 closed form; the global optimum is the best over intervals. The identical-fork
 closed form serves as an independent cross-check inside its validity range.
+
+A solve builds a table of one ``model._case_row`` per task, once, and reads
+every interval's K terms and every candidate split's energy off it with
+``model._case_at``, the five-case rule that ``single_task_optimal`` also
+decides by. Each distinct split is scored once. The rows hold the same float
+expressions that the rule used to evaluate per call, and the energies are
+summed in the same leaf order, so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -18,7 +25,9 @@ from .model import (
     ExecutionPlan,
     PlatformModel,
     Task,
+    _case_at,
     _case_plan,
+    _case_row,
     _single_task_case,
     deadline_breakpoints,
     f_inf,
@@ -55,24 +64,19 @@ def independent_tasks_optimal(
     return plans, total
 
 
-def _inv_square_coeff(w: float, case: int) -> float:
-    """K of a single-task optimum's K/D^2 term in its active case (0 if constant)."""
-    if case == 2:
-        return w ** 3
-    if case == 4:
-        return 8.0 * w ** 3
-    return 0.0
-
-
 def fork_optimal(w0: float, leaves: list[Task], D: float, platform: PlatformModel) -> ForkSolution:
     """Exact minimum-energy plans for a fork mapped one task per processor.
 
-    Candidate splits are scored through ``model._single_task_case``, the
-    decision ``single_task_optimal`` makes, with each task's f_inf looked up
-    once; only the winning split's plans are built.
+    Each task's row is built once per solve, and every interval's K terms
+    and every candidate split's energy are read off the rows, leaves in
+    order, then the source. A split that two intervals share is scored
+    once: scored again it would give the same energy, which the strict
+    ``<`` never lets win. Only the winning split's plans go through
+    ``_single_task_case``. Raises ValueError unless D is finite and
+    positive.
     """
-    if math.isnan(D):
-        raise ValueError("deadline must not be NaN")
+    if not 0.0 < D < math.inf:
+        raise ValueError(f"deadline must be finite and positive, got {D!r}")
     if not leaves:
         res = single_task_optimal(w0, D, platform)
         plans = {0: res.plan} if res.feasible else {}
@@ -89,6 +93,10 @@ def fork_optimal(w0: float, leaves: list[Task], D: float, platform: PlatformMode
     if lo > hi + SLACK_TOL:
         return ForkSolution(False, 0.0, {}, math.inf)
     hi = max(hi, lo)
+    if D - hi <= 0.0:
+        # Only a source negligible beside D gets here: lighter than
+        # SLACK_TOL * f_max, or lost to rounding in D - w0/f_max.
+        raise ValueError("the source's deadline share must be positive")
 
     points = {lo, hi}
     for bp in leaf_bps:
@@ -105,18 +113,22 @@ def fork_optimal(w0: float, leaves: list[Task], D: float, platform: PlatformMode
         if v - dedup[-1] > _DEDUP_TOL:
             dedup.append(v)
 
+    src = _case_row(w0, platform, fi0)
+    rows = [_case_row(w, platform, fi) for w, fi in zip(weights, fis)]
+
     def total_at(d2: float) -> float:
         """Energy of the leaves at d2 plus the source at D - d2 (math.inf if infeasible)."""
         e_leaves = 0.0
-        for w, fi in zip(weights, fis):
-            case, _, e = _single_task_case(w, d2, platform, fi)
+        for row in rows:
+            case, _, e, _ = _case_at(row, d2)
             if case == 1:
                 return math.inf
             e_leaves += e
-        return e_leaves + _single_task_case(w0, D - d2, platform, fi0)[2]
+        return e_leaves + _case_at(src, D - d2)[2]
 
     best_energy = math.inf
     best_d2 = lo
+    scored = set()
 
     intervals = list(zip(dedup, dedup[1:])) or [(lo, hi)]
     for a, b in intervals:
@@ -124,20 +136,24 @@ def fork_optimal(w0: float, leaves: list[Task], D: float, platform: PlatformMode
             candidates = [a]
         else:
             mid = 0.5 * (a + b)
-            k_src = _inv_square_coeff(w0, _single_task_case(w0, D - mid, platform, fi0)[0])
+            k_src = _case_at(src, D - mid)[3]
             k_leaf = 0.0
-            for w, fi in zip(weights, fis):
-                k_leaf += _inv_square_coeff(w, _single_task_case(w, mid, platform, fi)[0])
+            for row in rows:
+                k_leaf += _case_at(row, mid)[3]
             candidates = [a, b]
             if k_src > 0.0 and k_leaf > 0.0:
-                # stationary point of K/(D-D2)^2 + K'/D2^2
+                # stationary point of K/(D-D2)^2 + K'/D2^2 (NaN when both K
+                # overflowed, and then max gives a)
                 star = D / (1.0 + (k_src / k_leaf) ** (1.0 / 3.0))
-                candidates.append(min(max(star, a), b))
+                candidates.append(min(max(a, star), b))
             elif k_src == 0.0 and k_leaf > 0.0:
                 candidates = [b]
             elif k_leaf == 0.0 and k_src > 0.0:
                 candidates = [a]
         for d2 in candidates:
+            if d2 in scored:
+                continue
+            scored.add(d2)
             e = total_at(d2)
             if e < best_energy:
                 best_energy, best_d2 = e, d2

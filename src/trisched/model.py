@@ -254,6 +254,62 @@ def deadline_breakpoints(
     )
 
 
+# _case_at's case-1 outcome, shared by every row.
+_INFEASIBLE = (1, math.inf, math.inf, 0.0)
+
+
+def _case_row(w: float, platform: PlatformModel, fi: float) -> tuple:
+    """The deadline-free part of the five-case rule for a task of weight w and f_inf fi.
+
+    A plain tuple ``(below, once, at_rel, twice, w, f_max, k_once, k_twice,
+    rel, floor)``: case 1 below ``below``, case 2 up to ``once``, case 3 up
+    to ``at_rel``, case 4 up to ``twice``, case 5 past it, with SLACK_TOL
+    folded in the way ``_case_at`` compares. ``at_rel`` is math.inf when the
+    re-execution window is empty (fi = math.inf: none at all). ``k_once``
+    and ``k_twice`` are the K of cases 2 and 4, whose energy is K/D^2;
+    ``rel`` and ``floor`` are ``_case_at``'s constant outcomes in cases 3
+    and 5. A task scored at many deadlines builds its row once.
+    """
+    frel, fmax = platform.f_rel, platform.f_max
+    reexec_window = fi < frel / math.sqrt(2.0) - SLACK_TOL
+    try:
+        k_once = w ** 3
+    except OverflowError:  # w past about 5.6e102; only the fork split reads K
+        k_once = math.inf
+    return (
+        w / fmax - SLACK_TOL,
+        w / frel + SLACK_TOL,
+        2.0 * math.sqrt(2.0) * w / frel + SLACK_TOL if reexec_window else math.inf,
+        2.0 * w / fi + SLACK_TOL,
+        w,
+        fmax,
+        k_once,
+        8.0 * k_once,
+        (3, frel, w * frel * frel, 0.0),
+        (5, fi, 2.0 * w * fi * fi, 0.0),
+    )
+
+
+def _case_at(row: tuple, D: float) -> tuple[int, float, float, float]:
+    """The five-case rule: a ``_case_row``'s case (1..5), speed and energy at deadline D, and K.
+
+    K is the coefficient of the energy's K/D^2 term: 0 in cases 1, 3 and 5.
+    Speed and energy are math.inf in case 1 (infeasible).
+    """
+    below, once, at_rel, twice, w, fmax, k_once, k_twice, rel, floor = row
+    if D < below:
+        return _INFEASIBLE
+    if D <= once:
+        f = min(w / D, fmax)
+        return 2, f, w * f * f, k_once
+    if D <= at_rel:
+        return rel
+    if D <= twice:
+        f = 2.0 * w / D
+        return 4, f, 2.0 * w * f * f, k_twice
+    return floor
+
+
 def _single_task_case(
     w: float, D: float, platform: PlatformModel, fi: Optional[float] = None
 ) -> tuple[int, float, float]:
@@ -261,25 +317,15 @@ def _single_task_case(
 
     Speed and energy are math.inf in case 1 (infeasible). ``fi`` is the
     task's f_inf when the caller already has it; otherwise it is looked up
-    only if the deadline reaches past case 2.
+    only if the deadline reaches past case 2 (cases 1 and 2 read no f_inf,
+    so a row built with f_inf = inf decides them).
     """
     if not (w > 0.0 and D > 0.0):
         raise ValueError("weight and deadline must be positive")
-    frel, fmax = platform.f_rel, platform.f_max
-    if D < w / fmax - SLACK_TOL:
-        return 1, math.inf, math.inf
-    if D <= w / frel + SLACK_TOL:
-        f = min(w / D, fmax)
-        return 2, f, w * f * f
-    if fi is None:
-        fi = f_inf(w, platform)
-    reexec_window = fi < frel / math.sqrt(2.0) - SLACK_TOL
-    if not reexec_window or D <= 2.0 * math.sqrt(2.0) * w / frel + SLACK_TOL:
-        return 3, frel, w * frel * frel
-    if D <= 2.0 * w / fi + SLACK_TOL:
-        f = 2.0 * w / D
-        return 4, f, 2.0 * w * f * f
-    return 5, fi, 2.0 * w * fi * fi
+    row = _case_row(w, platform, math.inf if fi is None else fi)
+    if fi is None and D > row[1]:
+        row = _case_row(w, platform, f_inf(w, platform))
+    return _case_at(row, D)[:3]
 
 
 def _case_plan(case: int, f: float) -> Optional[ExecutionPlan]:

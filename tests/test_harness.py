@@ -270,6 +270,14 @@ class TestCli:
         assert rc == 1
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("deadline,leaves", [("inf", "2"), ("0", "0"), ("-1", "3")])
+    def test_fork_rejected_deadline_is_one_line_on_stderr(self, capsys, deadline, leaves):
+        rc = cli.main(["fork", "--deadline", deadline, "--leaves", leaves])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("fork failed: deadline must be finite and positive")
+        assert captured.err.count("\n") == 1
+
     def test_oracle_bounds_best(self, capsys):
         rc = cli.main(["oracle", "--chain-weights", "1,2,1.5", "--deadline-ratio", "3"])
         out = capsys.readouterr().out
