@@ -9,9 +9,10 @@ closed form serves as an independent cross-check inside its validity range.
 A solve builds a table of one ``model._case_row`` per task, once, and reads
 every interval's K terms and every candidate split's energy off it with
 ``model._case_at``, the five-case rule that ``single_task_optimal`` also
-decides by. Each distinct split is scored once. The rows hold the same float
-expressions that the rule used to evaluate per call, and the energies are
-summed in the same leaf order, so every result keeps its bits.
+decides by. Each distinct split is scored once. Every result is the one a
+``_single_task_case`` call per task and split would give, bit for bit: a row
+holds that call's float expressions, evaluated once, and the energies are
+summed in the same leaf order.
 """
 
 from __future__ import annotations

@@ -67,7 +67,11 @@ class TestForkOptimal:
         sol = fork_optimal(1.0, [Task(1, 1.0)], 1.5, platform)
         assert not sol.feasible and sol.energy == math.inf
 
-    @pytest.mark.parametrize("D", [math.nan, math.inf, 0.0, -1.0])
+    def test_nan_deadline_rejected(self, platform):
+        with pytest.raises(ValueError):
+            fork_optimal(1.0, [Task(1, 1.0)], math.nan, platform)
+
+    @pytest.mark.parametrize("D", [math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_deadline_that_is_not_finite_and_positive_rejected(self, platform, D, n):
         with pytest.raises(ValueError, match="deadline must be finite and positive"):
@@ -78,6 +82,13 @@ class TestForkOptimal:
         # leaves the source D - hi = 0.
         with pytest.raises(ValueError, match="source's deadline share"):
             fork_optimal(1e-12, [Task(1, 1.0)], 1.0, platform)
+
+    def test_weights_whose_cubes_overflow_get_a_split(self, platform):
+        # Both K terms overflow to inf; their NaN stationary point falls back
+        # to the interval's left end, and the interval's ends are scored.
+        sol = fork_optimal(1e103, [Task(1, 1e103)], 4e103, platform)
+        assert sol.feasible and 0.0 < sol.d2 < 4e103
+        assert sol.energy == 2.0 * 1e103 * platform.f_rel * platform.f_rel
 
     def test_no_leaves_degenerates_to_single_task(self, platform):
         sol = fork_optimal(1.0, [], 3.0, platform)

@@ -251,6 +251,12 @@ class TestSingleTaskOptimal:
             assert res.energy <= prev + 1e-12
             prev = res.energy
 
+    def test_weight_whose_cube_overflows_still_gets_a_plan(self, platform):
+        # w^3 overflows a float; only the fork split reads it.
+        res = single_task_optimal(1e103, 2e103, platform)
+        assert res.feasible and res.case == 3
+        assert res.energy == 1e103 * platform.f_rel * platform.f_rel
+
     def test_empty_reexec_window_forbids_re_execution(self):
         # a huge work pushes f_inf above f_rel/sqrt(2): re-execution never pays
         p = make_platform()
