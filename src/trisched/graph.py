@@ -24,6 +24,8 @@ class TaskGraph:
     _preds: dict = field(init=False, repr=False, compare=False)
     _topo: tuple = field(init=False, repr=False, compare=False)
     _by_id: dict = field(init=False, repr=False, compare=False)
+    # Every task id by decreasing weight, ties by id: the greedy walks' order.
+    _by_weight: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
     # Per-graph memos of data derived from the graph and one more value:
     # ``schedule._indexed`` keyed by the mapping, ``schedule._thresholds`` by
@@ -53,6 +55,8 @@ class TaskGraph:
         object.__setattr__(self, "_preds", preds)
         object.__setattr__(self, "_topo", tuple(_kahn(ids, succs, preds)))
         object.__setattr__(self, "_by_id", {t.id: t for t in self.tasks})
+        object.__setattr__(self, "_by_weight", tuple(
+            t.id for t in sorted(self.tasks, key=lambda t: (-t.weight, t.id))))
         object.__setattr__(self, "_hash", hash((self.tasks, self.edges)))
         object.__setattr__(self, "_memo", {})
 

@@ -1,35 +1,45 @@
 """The seven scheduling heuristics plus their envelope.
 
 Each heuristic is a table entry: a start speed for every task, then phases
-``(g, sched, D, platform, f_re_ex) -> sched`` applied in order. Type A starts
-at f_dec and then tries to re-execute (good when parallelism is low); type B
-re-executes first from f_max and slows what is left (good for tight deadlines
-and many processors). A phase is a ReExec walk over a task order, the
-critical-path fixpoint, or type A's closing reclaim of re-executed tasks;
-HFMAX and HNO_REEX have none. Every type-B kind then runs its tail, found by
-kind: the unjam of single runs, then the reclaim of re-executed ones. Every
-accepted change passes a feasibility probe whose verdict is exactly that of
-evaluating the whole changed schedule, so intermediate states are always
-feasible. A probe that changes one task of a feasible schedule is decided in
+``(g, sched, D, platform, f_re_ex, windows) -> (sched, windows)`` applied in
+order. Type A starts at f_dec and then tries to re-execute (good when
+parallelism is low); type B re-executes first from f_max and slows what is
+left (good for tight deadlines and many processors). A phase is a ReExec
+walk over a task order, the critical-path fixpoint, or type A's closing
+reclaim of re-executed tasks; HFMAX and HNO_REEX have none. Every type-B
+kind then runs its tail, found by kind: the unjam of single runs, then the
+reclaim of re-executed ones. Every accepted change passes a feasibility
+probe whose verdict is exactly that of evaluating the whole changed
+schedule, so intermediate states are always feasible. A probe that changes one task of a feasible schedule is decided in
 O(1) from that schedule's time windows.
 
-Each ReExec walk owns its windows: the earliest starts and finishes, latest
-finishes and durations of the schedule it is at, as lists indexed by
-position in the augmented DAG's topological order (``schedule._indexed``,
-numbered once per graph and mapping); a task id is looked up as
-``pos[tid]``. The walk builds them once, at its start, and passes them to
-its order and to each probe, slow-down and cohort lookup. An accepted one-task probe, and a
+A kind's phases hand their time windows on: the earliest starts and
+finishes, latest finishes and durations of the schedule they hand on, as
+lists indexed by position in the augmented DAG's topological order
+(``schedule._indexed``, numbered once per graph and mapping, with the
+tasks' weights by position); a task id is looked up as ``pos[tid]``. A phase
+takes the schedule and its windows and returns both. Each start speed's
+uniform schedule and its checked windows (``schedule._window_state``) are
+built once per solve, kept on the solve's ``DerivedSpeeds``, and every kind
+that starts there gets a copy of the windows, so a walk inherits its
+windows instead of building them. A walk passes them to its order and to
+each probe, slow-down and cohort lookup. An accepted one-task probe, and a
 task slowed alone after a rejected one, move them in place, recomputing
 only the descendants' starts and the ancestors' latest finishes that the
-change moves (``schedule._retime``), so a walk rebuilds its windows only
-after a multi-task reclaim. Its order and its cohorts are read from the
-same windows, whose starts, finishes and durations are evaluate's, bit for
-bit: the critical path (``schedule.critical_path_tasks``, latest finishes by
-``schedule._backward`` from the makespan) and the super-weight order
-(``schedule.sus_sort``) of the schedule it starts from. So a walk calls
-evaluate only for a probe the windows cannot decide; evaluate judges and
-reports: the probe's fallback, ``min_deadline`` and ``run``'s result.
-Nothing is shared between walks, so concurrent solves do not interfere.
+change moves (``schedule._retime``); after a cohort reclaim, each task the
+reclaim slowed is retimed the same way, and only those tasks and the
+makespan are checked, as every other task passed already. ``_retime``
+keeps the windows equal, bit for bit, to a fresh ``_window_state``. A walk
+that ends without windows (its schedule failed a check) hands on
+``UNKNOWN``, and the next walk checks afresh. Its order and its cohorts are
+read from the same windows, whose starts, finishes and durations are
+evaluate's, bit for bit: the critical path (``schedule.critical_path_tasks``,
+latest finishes by ``schedule._backward`` from the makespan) and the
+super-weight order (``schedule.sus_sort``) of the schedule it starts from.
+So a walk calls evaluate only for a probe the windows cannot decide;
+evaluate judges and reports: the probe's fallback, ``min_deadline`` and
+``run``'s result. Windows travel in arguments and on the solve's
+``speeds``, so concurrent solves do not interfere.
 
 Type B's reclaims are incremental and exact. A task slowed alone after a
 rejected probe takes its window from the walk's windows, which hold the window
@@ -92,6 +102,15 @@ from .schedule import (
 )
 
 
+class _Windows(Enum):
+    UNKNOWN = "unknown"
+
+
+# What a phase hands on when it ends without windows: the next walk checks
+# its schedule afresh.
+UNKNOWN = _Windows.UNKNOWN
+
+
 class HeuristicKind(Enum):
     HFMAX = "hfmax"
     HNO_REEX = "hno-reex"
@@ -117,14 +136,16 @@ ALL_HEURISTICS = (
 class DerivedSpeeds:
     """The start speeds of a solve: f_dec for type A, f_re_ex for every re-execution.
 
-    ``_tails`` is the solve's memo of type B's tail (``_tail``): it takes no
-    part in equality, hashing or repr, and every ``derived_speeds`` call
-    starts an empty one.
+    ``_tails`` is the solve's memo of type B's tail (``_tail``), and
+    ``_starts`` its memo of each start speed's uniform schedule and checked
+    windows (``_start``): they take no part in equality, hashing or repr,
+    and every ``derived_speeds`` call starts empty ones.
     """
 
     f_dec: float
     f_re_ex: float
     _tails: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _starts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def min_deadline(g: TaskGraph, mapping: Mapping, platform: PlatformModel) -> float:
@@ -171,16 +192,16 @@ def feasibility_probe(
 
     On accept, ``windows`` is moved to the candidate in place: by
     ``schedule._retime`` for one task, rebuilt unchecked otherwise. A
-    rejected probe leaves it as it is.
+    rejected probe leaves it as it is and builds no candidate.
     """
-    candidate = schedule.with_plans(deltas)
     verdict = None
     one = windows is not None and len(deltas) == 1
     if one:
         est, _, lft, _ = windows
         ((tid, plan),) = deltas.items()
-        r = _indexed(g, schedule.mapping)[1][tid]
-        w = g.weight(tid)
+        _, pos, _, _, _, weights = _indexed(g, schedule.mapping)
+        r = pos[tid]
+        w = weights[r]
         d = exe_time(w, plan)
         margin = lft[r] + SLACK_TOL - (est[r] + d)
         band = 4 * len(est) * sys.float_info.epsilon * max(D, 1.0)
@@ -189,9 +210,10 @@ def feasibility_probe(
         elif margin < -band:
             verdict = False
     if verdict is None:
-        verdict = evaluate(g, candidate, D, platform).feasible
+        verdict = evaluate(g, schedule.with_plans(deltas), D, platform).feasible
     if not verdict:
         return False, schedule
+    candidate = schedule.with_plans(deltas)
     if one:
         _retime(g, schedule.mapping, windows, r, d)
     elif windows is not None:
@@ -208,8 +230,8 @@ def _singles(schedule: Schedule) -> list[int]:
 
 
 def _greedy_order(g, sched, state):
-    """Every task by decreasing weight, ties by id."""
-    return sorted((t.id for t in g.tasks), key=lambda tid: (-g.weight(tid), tid))
+    """Every task by decreasing weight, ties by id (kept on the graph)."""
+    return g._by_weight
 
 
 def _critical_order(g, sched, state):
@@ -222,8 +244,8 @@ def _singles_order(g, sched, state):
     return sus_sort(g, sched.mapping, state, _singles(sched))
 
 
-def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False, slowdown_on_fail=False):
-    """ReExec (optionally ReExec&SlowDown) walk over ``order(g, schedule, state)``.
+def _reexec_over(g, schedule, D, platform, f_re_ex, windows, *, order, with_cohort=False, slowdown_on_fail=False):
+    """ReExec (optionally ReExec&SlowDown) walk over ``order(g, schedule, state)``; returns ``(schedule, windows)``.
 
     The order is taken from the schedule the walk starts from. Each task still
     running once is probed at f_re_ex. With ``with_cohort`` the tasks running
@@ -231,14 +253,17 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
     ``slowdown_on_fail`` a rejected task, plus its cohort when
     ``with_cohort``, is slowed into the slack around it instead.
 
-    ``windows`` holds the current schedule's time windows, None while it is
-    infeasible. The order and every cohort are read from them, or from
+    ``windows`` holds the current schedule's time windows, as handed on by
+    the phase before (``UNKNOWN`` to check afresh), None while the schedule
+    is infeasible. The order and every cohort are read from them, or from
     unchecked windows of the schedule while it has none (``times``); their
     starts, finishes and durations are evaluate's. A walk calls evaluate only
-    for a probe the windows cannot decide.
+    for a probe the windows cannot decide. It hands on the windows it ends
+    with, ``UNKNOWN`` when it has none.
     """
     reexec = ExecutionPlan(f_re_ex, f_re_ex)
-    windows = _window_state(g, schedule, D, platform)
+    if windows is UNKNOWN:
+        windows = _window_state(g, schedule, D, platform)
 
     def times():
         return windows or _window_state(g, schedule, D, platform, check=False)
@@ -258,14 +283,40 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, *, order, with_cohort=False,
         elif slowdown_on_fail:
             cohort = cohort_of(g, schedule.mapping, times(), tid) if with_cohort else []
             if cohort:
-                group = [tid, *cohort]
-                # Singles keep slack_reclaim's default floor, f_rel.
-                bounds = {cid: f_inf(g.weight(cid), platform) for cid in group if schedule.plans[cid].re_executed}
-                schedule = slack_reclaim(g, schedule, D, platform, group, bounds)
-                windows = _window_state(g, schedule, D, platform)
+                schedule, windows = _slow_group(g, schedule, D, platform, [tid, *cohort], windows)
             else:
                 schedule, windows = _slow_single(g, schedule, D, platform, tid, windows)
-    return schedule
+    return schedule, UNKNOWN if windows is None else windows
+
+
+def _slow_group(g, schedule, D, platform, group, windows):
+    """``slack_reclaim`` of a rejected task and its cohort; returns the schedule and its windows.
+
+    Singles keep slack_reclaim's default floor, f_rel; re-executed tasks
+    their f_inf. ``windows`` is ``schedule``'s ``_window_state``, or None.
+    The reclaim only slows tasks, so the windows move to the result in
+    place, by ``_retime`` of each task it slowed: each ``_retime`` yields
+    the fresh state of the intermediate schedule, whatever the order. Of
+    ``_window_state``'s check, only the makespan and the slowed tasks can
+    change, as every other task passed already; the windows become None
+    when that fails. Without windows they are built, and checked, afresh.
+    """
+    _, pos, _, _, _, weights = _indexed(g, schedule.mapping)
+    bounds = {cid: f_inf(weights[pos[cid]], platform) for cid in group if schedule.plans[cid].re_executed}
+    out = slack_reclaim(g, schedule, D, platform, group, bounds)
+    if windows is None:
+        return out, _window_state(g, out, D, platform)
+    threshold = _thresholds(g, platform)
+    feasible = True
+    for tid in group:
+        plan = out.plans[tid]
+        if plan is not schedule.plans[tid]:  # slowed: slack_reclaim builds a new plan
+            r = pos[tid]
+            _retime(g, schedule.mapping, windows, r, exe_time(weights[r], plan))
+            feasible = feasible and task_feasible(weights[r], plan, threshold[tid], platform)
+    if not (feasible and max(windows[1], default=0.0) <= D + SLACK_TOL):
+        windows = None
+    return out, windows
 
 
 def _slow_single(g, schedule, D, platform, tid, windows):
@@ -283,8 +334,9 @@ def _slow_single(g, schedule, D, platform, tid, windows):
     if windows is None:
         return slack_reclaim(g, schedule, D, platform, [tid], {}), None
     est, finish, lft, _ = windows
-    r = _indexed(g, schedule.mapping)[1][tid]
-    w = g.weight(tid)
+    _, pos, _, _, _, weights = _indexed(g, schedule.mapping)
+    r = pos[tid]
+    w = weights[r]
     slowed = _slowed(w, schedule.plans[tid], lft[r] - est[r], platform.f_rel)
     if slowed is None:
         return schedule, windows
@@ -297,24 +349,25 @@ def _slow_single(g, schedule, D, platform, tid, windows):
     return schedule.with_plan(tid, slowed), windows
 
 
-def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex):
-    """Exhaustive ReExec driven by the critical-path SUS list.
+def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex, windows):
+    """Exhaustive ReExec driven by the critical-path SUS list; returns ``(sched, windows)``.
 
     Passes over the critical-path list (re-derived each time, as re-executed
     tasks stretch and shift the critical paths) until a pass adds nothing;
     then remaining single-execution tasks are probed in super-weight order
     so abundant off-path slack is not left on the table.  Re-executions only
-    accumulate, so the loop terminates within one pass per task.
+    accumulate, so the loop terminates within one pass per task. Each walk
+    hands its windows to the next.
     """
     for _ in range(len(g)):
         before = len(_reexecuted(sched))
-        sched = _critical_walk(g, sched, D, platform, f_re_ex)
+        sched, windows = _critical_walk(g, sched, D, platform, f_re_ex, windows)
         after = len(_reexecuted(sched))
         if after == before:
-            sched = _reexec_over(g, sched, D, platform, f_re_ex, order=_singles_order)
+            sched, windows = _reexec_over(g, sched, D, platform, f_re_ex, windows, order=_singles_order)
             if len(_reexecuted(sched)) == after:
                 break
-    return sched
+    return sched, windows
 
 
 def _unjam_singles(g, sched, D, platform, f_re_ex):
@@ -359,11 +412,14 @@ def _unjam_singles(g, sched, D, platform, f_re_ex):
         sched = sched.with_plans({tid: ExecutionPlan(f) for tid, f in best[1].items()})
 
 
-def _reclaim_redone(g, sched, D, platform, f_re_ex):
-    """Hand the remaining slack to the re-executed tasks, down to their f_inf floors."""
+def _reclaim_redone(g, sched, D, platform, f_re_ex, windows):
+    """Hand the remaining slack to the re-executed tasks, down to their f_inf floors.
+
+    Returns ``(sched, UNKNOWN)``: no walk follows it, so it moves no windows.
+    """
     redone = _reexecuted(sched)
     bounds = {tid: f_inf(g.weight(tid), platform) for tid in redone}
-    return slack_reclaim(g, sched, D, platform, redone, bounds)
+    return slack_reclaim(g, sched, D, platform, redone, bounds), UNKNOWN
 
 
 _greedy_walk = functools.partial(_reexec_over, order=_greedy_order)
@@ -398,7 +454,8 @@ def run(
     full-speed schedule with an infeasible verdict. ``speeds``, when given,
     must be ``derived_speeds(g, mapping, D, platform)``; BEST derives them
     once and passes them to every kind it runs, so the type-B kinds share
-    one memo of their tail (``_tail``). ValueError for a NaN or
+    one memo of their tail (``_tail``) and every kind that starts at one
+    speed shares its start (``_start``). ValueError for a NaN or
     non-positive deadline.
     """
     if not D > 0.0:  # NaN too
@@ -420,12 +477,34 @@ def run(
     if speeds.f_dec > platform.f_max + SLACK_TOL:
         # A deadline below the minimum makespan: nothing is feasible.
         at_f_dec, phases, tail = False, (), False
-    sched = uniform_schedule(g, mapping, speeds.f_dec if at_f_dec else platform.f_max)
-    for phase in phases:
-        sched = phase(g, sched, D, platform, speeds.f_re_ex)
+    f = speeds.f_dec if at_f_dec else platform.f_max
+    if phases:
+        sched, windows = _start(g, mapping, D, platform, speeds, f)
+        for phase in phases:
+            sched, windows = phase(g, sched, D, platform, speeds.f_re_ex, windows)
+    else:
+        sched = uniform_schedule(g, mapping, f)
     if tail:
         sched = _tail(g, sched, D, platform, speeds)
     return sched, evaluate(g, sched, D, platform)
+
+
+def _start(g, mapping, D, platform, speeds, f):
+    """The uniform schedule at speed f and its checked windows, built once per solve.
+
+    The memo is ``speeds._starts``, keyed like the tail's by everything the
+    two read (graph, mapping, deadline, platform and f), so it lives as long
+    as the solve's ``speeds``. Every call returns its own plans dict and its
+    own copy of the windows, which the walks move in place; None windows
+    (an infeasible start) stay None.
+    """
+    key = (g, mapping, D, platform, f)
+    start = speeds._starts.get(key)
+    if start is None:
+        sched = uniform_schedule(g, mapping, f)
+        start = speeds._starts[key] = (sched, _window_state(g, sched, D, platform))
+    sched, windows = start
+    return Schedule(mapping, dict(sched.plans)), None if windows is None else [col[:] for col in windows]
 
 
 def _tail(g, sched, D, platform, speeds):
@@ -443,7 +522,7 @@ def _tail(g, sched, D, platform, speeds):
     plans = speeds._tails.get(key)
     if plans is None:
         sched = _unjam_singles(g, sched, D, platform, speeds.f_re_ex)
-        sched = _reclaim_redone(g, sched, D, platform, speeds.f_re_ex)
+        sched, _ = _reclaim_redone(g, sched, D, platform, speeds.f_re_ex, UNKNOWN)
         speeds._tails[key] = dict(sched.plans)
         return sched
     return Schedule(sched.mapping, dict(plans))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 # Absolute slack tolerance on time/reliability comparisons (case boundaries
@@ -43,6 +43,7 @@ class PlatformModel:
     lambda0: float = 1e-5
     d_sensitivity: float = 0.0
     proc_count: int = 1
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.f_max, self.lambda0, self.d_sensitivity))):
@@ -58,6 +59,13 @@ class PlatformModel:
             raise ValueError("d_sensitivity must be nonnegative")
         if self.proc_count < 1:
             raise ValueError("proc_count must be >= 1")
+        object.__setattr__(self, "_hash", hash((
+            self.f_min, self.f_max, self.f_rel, self.lambda0, self.d_sensitivity, self.proc_count)))
+
+    def __hash__(self) -> int:
+        # The value the dataclass would compute, but once: every f_inf memo
+        # key and every threshold lookup in the graph's memo hashes it.
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -316,16 +324,22 @@ def _single_task_case(
     """``single_task_optimal``'s case (1..5), the speed of each execution and the energy.
 
     Speed and energy are math.inf in case 1 (infeasible). ``fi`` is the
-    task's f_inf when the caller already has it; otherwise it is looked up
-    only if the deadline reaches past case 2 (cases 1 and 2 read no f_inf,
-    so a row built with f_inf = inf decides them).
+    task's f_inf when the caller already has it; otherwise cases 1 and 2,
+    which read no f_inf, are decided from their two thresholds, and f_inf is
+    looked up only past them. One row at most is built per call.
     """
     if not (w > 0.0 and D > 0.0):
         raise ValueError("weight and deadline must be positive")
-    row = _case_row(w, platform, math.inf if fi is None else fi)
-    if fi is None and D > row[1]:
-        row = _case_row(w, platform, f_inf(w, platform))
-    return _case_at(row, D)[:3]
+    if fi is None:
+        # Cases 1 and 2, by ``_case_row``'s thresholds and ``_case_at``'s
+        # expressions; only past them is f_inf looked up and a row built.
+        if D < w / platform.f_max - SLACK_TOL:
+            return _INFEASIBLE[:3]
+        if D <= w / platform.f_rel + SLACK_TOL:
+            f = min(w / D, platform.f_max)
+            return 2, f, w * f * f
+        fi = f_inf(w, platform)
+    return _case_at(_case_row(w, platform, fi), D)[:3]
 
 
 def _case_plan(case: int, f: float) -> Optional[ExecutionPlan]:

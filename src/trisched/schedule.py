@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import bisect
 import collections
+import heapq
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import TaskGraph, bottom_levels
 from .model import (
@@ -54,6 +55,7 @@ class Mapping:
     """Ordered task list per processor; together a partition of the tasks."""
 
     proc_lists: tuple[tuple[int, ...], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -62,6 +64,12 @@ class Mapping:
                 if tid in seen:
                     raise ValueError(f"task {tid} mapped more than once")
                 seen.add(tid)
+        object.__setattr__(self, "_hash", hash((self.proc_lists,)))
+
+    def __hash__(self) -> int:
+        # The value the dataclass would compute, but once: every ``_indexed``
+        # lookup in the graph's memo hashes the mapping.
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -96,40 +104,40 @@ def list_schedule(g: TaskGraph, p: int) -> Mapping:
 
     Repeatedly dispatches the ready task with the largest bottom-level
     (ties: smaller id) to the earliest-available processor (ties: smaller
-    processor id).
+    processor id). Both choices are heap pops: the ready tasks keyed
+    ``(-bottom level, id)``, the processors ``(available time, id)``; only
+    the popped processor's time moves, so it alone is pushed back.
     """
     if p < 1:
         raise ValueError("need at least one processor")
     bl = bottom_levels(g)
-    n = len(g)
-    indeg = {t.id: len(g.predecessors(t.id)) for t in g.tasks}
-    pred_finish = {t.id: 0.0 for t in g.tasks}
-    ready = [tid for tid, d in indeg.items() if d == 0]
-    avail = [0.0] * p
+    indeg = {t.id: len(g._preds[t.id]) for t in g.tasks}
+    pred_finish = dict.fromkeys(indeg, 0.0)
+    ready = [(-bl[tid], tid) for tid, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    procs = [(0.0, q) for q in range(p)]  # sorted, so already a heap
     lists: list[list[int]] = [[] for _ in range(p)]
-    finish: dict[int, float] = {}
-    for _ in range(n):
-        tid = max(ready, key=lambda t: (bl[t], -t))
-        ready.remove(tid)
-        proc = min(range(p), key=lambda q: (avail[q], q))
-        start = max(avail[proc], pred_finish[tid])
-        finish[tid] = start + g.weight(tid)  # unit speed: duration = weight
-        avail[proc] = finish[tid]
+    while ready:
+        _, tid = heapq.heappop(ready)
+        avail, proc = procs[0]
+        f = max(avail, pred_finish[tid]) + g.weight(tid)  # unit speed: duration = weight
+        heapq.heapreplace(procs, (f, proc))
         lists[proc].append(tid)
-        for s in g.successors(tid):
+        for s in g._succs[tid]:
             indeg[s] -= 1
-            pred_finish[s] = max(pred_finish[s], finish[tid])
+            pred_finish[s] = max(pred_finish[s], f)
             if indeg[s] == 0:
-                ready.append(s)
+                heapq.heappush(ready, (-bl[s], s))
     return Mapping(tuple(tuple(lst) for lst in lists))
 
 
 def uniform_schedule(g: TaskGraph, mapping: Mapping, speed: float) -> Schedule:
-    return Schedule(mapping, {t.id: ExecutionPlan(speed) for t in g.tasks})
+    # Plans are immutable, so every task can share one.
+    return Schedule(mapping, dict.fromkeys((t.id for t in g.tasks), ExecutionPlan(speed)))
 
 
 def _indexed(g: TaskGraph, mapping: Mapping):
-    """The augmented DAG, numbered by topological position: ``(order, pos, succ, pred, chain)``.
+    """The augmented DAG, numbered by topological position: ``(order, pos, succ, pred, chain, weights)``.
 
     The augmented DAG holds the precedence edges plus the processor-order
     edges (consecutive tasks of one list). ``order`` is its topological order
@@ -141,9 +149,12 @@ def _indexed(g: TaskGraph, mapping: Mapping):
     increasing order, and one is kept unless a kept one already reaches it
     (reachability as int bitsets, built in reverse order). ``chain`` is
     whether that reduction is the path ``0 -> 1 -> ... -> n - 1`` (n >= 1),
-    as it is at one processor, and for a chain graph on any number. Built
-    once per (g, mapping) and kept in ``g._memo``, keyed by the mapping, for
-    as long as the graph lives (a solve keeps one mapping); do not mutate.
+    as it is at one processor, and for a chain graph on any number.
+    ``weights[i]`` is the weight of the task at position i, so the passes
+    read weights by position, as they read times. Built once per (g,
+    mapping) and kept in ``g._memo``, keyed by the mapping (which hashes
+    once), for as long as the graph lives (a solve keeps one mapping); do
+    not mutate.
     ValueError unless the mapping is a partition of g's tasks whose order
     agrees with precedence.
 
@@ -216,7 +227,8 @@ def _build_indexed(g: TaskGraph, mapping: Mapping):
     # Every position below the last has the one successor above it; the
     # last has none, as successors sit higher.
     chain = n > 0 and all(ss == (i + 1,) for i, ss in enumerate(succ[:-1]))
-    return tuple(order), pos, tuple(succ), tuple(map(tuple, pred)), chain
+    weights = tuple(g._by_id[tid].weight for tid in order)
+    return tuple(order), pos, tuple(succ), tuple(map(tuple, pred)), chain, weights
 
 
 def _forward(pred, dur, chain):
@@ -291,19 +303,19 @@ def _plans_at(schedule: Schedule, tids) -> list[ExecutionPlan]:
 
 def schedule_energy(g: TaskGraph, schedule: Schedule) -> float:
     """Total energy, summed in augmented topological order (the order evaluate uses)."""
-    order = _indexed(g, schedule.mapping)[0]
+    order, _, _, _, _, weights = _indexed(g, schedule.mapping)
     plans = schedule.plans
     total = 0.0
-    for tid in order:
-        total += energy(g.weight(tid), plans[tid])
+    for tid, w in zip(order, weights):
+        total += energy(w, plans[tid])
     return total
 
 
 def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel) -> ScheduleMetrics:
     """Forward pass (``_forward``) over precedence plus processor-order constraints."""
-    order, _, _, pred, chain = _indexed(g, schedule.mapping)
+    order, _, _, pred, chain, weights = _indexed(g, schedule.mapping)
     plans = _plans_at(schedule, order)
-    est, finish = _forward(pred, [exe_time(g.weight(tid), plan) for tid, plan in zip(order, plans)], chain)
+    est, finish = _forward(pred, list(map(exe_time, weights, plans)), chain)
     makespan = max(finish, default=0.0)
     threshold = _thresholds(g, platform)
     slack = {t.id: reliability(t.weight, schedule.plans[t.id], platform) - threshold[t.id] for t in g.tasks}
@@ -334,10 +346,9 @@ def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: Platform
     is not. Pass ``check=False`` only for a schedule already known to be
     feasible. ``_retime`` updates the state in place.
     """
-    order, _, succ, pred, chain = _indexed(g, schedule.mapping)
-    weights = [g.weight(tid) for tid in order]
+    order, _, succ, pred, chain, weights = _indexed(g, schedule.mapping)
     plans = [schedule.plans[tid] for tid in order]
-    dur = [exe_time(w, plan) for w, plan in zip(weights, plans)]
+    dur = list(map(exe_time, weights, plans))
     est, finish = _forward(pred, dur, chain)
     if check:
         if not max(finish, default=0.0) <= D + SLACK_TOL:
@@ -421,7 +432,7 @@ def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> list[int
     durations up to r from r's latest finish. Returns the positions whose
     start moved.
     """
-    _, _, succ, pred, chain = _indexed(g, mapping)
+    _, _, succ, pred, chain, _ = _indexed(g, mapping)
     est, finish, lft, dur = state
     moved = _push_starts(succ, pred, est, finish, dur, r, d, len(est), chain)
     if chain:
@@ -461,7 +472,7 @@ def critical_path_tasks(g: TaskGraph, mapping: Mapping, state) -> list[int]:
     against the makespan, by ``_backward`` from ``max(finish)``, is at most
     its earliest start plus SLACK_TOL.
     """
-    order, _, succ, _, chain = _indexed(g, mapping)
+    order, _, succ, _, chain, _ = _indexed(g, mapping)
     est, finish, _, dur = state
     lft = _backward(succ, dur, max(finish, default=0.0), chain)
     return [tid for tid, s, lf, d in zip(order, est, lft, dur) if lf - d <= s + SLACK_TOL]
@@ -479,7 +490,7 @@ def sus_sort(g: TaskGraph, mapping: Mapping, state, task_ids) -> list[int]:
     candidates are those whose start lies in [lo, hi], found by bisection in
     the tasks sorted by start.
     """
-    pos = _indexed(g, mapping)[1]
+    _, pos, _, _, _, weights = _indexed(g, mapping)
     est, finish = state[0], state[1]
     rows = [(est[i := pos[t.id]], finish[i], t.weight) for t in g.tasks]
     by_start = sorted((s, k) for k, (s, _, _) in enumerate(rows))
@@ -493,7 +504,7 @@ def sus_sort(g: TaskGraph, mapping: Mapping, state, task_ids) -> list[int]:
             if rows[k][1] <= hi:
                 total += rows[k][2]
         sw[tid] = total
-    return sorted(task_ids, key=lambda tid: (-sw[tid], -g.weight(tid), tid))
+    return sorted(task_ids, key=lambda tid: (-sw[tid], -weights[pos[tid]], tid))
 
 
 def cohort_of(g: TaskGraph, mapping: Mapping, state, tid: int) -> list[int]:
@@ -544,13 +555,12 @@ def slack_reclaim(
     slow further.
     """
     targets = set(targets)
-    order, _, succ, pred, chain = _indexed(g, schedule.mapping)
+    order, _, succ, pred, chain, weights = _indexed(g, schedule.mapping)
     plans = dict(schedule.plans)
     for tid in targets:
         plan = plans[tid]
         if plan.re_executed and abs(plan.speed1 - plan.speed2) > SLACK_TOL:
             raise ValueError(f"task {tid}: re-executed copies at different speeds {plan}")
-    weights = [g.weight(tid) for tid in order]
     dur = [exe_time(w, plans[tid]) for w, tid in zip(weights, order)]
     est, _ = _forward(pred, dur, chain)
     lft = [D] * len(order)
@@ -636,10 +646,9 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
     so the sweep stops at ``low``. Without a single run above its floor a
     trial changes tid alone.
     """
-    order, pos, succ, pred, chain = _indexed(g, base.mapping)
+    order, pos, succ, pred, chain, weights = _indexed(g, base.mapping)
     n = len(order)
     est, finish, lft, dur = _window_state(g, base, D, platform, check=False)
-    weights = [g.weight(tid) for tid in order]
     plans = [base.plans[tid] for tid in order]
     energies = [energy(w, plan) for w, plan in zip(weights, plans)]
     prefix = [0.0]

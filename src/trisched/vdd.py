@@ -145,7 +145,7 @@ def vdd_schedule_convert(
     threshold - SLACK_TOL, ``evaluate``'s tolerances. ValueError, as in
     ``evaluate``, for a task without a plan.
     """
-    order, _, _, pred, chain = _indexed(g, schedule.mapping)
+    order, _, _, pred, chain, _ = _indexed(g, schedule.mapping)
     threshold = _thresholds(g, platform)
     vdd_plans: dict[int, tuple[VddPlan, ...]] = {}
     cont_total = 0.0

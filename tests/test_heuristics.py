@@ -460,9 +460,9 @@ def _type_b_starts(platform, case):
     f_re_ex = derived_speeds(g, sched.mapping, D, platform).f_re_ex
     for kind in TYPE_B:
         _, phases = _PHASES[kind]
-        start = uniform_schedule(g, sched.mapping, platform.f_max)
+        start, windows = uniform_schedule(g, sched.mapping, platform.f_max), heuristics.UNKNOWN
         for phase in phases:
-            start = phase(g, start, D, platform, f_re_ex)
+            start, windows = phase(g, start, D, platform, f_re_ex, windows)
         yield g, start, D, f_re_ex
 
 
@@ -476,7 +476,7 @@ class TestUnjamFromBaseWindows:
         for case in range(0, 24, 2):
             for g, start, D, _ in _type_b_starts(platform, case):
                 base = slack_reclaim(g, start, D, platform, _singles(start), {})
-                order, pos, _, _, _ = _indexed(g, base.mapping)
+                order, pos, _, _, _, _ = _indexed(g, base.mapping)
                 span = [
                     i for i, tid in enumerate(order)
                     if not base.plans[tid].re_executed
@@ -734,3 +734,130 @@ class TestWalkOrders:
         start, finish = metrics.start_times, metrics.finish_times
         assert _critical_order(g, sched, state) == _sus_reference(g, start, finish, critical)
         assert _singles_order(g, sched, state) == _sus_reference(g, start, finish, _singles(sched))
+
+
+class TestWindowHandoff:
+    """Phases hand their windows on: each is UNKNOWN or a fresh, checked ``_window_state``."""
+
+    @staticmethod
+    def _solve(monkeypatch, g, mapping, D, platform):
+        """BEST on the instance; every handoff, and each cohort reclaim with windows, checked as it happens."""
+        seen = collections.Counter()
+
+        def check(kind, sched, windows):
+            fresh = _window_state(g, sched, D, platform)
+            if windows is heuristics.UNKNOWN:
+                seen["unknown"] += 1
+            else:
+                assert windows == fresh, kind
+                seen["windows"] += 1
+
+        def checked(kind, phase):
+            def wrapper(*args, **kwargs):
+                sched, windows = phase(*args, **kwargs)
+                check(kind, sched, windows)
+                return sched, windows
+            return wrapper
+
+        def slow_group(g_, sched, D_, platform_, group, windows):
+            had = windows is not None
+            out, out_windows = slow_group_(g_, sched, D_, platform_, group, windows)
+            assert out.plans == slack_reclaim(g, sched, D, platform, group, {
+                cid: f_inf(g.weight(cid), platform) for cid in group if sched.plans[cid].re_executed}).plans
+            assert out_windows == _window_state(g, out, D, platform)
+            seen["cohort reclaim with windows" if had else "cohort reclaim without"] += 1
+            return out, out_windows
+
+        slow_group_ = heuristics._slow_group
+        phases = {kind: (at_f_dec, tuple(checked(kind.value, phase) for phase in steps))
+                  for kind, (at_f_dec, steps) in _PHASES.items()}
+        with monkeypatch.context() as m:
+            m.setattr(heuristics, "_PHASES", phases)
+            # The fixpoint's own walks, called through the module.
+            m.setattr(heuristics, "_critical_walk", checked("fixpoint", heuristics._critical_walk))
+            m.setattr(heuristics, "_reexec_over", checked("fixpoint", heuristics._reexec_over))
+            m.setattr(heuristics, "_slow_group", slow_group)
+            expected = [run(kind, g, mapping, D, platform)[0].plans for kind in ALL_HEURISTICS]
+            sched, _ = run(HeuristicKind.BEST, g, mapping, D, platform)
+        assert sched.plans in expected
+        return seen
+
+    @pytest.mark.parametrize("p", [1, 4, 50])
+    @pytest.mark.parametrize("lambda0", [1e-5, 1e-3])
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_handed_windows_are_unknown_or_fresh(self, monkeypatch, p, lambda0):
+        platform = make_platform(lambda0=lambda0)
+        seen = collections.Counter()
+        for seed in (1, 2):
+            g = generate_random(30, 60, seed=seed)
+            mapping = list_schedule(g, p)
+            for ratio in (1.05, 1.2, 2.0, 5.0):
+                D = ratio * min_deadline(g, mapping, platform)
+                seen += self._solve(monkeypatch, g, mapping, D, platform)
+        # Every walk but a few hands its windows on; type A's closing reclaim never does.
+        assert seen["windows"] > 4 * seen["unknown"] > 0
+
+    def test_cohort_reclaim_moves_the_windows(self, platform, monkeypatch):
+        # b.sus-crit-slow slows rejected tasks with their cohorts, which on
+        # more than one processor are seldom empty.
+        seen = collections.Counter()
+        for case in range(24):
+            if case % 3:
+                g, start, D, _, _ = _reclaim_case(platform, case)
+                seen += self._solve(monkeypatch, g, start.mapping, D, platform)
+        assert seen["cohort reclaim with windows"] > 50, seen
+
+    def test_each_kind_gets_its_own_start(self, platform):
+        g, start, D, _, _ = _reclaim_case(platform, 4)
+        speeds = derived_speeds(g, start.mapping, D, platform)
+        first = heuristics._start(g, start.mapping, D, platform, speeds, platform.f_max)
+        second = heuristics._start(g, start.mapping, D, platform, speeds, platform.f_max)
+        assert len(speeds._starts) == 1
+        sched = uniform_schedule(g, start.mapping, platform.f_max)
+        for out, windows in (first, second):
+            assert out.plans == sched.plans and windows == _window_state(g, sched, D, platform)
+        assert first[0].plans is not second[0].plans
+        assert all(a is not b for a, b in zip(first[1], second[1]))
+        first[1][0][0] = math.nan
+        assert heuristics._start(g, start.mapping, D, platform, speeds, platform.f_max)[1] == second[1]
+        # Another deadline, with the same speeds, gets its own start.
+        heuristics._start(g, start.mapping, 2.0 * D, platform, speeds, platform.f_max)
+        assert len(speeds._starts) == 2
+
+
+class TestCheckedWindowBuilds:
+    @pytest.mark.parametrize("p", [1, 4, 50])
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_one_per_start_speed_plus_cohort_reclaims_without_windows(self, monkeypatch, p):
+        builds, without = [], []
+        build = heuristics._window_state
+        slow_group = heuristics._slow_group
+
+        def counted(g, sched, D, platform, check=True):
+            if check:
+                builds.append(D)
+            return build(g, sched, D, platform, check)
+
+        def counted_group(g, sched, D, platform, group, windows):
+            if windows is None:
+                without.append(D)
+            return slow_group(g, sched, D, platform, group, windows)
+
+        monkeypatch.setattr(heuristics, "_window_state", counted)
+        monkeypatch.setattr(heuristics, "_slow_group", counted_group)
+        solves = 0
+        for lambda0 in (1e-5, 1e-3):
+            platform = make_platform(lambda0=lambda0)
+            for seed in (1, 2, 3):
+                g = generate_random(40, 100, seed=seed)
+                mapping = list_schedule(g, p)
+                for ratio in (1.0, 1.05, 1.2, 2.0, 5.0):
+                    D = ratio * min_deadline(g, mapping, platform)
+                    speeds = derived_speeds(g, mapping, D, platform)
+                    builds.clear()
+                    without.clear()
+                    run(HeuristicKind.BEST, g, mapping, D, platform, speeds=speeds)
+                    assert len(builds) <= len(speeds._starts) + len(without), (lambda0, seed, ratio)
+                    assert len(speeds._starts) == (1 if ratio == 1.0 else 2)
+                    solves += 1
+        assert solves == 30

@@ -1,6 +1,8 @@
 """Speed/energy/reliability model and the single-task exact solver."""
 
+import dataclasses
 import math
+import pickle
 import random
 import warnings
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_platform, single_task_grid_oracle
+from trisched import model
 from trisched.model import (
     C_REEXEC,
     ExecutionPlan,
@@ -257,6 +260,29 @@ class TestSingleTaskOptimal:
         assert res.feasible and res.case == 3
         assert res.energy == 1e103 * platform.f_rel * platform.f_rel
 
+    @pytest.mark.parametrize("lambda0", [1e-5, 1e-3])
+    def test_one_case_row_per_call_and_the_row_rule_unchanged(self, monkeypatch, lambda0):
+        # Cases 1 and 2 build no row; past them exactly one row is built,
+        # with the real f_inf. Every outcome equals the row rule's, bit for bit.
+        p = make_platform(lambda0=lambda0)
+        rows = []
+        build = model._case_row
+        monkeypatch.setattr(model, "_case_row", lambda *args: rows.append(args) or build(*args))
+        seen = set()
+        for w in (0.3, 1.0, 7.5, 40000.0):
+            fi = f_inf(w, p)
+            for D in (0.5 * w, w, w * (1.0 - 1e-12), w * 1.2, w / p.f_rel, w / p.f_rel + 2e-9,
+                      2.9 * w / p.f_rel, 2.0 * w / fi, 3.0 * w / fi, 1e9):
+                rows.clear()
+                res = single_task_optimal(w, D, p)
+                assert len(rows) == (res.case >= 3), (w, D, res.case)
+                assert rows == [] or rows == [(w, p, fi)]
+                case, f, e, _ = model._case_at(build(w, p, fi), D)
+                assert (res.case, res.energy) == (case, e), (w, D)
+                assert res.plan == model._case_plan(case, f)
+                seen.add(res.case)
+        assert seen == {1, 2, 3, 4, 5}
+
     def test_empty_reexec_window_forbids_re_execution(self):
         # a huge work pushes f_inf above f_rel/sqrt(2): re-execution never pays
         p = make_platform()
@@ -279,3 +305,27 @@ class TestDeadlineBreakpoints:
         assert d1 == pytest.approx(1.5, rel=1e-12)
         assert d2 == pytest.approx(3.0 * math.sqrt(2.0), rel=1e-12)
         assert d3 == pytest.approx(2.0 / f_inf(1.0, platform), rel=1e-12)
+
+
+def _hash_peers(value):
+    """The value, an equal one built anew, one from pickle and one from ``dataclasses.replace``."""
+    fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
+    return [value, type(value)(**fields), pickle.loads(pickle.dumps(value)), dataclasses.replace(value)]
+
+
+def test_platform_hashes_once_as_the_dataclass_would():
+    p = make_platform(lambda0=1e-3, d=0.5, procs=4)
+    values = (p.f_min, p.f_max, p.f_rel, p.lambda0, p.d_sensitivity, p.proc_count)
+    for q in _hash_peers(p):
+        assert q == p and hash(q) == hash(p) == hash(values)
+        assert repr(q) == (
+            "PlatformModel(f_min=1e-06, f_max=1.0, f_rel=0.6666666666666666, "
+            "lambda0=0.001, d_sensitivity=0.5, proc_count=4)"
+        )
+    other = dataclasses.replace(p, lambda0=1e-5)
+    assert other != p and hash(other) == hash((*values[:3], 1e-5, *values[4:]))
+    # The f_inf memo keys on the platform: equal platforms share its entries.
+    f_inf.cache_clear()
+    f_inf(2.0, p)
+    f_inf(2.0, pickle.loads(pickle.dumps(p)))
+    assert f_inf.cache_info().hits == 1

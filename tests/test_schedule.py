@@ -1,13 +1,15 @@
 """Mappings, schedule evaluation, critical paths, super-weight order, slack reclaim."""
 
+import dataclasses
 import math
+import pickle
 import random
 import sys
 
 import pytest
 
 from conftest import make_platform
-from trisched.graph import TaskGraph, chain, fork, generate_random
+from trisched.graph import TaskGraph, bottom_levels, chain, fork, fork_identical, generate_random
 from trisched.heuristics import HeuristicKind, min_deadline, run
 from trisched.model import SLACK_TOL, ExecutionPlan, Task, exe_time, f_inf
 from trisched import schedule as schedule_module
@@ -95,6 +97,15 @@ class TestMapping:
         with pytest.raises(ValueError, match="partition"):
             run(HeuristicKind.BEST, g, mapping, 10.0, platform)
 
+    def test_hashes_once_as_the_dataclass_would(self):
+        mapping = list_schedule(generate_random(30, 60, seed=2), 4)
+        fields = mapping.proc_lists
+        for other in (Mapping(fields), pickle.loads(pickle.dumps(mapping)), dataclasses.replace(mapping)):
+            assert other == mapping and hash(other) == hash(mapping) == hash((fields,))
+            assert repr(other) == f"Mapping(proc_lists={fields!r})"
+        moved = Mapping((fields[1], fields[0], *fields[2:]))
+        assert moved != mapping and hash(moved) == hash((moved.proc_lists,))
+
     def test_missing_plan_named(self, platform):
         g = chain([1.0, 2.0, 3.0])
         sched = Schedule(list_schedule(g, 1), {0: ExecutionPlan(1.0), 1: ExecutionPlan(1.0)})
@@ -102,7 +113,43 @@ class TestMapping:
             evaluate(g, sched, 10.0, platform)
 
 
+def _list_schedule_scan(g, p):
+    """``list_schedule`` by its definition: a scan of every ready task and every processor per step."""
+    bl = bottom_levels(g)
+    indeg = {t.id: len(g.predecessors(t.id)) for t in g.tasks}
+    pred_finish = {t.id: 0.0 for t in g.tasks}
+    ready = [tid for tid, d in indeg.items() if d == 0]
+    avail = [0.0] * p
+    lists = [[] for _ in range(p)]
+    for _ in range(len(g)):
+        tid = max(ready, key=lambda t: (bl[t], -t))
+        ready.remove(tid)
+        proc = min(range(p), key=lambda q: (avail[q], q))
+        finish = max(avail[proc], pred_finish[tid]) + g.weight(tid)
+        avail[proc] = finish
+        lists[proc].append(tid)
+        for s in g.successors(tid):
+            indeg[s] -= 1
+            pred_finish[s] = max(pred_finish[s], finish)
+            if indeg[s] == 0:
+                ready.append(s)
+    return Mapping(tuple(tuple(lst) for lst in lists))
+
+
 class TestListSchedule:
+    @pytest.mark.parametrize("p", [1, 2, 4, 50])
+    def test_heaps_equal_the_scan(self, p):
+        graphs = [generate_random(n, m, seed=seed) for n, m in ((1, 0), (30, 60), (100, 300)) for seed in range(4)]
+        # Ties: equal weights, and equal bottom levels.
+        graphs += [generate_random(40, 80, weight_range=(2.0, 2.0), seed=seed) for seed in range(3)]
+        graphs += [generate_random(60, 0, weight_range=(1.0, 1.0)), chain([1.0] * 12), chain([3.0, 1.0, 3.0]),
+                   fork(2.0, [1.0, 3.0, 1.0, 3.0]), fork_identical(9, 1.5), fork_identical(1, 1.0)]
+        ties = 0
+        for g in graphs:
+            assert list_schedule(g, p) == _list_schedule_scan(g, p)
+            ties += len(set(bottom_levels(g).values())) < len(g)
+        assert ties >= 6
+
     def test_chain_on_one_processor_keeps_chain_order(self):
         g = chain([1.0, 2.0, 3.0])
         m = list_schedule(g, 1)
@@ -590,7 +637,7 @@ class TestRetime:
     @pytest.mark.parametrize("n, p, graph", CHAINS)
     def test_chain_state_equals_full_edge_windows_after_every_change(self, platform, n, p, graph):
         rng, g, mapping = _chain_case(n, p, graph)
-        order, _, _, _, chain_flag = _indexed(g, mapping)
+        order, _, _, _, chain_flag, _ = _indexed(g, mapping)
         assert chain_flag
         sched, D = TestIndexedReduction._schedule(rng, g, mapping, platform)
         state = _window_state(g, sched, D, platform, check=False)
@@ -613,7 +660,7 @@ class TestRetime:
     def test_chain_push_equals_the_general_push(self, platform, n, p, graph):
         # The same push on the chain's edges, with the flag and without it.
         rng, g, mapping = _chain_case(n, p, graph)
-        _, _, succ, pred, chain_flag = _indexed(g, mapping)
+        _, _, succ, pred, chain_flag, _ = _indexed(g, mapping)
         assert chain_flag
         sched, D = TestIndexedReduction._schedule(rng, g, mapping, platform)
         base = _window_state(g, sched, D, platform, check=False)
@@ -708,9 +755,10 @@ class TestIndexedReduction:
     @pytest.mark.parametrize("p, seed", CASES)
     def test_reduction_keeps_reachability_and_no_redundant_edge(self, p, seed):
         _, g, mapping, full = self._case(p, seed)
-        order, pos, succ, pred, chain_flag = _indexed(g, mapping)
+        order, pos, succ, pred, chain_flag, weights = _indexed(g, mapping)
         n = len(order)
         assert pos == {tid: i for i, tid in enumerate(order)}
+        assert weights == tuple(g.weight(tid) for tid in order)
         # The chain flag: set at one processor, not on these DAGs at more.
         assert chain_flag is (p == 1)
         assert pred == tuple(tuple(u for u in range(n) if v in succ[u]) for v in range(n))
@@ -749,7 +797,7 @@ class TestIndexedReduction:
     @pytest.mark.parametrize("n, p, graph", CHAINS)
     def test_chain_passes_equal_full_edge_passes(self, platform, n, p, graph):
         rng, g, mapping = _chain_case(n, p, graph)
-        order, _, succ, pred, chain_flag = _indexed(g, mapping)
+        order, _, succ, pred, chain_flag, _ = _indexed(g, mapping)
         assert chain_flag and succ == tuple((i + 1,) for i in range(n - 1)) + ((),)
         sched, D = self._schedule(rng, g, mapping, platform)
         state = _window_state(g, sched, D, platform, check=False)
