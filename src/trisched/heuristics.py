@@ -14,32 +14,29 @@ schedule, so intermediate states are always feasible. A probe that changes one t
 O(1) from that schedule's time windows.
 
 A kind's phases hand their time windows on: the earliest starts and
-finishes, latest finishes and durations of the schedule they hand on, as
-lists indexed by position in the augmented DAG's topological order
-(``schedule._indexed``, numbered once per graph and mapping, with the
-tasks' weights by position); a task id is looked up as ``pos[tid]``. A phase
-takes the schedule and its windows and returns both. Each start speed's
-uniform schedule and its checked windows (``schedule._window_state``) are
-built once per solve, kept on the solve's ``DerivedSpeeds``, and every kind
-that starts there gets a copy of the windows, so a walk inherits its
-windows instead of building them. A walk passes them to its order and to
-each probe, slow-down and cohort lookup. An accepted one-task probe, and a
-task slowed alone after a rejected one, move them in place, recomputing
+finishes, latest finishes and durations of the schedule, as lists indexed
+by position in the augmented DAG's topological order (``schedule._indexed``,
+built once per graph and mapping, with the weights by position); a task id
+is looked up as ``pos[tid]``. Each start speed's uniform schedule and its
+checked windows (``schedule._window_state``) are built once per solve, on
+its ``DerivedSpeeds``, and each kind starting there inherits a copy. A walk
+passes its windows to its order and to each probe, slow-down and cohort
+lookup. An accepted one-task probe, a task slowed alone after a rejected
+one, and each task a cohort reclaim slowed move them in place, recomputing
 only the descendants' starts and the ancestors' latest finishes that the
-change moves (``schedule._retime``); after a cohort reclaim, each task the
-reclaim slowed is retimed the same way, and only those tasks and the
-makespan are checked, as every other task passed already. ``_retime``
-keeps the windows equal, bit for bit, to a fresh ``_window_state``. A walk
-that ends without windows (its schedule failed a check) hands on
-``UNKNOWN``, and the next walk checks afresh. Its order and its cohorts are
-read from the same windows, whose starts, finishes and durations are
-evaluate's, bit for bit: the critical path (``schedule.critical_path_tasks``,
-latest finishes by ``schedule._backward`` from the makespan) and the
-super-weight order (``schedule.sus_sort``) of the schedule it starts from.
-So a walk calls evaluate only for a probe the windows cannot decide;
-evaluate judges and reports: the probe's fallback, ``min_deadline`` and
-``run``'s result. Windows travel in arguments and on the solve's
-``speeds``, so concurrent solves do not interfere.
+change moves (``schedule._retime``, which keeps them equal, bit for bit, to
+a fresh ``_window_state``); only the changed tasks and the makespan are
+then checked, as every other task passed already. A walk that ends without
+windows, after a failed check, hands on ``UNKNOWN``, and the next walk
+checks afresh. Its order and its cohorts are read from the same windows,
+whose starts, finishes and durations are evaluate's, bit for bit: the
+critical path (``schedule.critical_path_tasks``, latest finishes by
+``schedule._backward`` from the makespan) and the super-weight order
+(``schedule.sus_sort``) of the schedule it starts from. So a walk calls
+evaluate only for a probe the windows cannot decide; evaluate judges and
+reports: the probe's fallback, ``min_deadline`` and ``run``'s result.
+Windows travel in arguments and on the solve's ``speeds``, so concurrent
+solves do not interfere.
 
 Type B's reclaims are incremental and exact. A task slowed alone after a
 rejected probe takes its window from the walk's windows, which hold the window
@@ -292,14 +289,11 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, windows, *, order, with_coho
 def _slow_group(g, schedule, D, platform, group, windows):
     """``slack_reclaim`` of a rejected task and its cohort; returns the schedule and its windows.
 
-    Singles keep slack_reclaim's default floor, f_rel; re-executed tasks
-    their f_inf. ``windows`` is ``schedule``'s ``_window_state``, or None.
-    The reclaim only slows tasks, so the windows move to the result in
-    place, by ``_retime`` of each task it slowed: each ``_retime`` yields
-    the fresh state of the intermediate schedule, whatever the order. Of
-    ``_window_state``'s check, only the makespan and the slowed tasks can
-    change, as every other task passed already; the windows become None
-    when that fails. Without windows they are built, and checked, afresh.
+    Singles keep the default floor, f_rel; re-executed tasks their f_inf.
+    ``windows``, ``schedule``'s ``_window_state`` or None, moves to the
+    result by ``_retime`` of each slowed task (each yields the fresh state of
+    the schedule so far), and only the makespan and those tasks are checked,
+    as ``_slow_single`` does. Without windows they are built afresh.
     """
     _, pos, _, _, _, weights = _indexed(g, schedule.mapping)
     bounds = {cid: f_inf(weights[pos[cid]], platform) for cid in group if schedule.plans[cid].re_executed}

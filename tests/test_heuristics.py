@@ -741,15 +741,14 @@ class TestWindowHandoff:
 
     @staticmethod
     def _solve(monkeypatch, g, mapping, D, platform):
-        """BEST on the instance; every handoff, and each cohort reclaim with windows, checked as it happens."""
+        """Each kind, then BEST, on the instance; every handoff and cohort reclaim checked as it happens."""
         seen = collections.Counter()
 
         def check(kind, sched, windows):
-            fresh = _window_state(g, sched, D, platform)
             if windows is heuristics.UNKNOWN:
                 seen["unknown"] += 1
             else:
-                assert windows == fresh, kind
+                assert windows == _window_state(g, sched, D, platform), kind
                 seen["windows"] += 1
 
         def checked(kind, phase):
@@ -806,6 +805,28 @@ class TestWindowHandoff:
                 g, start, D, _, _ = _reclaim_case(platform, case)
                 seen += self._solve(monkeypatch, g, start.mapping, D, platform)
         assert seen["cohort reclaim with windows"] > 50, seen
+
+    def test_cohort_reclaim_checks_the_makespan_at_large_times(self):
+        # Near D = 1e9 a time's last bit is above SLACK_TOL, so a reclaim
+        # that fills a window exactly can end past D + SLACK_TOL; the moved
+        # windows must then be None, as a fresh check's are.
+        platform = make_platform(lambda0=1e-14)
+        failed = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            g = generate_random(20, 40, weight_range=(0.0, 1e9), seed=seed)
+            mapping = list_schedule(g, 4)
+            D = rng.uniform(1.1, 3.0) * min_deadline(g, mapping, platform)
+            sched = uniform_schedule(g, mapping, platform.f_max)
+            windows = _window_state(g, sched, D, platform)
+            for _ in range(10):
+                sched, windows = heuristics._slow_group(
+                    g, sched, D, platform, rng.sample(range(len(g)), 5), windows)
+                assert windows == _window_state(g, sched, D, platform), seed
+                if windows is None:
+                    failed += 1
+                    break
+        assert failed >= 3
 
     def test_each_kind_gets_its_own_start(self, platform):
         g, start, D, _, _ = _reclaim_case(platform, 4)
