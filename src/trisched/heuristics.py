@@ -48,8 +48,10 @@ reaches are recomputed, with the same float operations and the same
 start propagation as ``schedule._retime`` (``schedule.swap_reclaims``).
 A trial carries plain speeds, not plans, and is clipped to the slow span,
 the positions of the single runs above f_rel, since no other position can
-be slowed; plans are built for the kept swap alone. Outputs are
-bit-identical to full reclaims.
+be slowed. The rounds keep the schedule as position-indexed state
+(``schedule._swap_state``): each takes its windows, energy and stuck single
+runs from it, a kept swap moves only its own positions, and plans are built
+once, after the last round. Outputs are bit-identical to full reclaims.
 
 Type B's tail (the unjam rounds, then the reclaim of re-executed tasks)
 runs once per distinct entering schedule of a solve. The kinds BEST runs
@@ -83,14 +85,15 @@ from .schedule import (
     Schedule,
     ScheduleMetrics,
     _indexed,
+    _keep_swap,
     _retime,
     _slowed,
+    _swap_state,
     _thresholds,
     _window_state,
     cohort_of,
     critical_path_tasks,
     evaluate,
-    schedule_energy,
     slack_reclaim,
     sus_sort,
     swap_reclaims,
@@ -385,25 +388,35 @@ def _unjam_singles(g, sched, D, platform, f_re_ex):
     scores every swap of the round from that schedule's windows, moving only
     the tasks the swap reaches, with the same float operations as a full
     reclaim and energy sum; the result is bit-identical to reclaiming each
-    trial in full. Trials carry speeds, and plans are built for the kept
-    swap alone.
+    trial in full.
+
+    The rounds run on position-indexed state (``schedule._swap_state``):
+    speeds, re-execution flags, durations, energies and their running sum,
+    from which each round takes its windows, its energy (the sum's last
+    term, ``schedule_energy``'s value) and its stuck single runs. The trials
+    are scored in ``sched.plans`` order, so ties go to the same swap. A kept
+    swap moves only its own positions (``schedule._keep_swap``), and plans
+    are built once, at the end, for the positions that changed.
     """
     sched = slack_reclaim(g, sched, D, platform, _singles(sched), {})
-    while True:
-        stuck = [
-            tid for tid, plan in sched.plans.items()
-            if not plan.re_executed and plan.speed1 > platform.f_rel + SLACK_TOL
-        ]
-        if not stuck:
-            return sched
-        current = schedule_energy(g, sched)
+    mapping = sched.mapping
+    order, pos, _, _, _, _ = _indexed(g, mapping)
+    state = _swap_state(g, sched)
+    speeds, redone, _, _, prefix = state
+    in_plans_order = [pos[tid] for tid in sched.plans]
+    stuck_above = platform.f_rel + SLACK_TOL
+    kept = {}
+    while any(not x and f > stuck_above for x, f in zip(redone, speeds)):
+        current = prefix[-1]
         best = None
-        for e, changes in swap_reclaims(g, sched, D, platform, _reexecuted(sched)):
+        for e, changes in swap_reclaims(g, mapping, D, platform, state, [r for r in in_plans_order if redone[r]]):
             if e < current - SLACK_TOL and (best is None or e < best[0]):
                 best = (e, changes)
         if best is None:
-            return sched
-        sched = sched.with_plans({tid: ExecutionPlan(f) for tid, f in best[1].items()})
+            break
+        _keep_swap(g, mapping, state, best[1])
+        kept.update(best[1])
+    return sched.with_plans({order[i]: ExecutionPlan(f) for i, f in kept.items()})
 
 
 def _reclaim_redone(g, sched, D, platform, f_re_ex, windows):

@@ -26,6 +26,23 @@ the passes are running sums and differences (``itertools.accumulate``),
 which add and subtract the same floats in the same order as the general
 loops, so every output is the same, bit for bit. ``slack_reclaim``'s sweep
 decides as it builds the backward pass, so it keeps its own loop.
+
+Elsewhere the general loops (``_forward``, ``_backward``, ``_push_starts``,
+``_retime``, ``slack_reclaim``'s sweep and ``swap_reclaims``' backward
+sweep) take the max of the predecessors' finishes, or the min of ``lft[s] -
+dur[s]`` over the successors, by an inline scan: start from the first term,
+then take each term x that is greater (``x > m``), or smaller (``x < m``).
+So do the two-term maxima of ``_slowed`` and of ``swap_reclaims``' trials.
+The builtins ``max`` and ``min`` compare the same terms in the same order
+with the same operator and keep the first of equal terms, so the scan
+returns the same float, bit for bit (no time here is NaN); it only skips
+building a list and calling a builtin once per position.
+
+The unjam rounds of type B's tail keep their schedule as position-indexed
+state (``_swap_state``: speeds, re-execution flags, durations, energies and
+their running sum). ``swap_reclaims`` scores a round's trials from it and
+``_keep_swap`` moves it to the kept swap, with the trial's own expressions,
+so a round builds no plan and reads no ``Schedule``.
 """
 
 from __future__ import annotations
@@ -246,8 +263,14 @@ def _forward(pred, dur, chain):
     for i, ps in enumerate(pred):
         if len(ps) == 1:
             s = finish[ps[0]]
+        elif ps:
+            s = finish[ps[0]]
+            for p in ps:
+                x = finish[p]
+                if x > s:
+                    s = x
         else:
-            s = max([finish[p] for p in ps], default=0.0)
+            s = 0.0
         est[i] = s
         finish[i] = s + dur[i]
     return est, finish
@@ -273,7 +296,13 @@ def _backward(succ, dur, D, chain):
             s = ss[0]
             lft[i] = lft[s] - dur[s]
         elif ss:
-            lft[i] = min([lft[s] - dur[s] for s in ss])
+            s = ss[0]
+            m = lft[s] - dur[s]
+            for s in ss:
+                x = lft[s] - dur[s]
+                if x < m:
+                    m = x
+            lft[i] = m
     return lft
 
 
@@ -404,7 +433,12 @@ def _push_starts(succ, pred, est, finish, dur, r: int, d: float, end: int, chain
             continue
         left -= 1
         ps = pred[v]  # never empty: v succeeds r or a moved position
-        s = finish[ps[0]] if len(ps) == 1 else max([finish[p] for p in ps])
+        s = finish[ps[0]]
+        if len(ps) > 1:
+            for p in ps:
+                x = finish[p]
+                if x > s:
+                    s = x
         if s == est[v]:
             continue
         est[v] = s
@@ -449,11 +483,13 @@ def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> list[int
             continue
         left -= 1
         ss = succ[u]  # never empty: u precedes r or a moved position
-        if len(ss) == 1:
-            s = ss[0]
-            lf = lft[s] - dur[s]
-        else:
-            lf = min([lft[s] - dur[s] for s in ss])
+        s = ss[0]
+        lf = lft[s] - dur[s]
+        if len(ss) > 1:
+            for s in ss:
+                x = lft[s] - dur[s]
+                if x < lf:
+                    lf = x
         if lf == lft[u]:
             continue
         lft[u] = lf
@@ -570,7 +606,13 @@ def slack_reclaim(
             s = ss[0]
             lft[i] = lft[s] - dur[s]
         elif ss:
-            lft[i] = min([lft[s] - dur[s] for s in ss])
+            s = ss[0]
+            m = lft[s] - dur[s]
+            for s in ss:
+                x = lft[s] - dur[s]
+                if x < m:
+                    m = x
+            lft[i] = m
         tid = order[i]
         if tid not in targets:
             continue
@@ -593,21 +635,68 @@ def _slowed(w: float, plan: ExecutionPlan, window: float, floor: float) -> Execu
         needed = 2.0 * w / window
     else:
         needed = w / window
-    new_speed = max(floor, needed)
+    new_speed = needed if needed > floor else floor  # max(floor, needed)
     if new_speed < plan.speed1 - SLACK_TOL:
         return ExecutionPlan(new_speed, new_speed) if plan.re_executed else ExecutionPlan(new_speed)
     return None
 
 
-def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformModel, tids):
-    """Score each swap "tid runs once at f_rel" of ``base``, then a reclaim of the single runs.
+def _swap_state(g: TaskGraph, schedule: Schedule):
+    """The unjam rounds' state of ``schedule``: ``[speeds, redone, dur, energies, prefix]`` by position.
 
-    For each tid of ``tids`` (re-executed in ``base``) yields ``(energy,
-    speeds)``: ``speeds`` maps tid to f_rel and every single run the reclaim
-    slows to its new speed, all of them single runs. ``base.with_plans({t:
-    ExecutionPlan(f) for t, f in speeds.items()})`` equals ``slack_reclaim(g,
-    trial, D, platform, singles, {})``, where ``trial`` is ``base`` with tid
-    at ``ExecutionPlan(f_rel)`` and ``singles`` its single-run tasks, and
+    Position i is the task ``order[i]`` of ``_indexed(g, schedule.mapping)``:
+    ``speeds[i]`` is its plan's first speed, ``redone[i]`` whether it is
+    re-executed, ``dur[i]`` and ``energies[i]`` its ``exe_time`` and
+    ``energy``, and ``prefix`` the running sum of the energies from 0.0
+    (``itertools.accumulate``), the additions ``schedule_energy`` makes in
+    the same order, so ``prefix[-1]`` is its value, bit for bit.
+    ``swap_reclaims`` scores a round from the state and ``_keep_swap`` moves
+    it to the swap kept.
+    """
+    order, _, _, _, _, weights = _indexed(g, schedule.mapping)
+    plans = [schedule.plans[tid] for tid in order]
+    energies = list(map(energy, weights, plans))
+    return [
+        [plan.speed1 for plan in plans],
+        [plan.re_executed for plan in plans],
+        list(map(exe_time, weights, plans)),
+        energies,
+        list(itertools.accumulate(energies, initial=0.0)),
+    ]
+
+
+def _keep_swap(g: TaskGraph, mapping: Mapping, state, changes: dict[int, float]) -> None:
+    """Move a ``_swap_state`` to a trial of ``swap_reclaims``, in place: its positions run once at their new speeds.
+
+    Only the positions of ``changes`` move, with the trial's own
+    expressions: a single run at f lasts ``w / f`` and burns ``w * f ** 2``
+    (``exe_time`` and ``energy`` of ``ExecutionPlan(f)``); the running sum
+    is rebuilt from the first of them. The state then equals ``_swap_state``
+    of the schedule with those plans, bit for bit.
+    """
+    weights = _indexed(g, mapping)[5]
+    speeds, redone, dur, energies, prefix = state
+    for i, f in changes.items():
+        w = weights[i]
+        speeds[i] = f
+        redone[i] = False
+        dur[i] = w / f
+        energies[i] = w * f ** 2
+    first = min(changes)
+    prefix[first:] = itertools.accumulate(energies[first:], initial=prefix[first])
+
+
+def swap_reclaims(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformModel, state, rs):
+    """Score each swap "r runs once at f_rel" of a round, then a reclaim of the single runs.
+
+    ``state`` is the round's ``_swap_state`` on (g, mapping), of a schedule
+    ``base``; for each position r of ``rs`` (re-executed in ``base``) yields
+    ``(energy, speeds)``: ``speeds`` maps r to f_rel and every single run
+    the reclaim slows to its new speed, all by position, all of them single
+    runs. ``base.with_plans({order[i]: ExecutionPlan(f) for i, f in
+    speeds.items()})`` equals ``slack_reclaim(g, trial, D, platform,
+    singles, {})``, where ``trial`` is ``base`` with ``order[r]`` at
+    ``ExecutionPlan(f_rel)`` and ``singles`` its single-run tasks, and
     ``energy`` equals ``schedule_energy`` of that schedule, bit for bit. A
     trial builds no plan: a single run at speed f lasts ``w / f`` and burns
     ``w * f ** 2``, ``exe_time``'s and ``energy``'s expressions, and the
@@ -620,50 +709,47 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
     nothing, as a schedule that such a reclaim returned is (a second sweep
     changes nothing). Then the reclaim of a trial decides, for every task
     whose earliest start and latest finish are bit-equal to base's, what the
-    base sweep decided: no change. So the base's windows
-    (``_window_state``) and energies are built once per call, as lists
-    indexed by position in ``_indexed``'s order, and each trial recomputes
-    on a copy only what the swap moves, with slack_reclaim's float
-    expressions: the earliest starts of tid's descendants
-    (``_push_starts``); then, in reverse topological order from the last
-    moved position, a latest finish wherever a successor's latest finish or
-    duration moved, and the slow-down decision only where the earliest start
-    or latest finish moved, plus tid. On a chain (``_indexed``'s flag) the
-    moved starts run from tid's position r up to the last moved one, so the
-    sweep decides every position from there down to r, and below r goes on
-    while a latest finish moves or a task slows down: the positions the
-    general queue would visit, in the same order. The energy continues
-    base's running sum from the first changed position, one term at a time
-    in the same order, as ``schedule_energy`` adds it.
+    base sweep decided: no change. So the base's windows (``_forward`` and
+    ``_backward`` over the state's durations, ``_window_state``'s passes)
+    are built once per round, and each trial recomputes on a copy only what
+    the swap moves, with slack_reclaim's float expressions: the earliest
+    starts of r's descendants (``_push_starts``); then, in reverse
+    topological order from the last moved position, a latest finish wherever
+    a successor's latest finish or duration moved, and the slow-down
+    decision only where the earliest start or latest finish moved, plus r.
+    On a chain (``_indexed``'s flag) the moved starts run from r up to the
+    last moved one, so the sweep decides every position from there down to
+    r, and below r goes on while a latest finish moves or a task slows down:
+    the positions the general queue would visit, in the same order. The
+    energy continues the state's running sum from the first changed
+    position, one term at a time in the same order, as ``schedule_energy``
+    adds it.
 
     Each trial is clipped to the slow span: ``low`` and ``hi``, the lowest
     and highest positions of a single run above its floor, the only ones
-    the sweep can slow. Past ``hi`` no duration changes but tid's, so the
+    the sweep can slow. Past ``hi`` no duration changes but r's, so the
     starts there would only mark positions to decide, none of which can
     slow, and ``_push_starts`` stops after ``hi``; the latest finishes past
     ``hi``, built from the same durations, are base's. Below ``low`` nothing
     is decided, and a latest finish there is read only by lower positions,
     so the sweep stops at ``low``. Without a single run above its floor a
-    trial changes tid alone.
+    trial changes r alone.
     """
-    order, pos, succ, pred, chain, weights = _indexed(g, base.mapping)
-    n = len(order)
-    est, finish, lft, dur = _window_state(g, base, D, platform, check=False)
-    plans = [base.plans[tid] for tid in order]
-    energies = [energy(w, plan) for w, plan in zip(weights, plans)]
-    prefix = [0.0]
-    for e in energies:
-        prefix.append(prefix[-1] + e)
+    _, _, succ, pred, chain, weights = _indexed(g, mapping)
+    speeds, redone, dur, energies, prefix = state
+    n = len(dur)
+    est, finish = _forward(pred, dur, chain)
+    lft = _backward(succ, dur, D, chain)
     f_rel = platform.f_rel
     # Whether the sweep could slow the position: a single run above its
     # floor. Otherwise max(f_rel, needed) >= speed1 - SLACK_TOL, and
     # ``_slowed`` returns None. That holds for r's swap too, at f_rel, and
     # slow[r] is False, as r is re-executed in base.
-    slow = [not plan.re_executed and plan.speed1 - SLACK_TOL > f_rel for plan in plans]
+    slow = [not x and f - SLACK_TOL > f_rel for x, f in zip(redone, speeds)]
     # The slow span, low to hi; without a slow position both passes are empty.
     span = [i for i, s in enumerate(slow) if s]
     low, hi = (span[0], span[-1]) if span else (n, -1)
-    for r in map(pos.__getitem__, tids):
+    for r in rs:
         # Forward: the earliest starts up to hi that the shorter task r moves.
         t_dur, t_est, t_finish, t_lft = dur[:], est[:], finish[:], lft[:]
         decide = _push_starts(succ, pred, t_est, t_finish, t_dur, r, weights[r] / f_rel, hi + 1, chain)
@@ -680,8 +766,10 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
                 if slow[u] and (moved or u >= r):
                     window = lf - t_est[u]
                     if window > 0.0:
-                        f = max(f_rel, weights[u] / window)
-                        if f < plans[u].speed1 - SLACK_TOL:
+                        f = weights[u] / window
+                        if not f > f_rel:  # max(f_rel, f)
+                            f = f_rel
+                        if f < speeds[u] - SLACK_TOL:
                             changes[u] = f
                             t_dur[u] = weights[u] / f
                             moved = True
@@ -707,8 +795,15 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
                 if len(ss) == 1:
                     s = ss[0]
                     lf = t_lft[s] - t_dur[s]
+                elif ss:
+                    s = ss[0]
+                    lf = t_lft[s] - t_dur[s]
+                    for s in ss:
+                        x = t_lft[s] - t_dur[s]
+                        if x < lf:
+                            lf = x
                 else:
-                    lf = min([t_lft[s] - t_dur[s] for s in ss], default=D)
+                    lf = D
                 moved = lf != lft[u]
                 t_lft[u] = lf
                 if slow[u] and (moved or q == 2):
@@ -716,8 +811,10 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
                     # every earliest start is finite.
                     window = lf - t_est[u]
                     if window > 0.0:
-                        f = max(f_rel, weights[u] / window)
-                        if f < plans[u].speed1 - SLACK_TOL:
+                        f = weights[u] / window
+                        if not f > f_rel:  # max(f_rel, f)
+                            f = f_rel
+                        if f < speeds[u] - SLACK_TOL:
                             changes[u] = f
                             t_dur[u] = weights[u] / f
                             moved = True
@@ -733,7 +830,7 @@ def swap_reclaims(g: TaskGraph, base: Schedule, D: float, platform: PlatformMode
         total = prefix[first]
         for e in terms:
             total += e
-        yield total, {order[i]: f for i, f in changes.items()}
+        yield total, changes
 
 
 def format_schedule(g: TaskGraph, schedule: Schedule) -> str:

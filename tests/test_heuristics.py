@@ -37,6 +37,8 @@ from trisched.model import SLACK_TOL, ExecutionPlan, ModelValidityWarning, Task,
 from trisched.schedule import (
     Schedule,
     _indexed,
+    _keep_swap,
+    _swap_state,
     _window_state,
     cohort_of,
     critical_path_tasks,
@@ -483,7 +485,10 @@ class TestUnjamFromBaseWindows:
                     and base.plans[tid].speed1 - SLACK_TOL > platform.f_rel
                 ]
                 rids = _reexecuted(base)
-                for rid, (e, speeds) in zip(rids, swap_reclaims(g, base, D, platform, rids)):
+                state = _swap_state(g, base)
+                rs = [pos[tid] for tid in rids]
+                for rid, (e, changes) in zip(rids, swap_reclaims(g, base.mapping, D, platform, state, rs)):
+                    speeds = {order[i]: f for i, f in changes.items()}
                     trial = base.with_plan(rid, ExecutionPlan(platform.f_rel))
                     expected = slack_reclaim(g, trial, D, platform, _singles(trial), {})
                     assert all(type(f) is float for f in speeds.values()), (case, rid)
@@ -500,6 +505,39 @@ class TestUnjamFromBaseWindows:
         # Some swaps must free slack that other single runs take up.
         assert sum(seen.values()) > 100 and moved > 10
         assert all(seen[where] > 5 for where in ("none", "below", "inside", "above")), seen
+
+    def test_kept_swap_equals_a_fresh_state(self, platform):
+        # _keep_swap moves the round's state to the kept trial: the state
+        # of the schedule with the trial's plans, bit for bit.
+        kept = 0
+        for case in range(0, 24, 3):
+            for g, start, D, _ in _type_b_starts(platform, case):
+                base = slack_reclaim(g, start, D, platform, _singles(start), {})
+                order, pos, _, _, _, _ = _indexed(g, base.mapping)
+                rids = _reexecuted(base)
+                trials = swap_reclaims(g, base.mapping, D, platform, _swap_state(g, base), [pos[t] for t in rids])
+                for _, changes in trials:
+                    state = _swap_state(g, base)
+                    _keep_swap(g, base.mapping, state, changes)
+                    fresh = _swap_state(g, base.with_plans({order[i]: ExecutionPlan(f) for i, f in changes.items()}))
+                    assert state[1] == fresh[1]
+                    assert [[x.hex() for x in col] for col in state[:1] + state[2:]] == [
+                        [x.hex() for x in col] for col in fresh[:1] + fresh[2:]]
+                    kept += len(changes) > 1
+        assert kept > 10
+
+    @pytest.mark.parametrize("ids", ([0, 1, 2], [2, 1, 0]))
+    def test_equal_trials_go_to_the_first_in_plans_order(self, ids):
+        # On the chain 0 -> 1 -> 2 the single run 1 is stuck at f_max between
+        # two equal re-executions; either swap gives it the same slack and
+        # the same energy, and only one of them is kept.
+        platform = make_platform(f_rel=0.5)
+        g = chain([1.0, 1.0, 1.0])
+        plans = {tid: ExecutionPlan(1.0) if tid == 1 else ExecutionPlan(0.25, 0.25) for tid in ids}
+        start = Schedule(list_schedule(g, 1), plans)
+        out = _unjam_singles(g, start, 17.0, platform, 0.25)
+        assert out.plans == _unjam_singles_full_reclaims(g, start, 17.0, platform, 0.25).plans
+        assert [tid for tid in ids if not out.plans[tid].re_executed] == [ids[0], 1]
 
     @pytest.mark.parametrize("case", range(24))
     def test_same_schedule_as_full_reclaims(self, platform, case):

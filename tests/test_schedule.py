@@ -11,7 +11,7 @@ import pytest
 from conftest import make_platform
 from trisched.graph import TaskGraph, bottom_levels, chain, fork, fork_identical, generate_random
 from trisched.heuristics import HeuristicKind, min_deadline, run
-from trisched.model import SLACK_TOL, ExecutionPlan, Task, exe_time, f_inf
+from trisched.model import SLACK_TOL, ExecutionPlan, Task, energy, exe_time, f_inf
 from trisched import schedule as schedule_module
 from trisched.schedule import (
     Mapping,
@@ -21,6 +21,7 @@ from trisched.schedule import (
     _indexed,
     _push_starts,
     _retime,
+    _swap_state,
     _window_state,
     cohort_of,
     critical_path_tasks,
@@ -689,7 +690,8 @@ class TestChainSwapReclaims:
     @pytest.mark.parametrize("n, p, graph", CHAINS)
     def test_each_trial_equals_a_full_reclaim(self, platform, n, p, graph):
         rng, g, mapping = _chain_case(n, p, graph)
-        assert _indexed(g, mapping)[4]
+        order, pos, _, _, chain_flag, _ = _indexed(g, mapping)
+        assert chain_flag
         f_re_ex = 0.9 * platform.f_rel / math.sqrt(2.0)
         trials = widened = 0
         for ratio in (1.05, 1.5, 3.0, 6.0):
@@ -700,7 +702,10 @@ class TestChainSwapReclaims:
                 D = ratio * evaluate(g, start, math.inf, platform).makespan
                 base = slack_reclaim(g, start, D, platform, [t for t, q in plans.items() if not q.re_executed], {})
                 rids = [tid for tid, plan in base.plans.items() if plan.re_executed]
-                for rid, (e, speeds) in zip(rids, swap_reclaims(g, base, D, platform, rids)):
+                state = _swap_state(g, base)
+                rs = [pos[tid] for tid in rids]
+                for rid, (e, changes) in zip(rids, swap_reclaims(g, mapping, D, platform, state, rs)):
+                    speeds = {order[i]: f for i, f in changes.items()}
                     trial = base.with_plan(rid, ExecutionPlan(platform.f_rel))
                     singles = [tid for tid, plan in trial.plans.items() if not plan.re_executed]
                     expected = slack_reclaim(g, trial, D, platform, singles, {})
@@ -711,6 +716,285 @@ class TestChainSwapReclaims:
         if n >= 40:
             # Some swaps free slack that other single runs take up.
             assert trials > 100 and widened > 10
+
+
+# The general-DAG kernels as they took their max and min before the inline
+# scans: a list comprehension handed to the builtin. Reference code; the scans
+# must give the same floats, bit for bit.
+
+
+def _forward_listcomp(pred, dur):
+    est = [0.0] * len(dur)
+    finish = est[:]
+    for i, ps in enumerate(pred):
+        if len(ps) == 1:
+            s = finish[ps[0]]
+        else:
+            s = max([finish[p] for p in ps], default=0.0)
+        est[i] = s
+        finish[i] = s + dur[i]
+    return est, finish
+
+
+def _backward_listcomp(succ, dur, D):
+    lft = [D] * len(dur)
+    for i in reversed(range(len(dur))):
+        ss = succ[i]
+        if len(ss) == 1:
+            s = ss[0]
+            lft[i] = lft[s] - dur[s]
+        elif ss:
+            lft[i] = min([lft[s] - dur[s] for s in ss])
+    return lft
+
+
+def _push_starts_listcomp(succ, pred, est, finish, dur, r, d, end):
+    dur[r] = d
+    f = est[r] + d
+    if f == finish[r]:
+        return []
+    finish[r] = f
+    moved = []
+    queued = bytearray(len(est))
+    for x in succ[r]:
+        queued[x] = 1
+    left = len(succ[r])
+    for v in range(r + 1, end):
+        if not left:
+            break
+        if not queued[v]:
+            continue
+        left -= 1
+        ps = pred[v]
+        s = finish[ps[0]] if len(ps) == 1 else max([finish[p] for p in ps])
+        if s == est[v]:
+            continue
+        est[v] = s
+        moved.append(v)
+        f = s + dur[v]
+        if f == finish[v]:
+            continue
+        finish[v] = f
+        for x in succ[v]:
+            if not queued[x]:
+                queued[x] = 1
+                left += 1
+    return moved
+
+
+def _retime_listcomp(succ, pred, state, r, d):
+    est, finish, lft, dur = state
+    moved = _push_starts_listcomp(succ, pred, est, finish, dur, r, d, len(est))
+    queued = bytearray(len(lft))
+    for p in pred[r]:
+        queued[p] = 1
+    left = len(pred[r])
+    for u in range(r - 1, -1, -1):
+        if not left:
+            break
+        if not queued[u]:
+            continue
+        left -= 1
+        ss = succ[u]
+        if len(ss) == 1:
+            s = ss[0]
+            lf = lft[s] - dur[s]
+        else:
+            lf = min([lft[s] - dur[s] for s in ss])
+        if lf == lft[u]:
+            continue
+        lft[u] = lf
+        for p in pred[u]:
+            if not queued[p]:
+                queued[p] = 1
+                left += 1
+    return moved
+
+
+def _slowed_listcomp(w, plan, window, floor):
+    if window <= 0.0:
+        return None
+    needed = 2.0 * w / window if plan.re_executed else w / window
+    new_speed = max(floor, needed)
+    if new_speed < plan.speed1 - SLACK_TOL:
+        return ExecutionPlan(new_speed, new_speed) if plan.re_executed else ExecutionPlan(new_speed)
+    return None
+
+
+def _slack_reclaim_listcomp(g, schedule, D, platform, targets, lower_bounds):
+    targets = set(targets)
+    order, _, succ, pred, _, weights = _indexed(g, schedule.mapping)
+    plans = dict(schedule.plans)
+    dur = [exe_time(w, plans[tid]) for w, tid in zip(weights, order)]
+    est, _ = _forward_listcomp(pred, dur)
+    lft = [D] * len(order)
+    for i in reversed(range(len(order))):
+        ss = succ[i]
+        if len(ss) == 1:
+            s = ss[0]
+            lft[i] = lft[s] - dur[s]
+        elif ss:
+            lft[i] = min([lft[s] - dur[s] for s in ss])
+        tid = order[i]
+        if tid not in targets:
+            continue
+        slowed = _slowed_listcomp(weights[i], plans[tid], lft[i] - est[i], lower_bounds.get(tid, platform.f_rel))
+        if slowed is not None:
+            plans[tid] = slowed
+            dur[i] = exe_time(weights[i], slowed)
+    return Schedule(schedule.mapping, plans)
+
+
+def _swap_reclaims_listcomp(g, base, D, platform, tids):
+    """``swap_reclaims``' general loop, rebuilding its base from a ``Schedule``; speeds keyed by task id."""
+    order, pos, succ, pred, _, weights = _indexed(g, base.mapping)
+    n = len(order)
+    plans = [base.plans[tid] for tid in order]
+    dur = [exe_time(w, plan) for w, plan in zip(weights, plans)]
+    est, finish = _forward_listcomp(pred, dur)
+    lft = _backward_listcomp(succ, dur, D)
+    energies = [energy(w, plan) for w, plan in zip(weights, plans)]
+    prefix = [0.0]
+    for e in energies:
+        prefix.append(prefix[-1] + e)
+    f_rel = platform.f_rel
+    slow = [not plan.re_executed and plan.speed1 - SLACK_TOL > f_rel for plan in plans]
+    span = [i for i, s in enumerate(slow) if s]
+    low, hi = (span[0], span[-1]) if span else (n, -1)
+    for r in map(pos.__getitem__, tids):
+        t_dur, t_est, t_finish, t_lft = dur[:], est[:], finish[:], lft[:]
+        decide = _push_starts_listcomp(succ, pred, t_est, t_finish, t_dur, r, weights[r] / f_rel, hi + 1)
+        changes = {r: f_rel}
+        queued = bytearray(n)
+        queued[r] = 2
+        for u in decide:
+            queued[u] = 2
+        left = 1 + len(decide)
+        for u in range(decide[-1] if decide else r, low - 1, -1):
+            if not left:
+                break
+            q = queued[u]
+            if not q:
+                continue
+            left -= 1
+            ss = succ[u]
+            if len(ss) == 1:
+                s = ss[0]
+                lf = t_lft[s] - t_dur[s]
+            else:
+                lf = min([t_lft[s] - t_dur[s] for s in ss], default=D)
+            moved = lf != lft[u]
+            t_lft[u] = lf
+            if slow[u] and (moved or q == 2):
+                window = lf - t_est[u]
+                if window > 0.0:
+                    f = max(f_rel, weights[u] / window)
+                    if f < plans[u].speed1 - SLACK_TOL:
+                        changes[u] = f
+                        t_dur[u] = weights[u] / f
+                        moved = True
+            if moved or u == r:
+                for p in pred[u]:
+                    if not queued[p]:
+                        queued[p] = 1
+                        left += 1
+        first = min(changes)
+        terms = energies[first:]
+        for i, f in changes.items():
+            terms[i - first] = weights[i] * f ** 2
+        total = prefix[first]
+        for e in terms:
+            total += e
+        yield total, {order[i]: f for i, f in changes.items()}
+
+
+def _integer_case(platform, seed, p):
+    """A random DAG with weights 1-4 on p processors, plans at speeds 1, 1/2 or (1/2, 1/2), and a deadline.
+
+    Integer weights and power-of-two speeds make exact ties in the
+    kernels' max and min common.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(30, 80)
+    g0 = generate_random(n, rng.randint(n, 3 * n), seed=seed)
+    g = TaskGraph(tuple(Task(t.id, float(rng.randint(1, 4))) for t in g0.tasks), g0.edges)
+    plans = {t.id: rng.choice((ExecutionPlan(1.0), ExecutionPlan(0.5), ExecutionPlan(0.5, 0.5))) for t in g.tasks}
+    sched = Schedule(list_schedule(g, p), plans)
+    D = rng.choice((1.0, 1.2, 2.0, 5.0)) * evaluate(g, sched, math.inf, platform).makespan
+    return rng, g, sched, D
+
+
+INTEGER_CASES = [(seed, p) for p in (1, 4, 50) for seed in range(6)]
+
+
+class TestInlineScansEqualListComprehensions:
+    """The kernels' inline max and min scans give the builtins' floats, on reductions rich in ties."""
+
+    def test_forward_and_backward(self, platform):
+        ties = 0
+        for seed, p in INTEGER_CASES:
+            _, g, sched, D = _integer_case(platform, seed, p)
+            order, _, succ, pred, _, weights = _indexed(g, sched.mapping)
+            dur = [exe_time(w, sched.plans[tid]) for w, tid in zip(weights, order)]
+            est, finish = _forward(pred, dur, False)
+            lft = _backward(succ, dur, D, False)
+            assert _bits([est, finish]) == _bits(_forward_listcomp(pred, dur)), (seed, p)
+            assert _bits([lft]) == _bits([_backward_listcomp(succ, dur, D)]), (seed, p)
+            # Positions whose max (or min) is taken by two or more equal terms.
+            ties += sum(sorted(finish[q] for q in ps)[-2:] == [s] * 2 for s, ps in zip(est, pred) if len(ps) > 1)
+            ties += sum(sorted(lft[q] - dur[q] for q in ss)[:2] == [lf] * 2 for lf, ss in zip(lft, succ) if len(ss) > 1)
+        assert ties > 20, ties
+
+    @pytest.mark.parametrize("seed, p", INTEGER_CASES)
+    def test_push_starts_and_retime(self, platform, seed, p):
+        rng, g, sched, D = _integer_case(platform, seed, p)
+        order, _, succ, pred, _, weights = _indexed(g, sched.mapping)
+        n = len(order)
+        state = _window_state(g, sched, D, platform, check=False)
+        reference = [col[:] for col in state]
+        clipped = 0
+        for _ in range(40):
+            r = rng.randrange(n)
+            d = weights[r] / rng.choice((1.0, 0.5, 0.25))
+            end = rng.randint(r + 1, n)
+            pushed = []
+            for push in (_push_starts, _push_starts_listcomp):
+                est, finish, dur = state[0][:], state[1][:], state[3][:]
+                args = (succ, pred, est, finish, dur, r, d, end)
+                moved = push(*args, False) if push is _push_starts else push(*args)
+                pushed.append((moved, _bits([est, finish, dur])))
+            assert pushed[0] == pushed[1], (r, end)
+            clipped += end < n
+            moved = _retime(g, sched.mapping, state, r, d)
+            assert moved == _retime_listcomp(succ, pred, reference, r, d), r
+            assert _bits(state) == _bits(reference), r
+        assert clipped > 5
+
+    @pytest.mark.parametrize("seed, p", INTEGER_CASES)
+    def test_slack_reclaim(self, platform, seed, p):
+        rng, g, sched, D = _integer_case(platform, seed, p)
+        ids = [t.id for t in g.tasks]
+        targets = rng.sample(ids, rng.randint(len(ids) // 4, len(ids)))
+        bounds = {tid: f_inf(g.weight(tid), platform) for tid in targets if rng.random() < 0.3}
+        out = slack_reclaim(g, sched, D, platform, targets, bounds)
+        expected = _slack_reclaim_listcomp(g, sched, D, platform, targets, bounds)
+        assert {t: (q.speed1.hex(), q.speed2 and q.speed2.hex()) for t, q in out.plans.items()} == {
+            t: (q.speed1.hex(), q.speed2 and q.speed2.hex()) for t, q in expected.plans.items()}
+
+    @pytest.mark.parametrize("seed, p", INTEGER_CASES)
+    def test_swap_reclaims(self, platform, seed, p):
+        _, g, sched, D = _integer_case(platform, seed, p)
+        order, pos, _, _, _, _ = _indexed(g, sched.mapping)
+        base = slack_reclaim(g, sched, D, platform, [t for t, q in sched.plans.items() if not q.re_executed], {})
+        rids = [tid for tid, plan in base.plans.items() if plan.re_executed]
+        out = swap_reclaims(g, base.mapping, D, platform, _swap_state(g, base), [pos[tid] for tid in rids])
+        expected = _swap_reclaims_listcomp(g, base, D, platform, rids)
+        trials = 0
+        for (e, changes), (e_ref, speeds_ref) in zip(out, expected, strict=True):
+            assert e.hex() == e_ref.hex()
+            assert {order[i]: f.hex() for i, f in changes.items()} == {t: f.hex() for t, f in speeds_ref.items()}
+            trials += 1
+        assert trials == len(rids)
 
 
 def _reachable(succ, u, skip=None):
