@@ -17,7 +17,9 @@ tests/test_acceptance.py`` once per side, parent first, each on its own
 slowest test phases. With ``--traced``, it runs ``bench/run.py --trace 1``
 once per side and workload, parent first, after that workload's pairs, and
 writes each run's wall time, exit code, peak resident memory (from
-``os.wait4``) and result line; ``--pairs 0`` runs only these. With
+``os.wait4``), number of traced ops, spans per op (the sum of the result's
+``*.calls`` metrics, each a count per op) and result line; ``--pairs 0``
+runs only these. With
 ``--digest``, it first records ``scripts/digest_grid.py``'s digest of each
 side's ``src``, so that a speed claim carries the evidence that both sides
 give the same outputs, bit for bit. Each side's
@@ -43,6 +45,9 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 CHUNK = re.compile(r"median reference chunk ([0-9.]+) ms")
+# The run's summary line: "workload W, seed N: 528 ops in 33 round(s), ...";
+# a traced run replays as many ops traced as it ran untraced.
+OPS = re.compile(r": ([0-9]+) ops in [0-9]+ round")
 # One line of pytest's --durations report: "12.34s call     tests/x.py::test_y".
 DURATION = re.compile(r"^([0-9.]+)s (setup|call|teardown)\s+(\S+)\s*$", re.M)
 
@@ -62,11 +67,14 @@ def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict
 
 
 def traced_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One traced run of the checkout's benchmark: wall time, exit code, peak RSS and result line.
+    """One traced run of the checkout's benchmark: wall time, exit code, peak RSS, its cost and result line.
 
     The child is reaped with ``os.wait4``, so its peak RSS is its own, not
     this script's. ``result`` is None when the last line is not JSON (a
-    crashed or killed run).
+    crashed or killed run). ``traced_ops`` is the ops count of the run's
+    summary line, and ``spans_per_op`` the sum of the result's ``*.calls``
+    metrics: together they give the spans the traced phase kept. Each is
+    None when the run did not print it.
     """
     with tempfile.TemporaryFile("w+") as out:
         t0 = time.perf_counter()
@@ -80,13 +88,19 @@ def traced_once(checkout: Path, workload: str, seed: int, seconds: float) -> dic
         # Reaped here, so Popen must be told, or it warns of a running child.
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
-        lines = out.read().strip().splitlines()
+        text = out.read()
+    lines = text.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = None
+    ops = OPS.search(text)
+    metrics = result.get("metrics") if isinstance(result, dict) else None
     # ru_maxrss is in KiB on Linux, as bench/run.py's peak_rss_mb reads it.
     return {"wall_s": wall, "returncode": proc.returncode, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "traced_ops": int(ops.group(1)) if ops else None,
+            "spans_per_op": sum(m["value"] for name, m in metrics.items() if name.endswith(".calls"))
+            if metrics else None,
             "result": result}
 
 
@@ -225,7 +239,8 @@ def main(argv=None) -> int:
             for side in SIDES:
                 traced[side] = result = traced_once(checkouts[side], workload, args.seed, seconds)
                 print(f"{workload} traced {side}: {result['wall_s']:.1f} s, exit {result['returncode']}, "
-                      f"{result['peak_rss_mb']:.1f} MB", file=sys.stderr, flush=True)
+                      f"{result['peak_rss_mb']:.1f} MB, {result.get('traced_ops')} ops, "
+                      f"{result.get('spans_per_op')} spans/op", file=sys.stderr, flush=True)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.acceptance:
         report["acceptance"] = {}

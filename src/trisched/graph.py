@@ -29,8 +29,9 @@ class TaskGraph:
     _hash: int = field(init=False, repr=False, compare=False)
     # Per-graph memos of data derived from the graph and one more value:
     # ``schedule._indexed`` keyed by the mapping, ``schedule._thresholds`` by
-    # the platform. They live as long as the graph, and an equal graph has
-    # its own, so a lookup never compares two graphs.
+    # the platform, ``heuristics._floors`` by ``("f_inf", platform)``. They
+    # live as long as the graph, and an equal graph has its own, so a lookup
+    # never compares two graphs.
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

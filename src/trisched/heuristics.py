@@ -1,10 +1,10 @@
 """The seven scheduling heuristics plus their envelope.
 
 Each heuristic is a table entry: a start speed for every task, then phases
-``(g, sched, D, platform, f_re_ex, windows) -> (sched, windows)`` applied in
-order. Type A starts at f_dec and then tries to re-execute (good when
-parallelism is low); type B re-executes first from f_max and slows what is
-left (good for tight deadlines and many processors). A phase is a ReExec
+``(g, sched, D, platform, f_re_ex, windows, dead) -> (sched, windows)``
+applied in order. Type A starts at f_dec and then tries to re-execute
+(good when parallelism is low); type B re-executes first from f_max and
+slows what is left (good for tight deadlines and many processors). A phase is a ReExec
 walk over a task order, the critical-path fixpoint, or type A's closing
 reclaim of re-executed tasks; HFMAX and HNO_REEX have none. Every type-B
 kind then runs its tail, found by kind: the unjam of single runs, then the
@@ -35,8 +35,32 @@ critical path (``schedule.critical_path_tasks``, latest finishes by
 (``schedule.sus_sort``) of the schedule it starts from. So a walk calls
 evaluate only for a probe the windows cannot decide; evaluate judges and
 reports: the probe's fallback, ``min_deadline`` and ``run``'s result.
-Windows travel in arguments and on the solve's ``speeds``, so concurrent
-solves do not interfere.
+Windows and dead sets travel in arguments and on the solve's ``speeds``,
+so concurrent solves do not interfere.
+
+A kind's walks also hand on a dead set: the tasks whose re-execution at
+f_re_ex is ruled out. The start seeds it, once per start speed, from its
+checked windows with the probe's own expressions: a margin below the band,
+or a re-execution plan that fails ``task_feasible``. A walk adds each task
+whose probe it rejects while it holds windows, that is, while its schedule
+is feasible. A dead task is not probed: the walk treats it as a rejection,
+so a ReExec&SlowDown walk still slows it; the walks without a slow-down,
+for which it is a no-op, leave it out of their order (``sus_sort``'s key
+is a total order, so the other tasks keep their relative order).
+
+This is exact. Within a kind's walks every change makes a duration longer:
+a re-execution at f_re_ex turns w/f into 2w/f_re_ex, with f_re_ex < f_rel
+<= f <= f_max, and the slow-downs (``_slowed``, ``slack_reclaim``) only
+lower speeds. Float addition, subtraction, max and min are monotone, so at
+every position the earliest start only grows and the latest finish only
+shrinks, and the makespan of "tid at f_re_ex" only grows. For that change
+the duration d, the band 4n * eps * max(D, 1) and ``task_feasible`` (which
+reads only w and the plan) are fixed. A probe's verdict is evaluate's on
+the changed schedule. While the schedule is feasible, a rejection is
+decided by that makespan or by tid's own rules; a later probe of tid sees
+a makespan no smaller, the same rules, and perhaps other tasks' faults. So
+a rejection made while the walk holds windows stays a rejection, whatever
+the walk does next. The set lives and dies with one kind's solve.
 
 Type B's reclaims are incremental and exact. A task slowed alone after a
 rejected probe takes its window from the walk's windows, which hold the window
@@ -137,9 +161,9 @@ class DerivedSpeeds:
     """The start speeds of a solve: f_dec for type A, f_re_ex for every re-execution.
 
     ``_tails`` is the solve's memo of type B's tail (``_tail``), and
-    ``_starts`` its memo of each start speed's uniform schedule and checked
-    windows (``_start``): they take no part in equality, hashing or repr,
-    and every ``derived_speeds`` call starts empty ones.
+    ``_starts`` its memo of each start speed's uniform schedule, checked
+    windows and dead set (``_start``): they take no part in equality,
+    hashing or repr, and every ``derived_speeds`` call starts empty ones.
     """
 
     f_dec: float
@@ -204,7 +228,7 @@ def feasibility_probe(
         w = weights[r]
         d = exe_time(w, plan)
         margin = lft[r] + SLACK_TOL - (est[r] + d)
-        band = 4 * len(est) * sys.float_info.epsilon * max(D, 1.0)
+        band = _band(len(est), D)
         if margin > band:
             verdict = task_feasible(w, plan, _thresholds(g, platform)[tid], platform)
         elif margin < -band:
@@ -221,6 +245,11 @@ def feasibility_probe(
     return True, candidate
 
 
+def _band(n: int, D: float) -> float:
+    """The margin within which a one-task probe of n tasks defers to evaluate (see ``feasibility_probe``)."""
+    return 4 * n * sys.float_info.epsilon * max(D, 1.0)
+
+
 def _reexecuted(schedule: Schedule) -> list[int]:
     return [tid for tid, plan in schedule.plans.items() if plan.re_executed]
 
@@ -229,29 +258,52 @@ def _singles(schedule: Schedule) -> list[int]:
     return [tid for tid, plan in schedule.plans.items() if not plan.re_executed]
 
 
-def _greedy_order(g, sched, state):
-    """Every task by decreasing weight, ties by id (kept on the graph)."""
+def _greedy_order(g, sched, state, skip):
+    """Every task by decreasing weight, ties by id (kept on the graph); ``skip`` is left to the walk."""
     return g._by_weight
 
 
-def _critical_order(g, sched, state):
-    """The tasks on a critical path of ``sched``, in super-weight order."""
-    return sus_sort(g, sched.mapping, state, critical_path_tasks(g, sched.mapping, state))
+def _critical_order(g, sched, state, skip):
+    """The single-execution tasks on a critical path of ``sched`` and not in ``skip``, in super-weight order."""
+    plans = sched.plans
+    live = [tid for tid in critical_path_tasks(g, sched.mapping, state)
+            if not (plans[tid].re_executed or tid in skip)]
+    return sus_sort(g, sched.mapping, state, live)
 
 
-def _singles_order(g, sched, state):
-    """The single-execution tasks of ``sched``, in super-weight order."""
-    return sus_sort(g, sched.mapping, state, _singles(sched))
+def _singles_order(g, sched, state, skip):
+    """The single-execution tasks of ``sched`` not in ``skip``, in super-weight order."""
+    return sus_sort(g, sched.mapping, state, [tid for tid in _singles(sched) if tid not in skip])
 
 
-def _reexec_over(g, schedule, D, platform, f_re_ex, windows, *, order, with_cohort=False, slowdown_on_fail=False):
-    """ReExec (optionally ReExec&SlowDown) walk over ``order(g, schedule, state)``; returns ``(schedule, windows)``.
+def _reexec_live(g, schedule, D, platform, tid, reexec, windows, dead):
+    """``feasibility_probe`` of tid at ``reexec``, unless tid is dead; returns ``(ok, schedule)``.
+
+    A dead task is rejected without a probe. A probe rejected while the walk
+    holds ``windows`` (its schedule is feasible) adds tid to ``dead``.
+    """
+    if tid in dead:
+        return False, schedule
+    ok, schedule = feasibility_probe(g, schedule, D, platform, {tid: reexec}, windows)
+    if not ok and windows is not None:
+        dead.add(tid)
+    return ok, schedule
+
+
+def _reexec_over(g, schedule, D, platform, f_re_ex, windows, dead, *, order, with_cohort=False,
+                 slowdown_on_fail=False):
+    """ReExec (optionally ReExec&SlowDown) walk over ``order(g, schedule, state, skip)``; returns ``(schedule, windows)``.
 
     The order is taken from the schedule the walk starts from. Each task still
     running once is probed at f_re_ex. With ``with_cohort`` the tasks running
     inside an accepted task's enlarged interval are probed too. With
     ``slowdown_on_fail`` a rejected task, plus its cohort when
     ``with_cohort``, is slowed into the slack around it instead.
+
+    ``dead`` is the kind's dead set (module docstring), moved in place: a
+    dead task counts as rejected without a probe (``_reexec_live``). Without
+    ``slowdown_on_fail`` a rejection changes nothing, so the order may leave
+    out the dead tasks (``skip``).
 
     ``windows`` holds the current schedule's time windows, as handed on by
     the phase before (``UNKNOWN`` to check afresh), None while the schedule
@@ -268,10 +320,10 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, windows, *, order, with_coho
     def times():
         return windows or _window_state(g, schedule, D, platform, check=False)
 
-    for tid in order(g, schedule, times()):
+    for tid in order(g, schedule, times(), () if slowdown_on_fail else dead):
         if schedule.plans[tid].re_executed:
             continue
-        ok, schedule = feasibility_probe(g, schedule, D, platform, {tid: reexec}, windows)
+        ok, schedule = _reexec_live(g, schedule, D, platform, tid, reexec, windows, dead)
         if ok:
             if with_cohort:
                 # The super-weight set is taken after the task stretched to
@@ -279,7 +331,7 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, windows, *, order, with_coho
                 # enlarged interval is pulled along.
                 for cid in cohort_of(g, schedule.mapping, times(), tid):
                     if not schedule.plans[cid].re_executed:
-                        _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec}, windows)
+                        _, schedule = _reexec_live(g, schedule, D, platform, cid, reexec, windows, dead)
         elif slowdown_on_fail:
             cohort = cohort_of(g, schedule.mapping, times(), tid) if with_cohort else []
             if cohort:
@@ -299,7 +351,8 @@ def _slow_group(g, schedule, D, platform, group, windows):
     as ``_slow_single`` does. Without windows they are built afresh.
     """
     _, pos, _, _, _, weights = _indexed(g, schedule.mapping)
-    bounds = {cid: f_inf(weights[pos[cid]], platform) for cid in group if schedule.plans[cid].re_executed}
+    floors = _floors(g, platform)
+    bounds = {cid: floors[cid] for cid in group if schedule.plans[cid].re_executed}
     out = slack_reclaim(g, schedule, D, platform, group, bounds)
     if windows is None:
         return out, _window_state(g, out, D, platform)
@@ -346,7 +399,7 @@ def _slow_single(g, schedule, D, platform, tid, windows):
     return schedule.with_plan(tid, slowed), windows
 
 
-def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex, windows):
+def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex, windows, dead):
     """Exhaustive ReExec driven by the critical-path SUS list; returns ``(sched, windows)``.
 
     Passes over the critical-path list (re-derived each time, as re-executed
@@ -354,14 +407,14 @@ def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex, windows):
     then remaining single-execution tasks are probed in super-weight order
     so abundant off-path slack is not left on the table.  Re-executions only
     accumulate, so the loop terminates within one pass per task. Each walk
-    hands its windows to the next.
+    hands its windows and the dead set to the next.
     """
     for _ in range(len(g)):
         before = len(_reexecuted(sched))
-        sched, windows = _critical_walk(g, sched, D, platform, f_re_ex, windows)
+        sched, windows = _critical_walk(g, sched, D, platform, f_re_ex, windows, dead)
         after = len(_reexecuted(sched))
         if after == before:
-            sched, windows = _reexec_over(g, sched, D, platform, f_re_ex, windows, order=_singles_order)
+            sched, windows = _reexec_over(g, sched, D, platform, f_re_ex, windows, dead, order=_singles_order)
             if len(_reexecuted(sched)) == after:
                 break
     return sched, windows
@@ -419,21 +472,36 @@ def _unjam_singles(g, sched, D, platform, f_re_ex):
     return sched.with_plans({order[i]: ExecutionPlan(f) for i, f in kept.items()})
 
 
-def _reclaim_redone(g, sched, D, platform, f_re_ex, windows):
+def _reclaim_redone(g, sched, D, platform, *_):
     """Hand the remaining slack to the re-executed tasks, down to their f_inf floors.
 
-    Returns ``(sched, UNKNOWN)``: no walk follows it, so it moves no windows.
+    Returns ``(sched, UNKNOWN)``: no walk follows it, so it moves no windows
+    and reads none of a phase's other arguments (f_re_ex, windows, dead set).
     """
     redone = _reexecuted(sched)
-    bounds = {tid: f_inf(g.weight(tid), platform) for tid in redone}
-    return slack_reclaim(g, sched, D, platform, redone, bounds), UNKNOWN
+    floors = _floors(g, platform)
+    return slack_reclaim(g, sched, D, platform, redone, {tid: floors[tid] for tid in redone}), UNKNOWN
+
+
+def _floors(g, platform):
+    """Every task's f_inf, kept in ``g._memo`` keyed by ``("f_inf", platform)``; do not mutate.
+
+    Built on first use, as ``schedule._thresholds`` is, from ``f_inf`` itself,
+    so the floors are its floats.
+    """
+    key = ("f_inf", platform)
+    floors = g._memo.get(key)
+    if floors is None:
+        floors = g._memo[key] = {t.id: f_inf(t.weight, platform) for t in g.tasks}
+    return floors
 
 
 _greedy_walk = functools.partial(_reexec_over, order=_greedy_order)
 _critical_walk = functools.partial(_reexec_over, order=_critical_order, with_cohort=True)
 
 # Per kind: whether every task starts at f_dec (else at f_max), and the
-# phases applied in order. Type B then runs its tail (``_tail``).
+# phases ``(g, sched, D, platform, f_re_ex, windows, dead) -> (sched,
+# windows)`` applied in order. Type B then runs its tail (``_tail``).
 _PHASES = {
     HeuristicKind.HFMAX: (False, ()),
     HeuristicKind.HNO_REEX: (True, ()),
@@ -486,9 +554,9 @@ def run(
         at_f_dec, phases, tail = False, (), False
     f = speeds.f_dec if at_f_dec else platform.f_max
     if phases:
-        sched, windows = _start(g, mapping, D, platform, speeds, f)
+        sched, windows, dead = _start(g, mapping, D, platform, speeds, f)
         for phase in phases:
-            sched, windows = phase(g, sched, D, platform, speeds.f_re_ex, windows)
+            sched, windows = phase(g, sched, D, platform, speeds.f_re_ex, windows, dead)
     else:
         sched = uniform_schedule(g, mapping, f)
     if tail:
@@ -497,21 +565,40 @@ def run(
 
 
 def _start(g, mapping, D, platform, speeds, f):
-    """The uniform schedule at speed f and its checked windows, built once per solve.
+    """The uniform schedule at speed f, its checked windows and its dead set, built once per solve.
 
     The memo is ``speeds._starts``, keyed like the tail's by everything the
-    two read (graph, mapping, deadline, platform and f), so it lives as long
-    as the solve's ``speeds``. Every call returns its own plans dict and its
-    own copy of the windows, which the walks move in place; None windows
-    (an infeasible start) stay None.
+    three read (graph, mapping, deadline, platform and f; f_re_ex is the
+    solve's), so it lives as long as the solve's ``speeds``. Every call
+    returns its own plans dict, its own copy of the windows and its own dead
+    set, which the walks move in place; None windows (an infeasible start)
+    stay None, with an empty dead set.
+
+    The dead set holds the tasks whose probe at f_re_ex the start's windows
+    reject, by ``feasibility_probe``'s expressions: a margin below minus the
+    band, or a plan that fails ``task_feasible`` (rejected by every branch
+    of the probe).
     """
     key = (g, mapping, D, platform, f)
     start = speeds._starts.get(key)
     if start is None:
         sched = uniform_schedule(g, mapping, f)
-        start = speeds._starts[key] = (sched, _window_state(g, sched, D, platform))
-    sched, windows = start
-    return Schedule(mapping, dict(sched.plans)), None if windows is None else [col[:] for col in windows]
+        windows = _window_state(g, sched, D, platform)
+        dead = frozenset()
+        if windows is not None:
+            est, _, lft, _ = windows
+            order, _, _, _, _, weights = _indexed(g, mapping)
+            reexec = ExecutionPlan(speeds.f_re_ex, speeds.f_re_ex)
+            band = _band(len(est), D)
+            threshold = _thresholds(g, platform)
+            dead = frozenset(
+                tid for tid, w, s, lf in zip(order, weights, est, lft)
+                if lf + SLACK_TOL - (s + exe_time(w, reexec)) < -band
+                or not task_feasible(w, reexec, threshold[tid], platform)
+            )
+        start = speeds._starts[key] = (sched, windows, dead)
+    sched, windows, dead = start
+    return Schedule(mapping, dict(sched.plans)), None if windows is None else [col[:] for col in windows], set(dead)
 
 
 def _tail(g, sched, D, platform, speeds):
@@ -529,7 +616,7 @@ def _tail(g, sched, D, platform, speeds):
     plans = speeds._tails.get(key)
     if plans is None:
         sched = _unjam_singles(g, sched, D, platform, speeds.f_re_ex)
-        sched, _ = _reclaim_redone(g, sched, D, platform, speeds.f_re_ex, UNKNOWN)
+        sched, _ = _reclaim_redone(g, sched, D, platform)
         speeds._tails[key] = dict(sched.plans)
         return sched
     return Schedule(sched.mapping, dict(plans))

@@ -548,11 +548,26 @@ def cohort_of(g: TaskGraph, mapping: Mapping, state, tid: int) -> list[int]:
 
     The times are the starts and finishes of ``state``, a ``_window_state``
     of a schedule on (g, mapping), indexed by position in ``_indexed``.
+
+    On a chain (``_indexed``'s flag) each start is the finish below it and
+    durations are non-negative, so neither the starts nor the finishes
+    decrease with position: the tasks that start at or after lo are the
+    positions from ``bisect_left(est, lo)`` on, those that finish at or
+    before hi the positions below ``bisect_right(finish, hi)``, and the
+    cohort is the range between, less r. Elsewhere every task is scanned:
+    the windows move between lookups, so an index by start would be rebuilt
+    for every lookup.
     """
-    pos = _indexed(g, mapping)[1]
+    order, pos, _, _, chain, _ = _indexed(g, mapping)
     est, finish = state[0], state[1]
     r = pos[tid]
     lo, hi = est[r] - SLACK_TOL, finish[r] + SLACK_TOL
+    if chain:
+        found = [order[i] for i in range(bisect.bisect_left(est, lo), bisect.bisect_right(finish, hi)) if i != r]
+        if len(found) < 2:
+            return found
+        found = set(found)
+        return [t.id for t in g.tasks if t.id in found]
     return [t.id for t in g.tasks if est[i := pos[t.id]] >= lo and finish[i] <= hi and i != r]
 
 

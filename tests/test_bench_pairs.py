@@ -152,9 +152,36 @@ def test_traced_once_reports_the_childs_exit_code_and_peak_rss(tmp_path):
     assert out["result"] == {"correct": True, "trace": "1"}
     # The child's own peak, not this process's: at least its 64 MB ballast.
     assert out["peak_rss_mb"] >= 64.0
+    # This run printed no summary line and no metrics.
+    assert out["traced_ops"] is None and out["spans_per_op"] is None
     (tmp_path / "bench" / "run.py").write_text("import sys\nsys.exit(124)\n")
     out = bench_pairs.traced_once(tmp_path, "exact", 1, 1.0)
     assert out["returncode"] == 124 and out["result"] is None
+    assert out["traced_ops"] is None and out["spans_per_op"] is None
+
+
+TRACED_RUN = """
+import json
+print("workload dag-tight, seed 1: 48 ops in 3 round(s), median reference chunk 1.0300 ms")
+print("  heuristics.feasibility_probe.calls  553.5 calls/op")
+print(json.dumps({"correct": True, "attempted": 96, "failed": 0, "metrics": {
+    "heuristics.feasibility_probe.calls": {"value": 553.5, "unit": "calls/op"},
+    "heuristics.feasibility_probe.accepts": {"value": 158.0, "unit": "calls/op"},
+    "schedule.evaluate.calls": {"value": 16.0, "unit": "calls/op"},
+    "schedule.evaluate.self_s": {"value": 0.004, "unit": "s/op"},
+    "schedule.cohort_of.calls": {"value": 0.5, "unit": "calls/op"},
+}}))
+"""
+
+
+def test_traced_once_reports_the_traced_ops_and_spans_per_op(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(TRACED_RUN)
+    out = bench_pairs.traced_once(tmp_path, "dag-tight", 1, 1.0)
+    assert out["returncode"] == 0 and out["result"]["attempted"] == 96
+    assert out["traced_ops"] == 48
+    # Calls only: neither the accepts nor the self times are spans.
+    assert out["spans_per_op"] == 553.5 + 16.0 + 0.5
 
 
 def test_traced_runs_parent_first_per_workload(tmp_path, monkeypatch):

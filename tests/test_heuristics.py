@@ -457,14 +457,17 @@ def _unjam_singles_full_reclaims(g, sched, D, platform, f_re_ex):
 
 
 def _type_b_starts(platform, case):
-    """The schedules type-B walks hand to their tail, on _reclaim_case's DAG and deadline."""
+    """The schedules type-B walks hand to their tail, on _reclaim_case's DAG and deadline.
+
+    Each kind's walks start with an empty dead set, which probes every task.
+    """
     g, sched, D, _, _ = _reclaim_case(platform, case)
     f_re_ex = derived_speeds(g, sched.mapping, D, platform).f_re_ex
     for kind in TYPE_B:
         _, phases = _PHASES[kind]
-        start, windows = uniform_schedule(g, sched.mapping, platform.f_max), heuristics.UNKNOWN
+        start, windows, dead = uniform_schedule(g, sched.mapping, platform.f_max), heuristics.UNKNOWN, set()
         for phase in phases:
-            start, windows = phase(g, start, D, platform, f_re_ex, windows)
+            start, windows = phase(g, start, D, platform, f_re_ex, windows, dead)
         yield g, start, D, f_re_ex
 
 
@@ -701,11 +704,23 @@ class TestLiveWindows:
             out, out_windows = _slow_single(g_, sched, D_, platform_, tid, windows)
             assert_windows_of(out, out_windows)
             seen["slow"] += out.plans != sched.plans
+            seen["last"] = out
             return out, out_windows
 
+        def slow_group(*args):
+            out, out_windows = slow_group_(*args)
+            seen["last"] = out
+            return out, out_windows
+
+        def start_(*args):
+            sched, windows, dead = start_of(*args)
+            seen["last"] = sched
+            return sched, windows, dead
+
         def cohort(g_, mapping, state, tid):
-            # A cohort is that of the schedule the last probe returned, by the
-            # dict definition on evaluate's times.
+            # A cohort is that of the walk's schedule, the one the last probe,
+            # slow-down or start returned (a dead task's probe is skipped), by
+            # the dict definition on evaluate's times.
             sched = seen["last"]
             assert mapping == sched.mapping
             assert state == _window_state(g, sched, D, platform, check=False)
@@ -717,8 +732,11 @@ class TestLiveWindows:
             seen["cohort"] += 1
             return out
 
+        slow_group_, start_of = heuristics._slow_group, heuristics._start
         monkeypatch.setattr(heuristics, "feasibility_probe", probe)
         monkeypatch.setattr(heuristics, "_slow_single", slow)
+        monkeypatch.setattr(heuristics, "_slow_group", slow_group)
+        monkeypatch.setattr(heuristics, "_start", start_)
         monkeypatch.setattr(heuristics, "cohort_of", cohort)
         for kind in (*TYPE_A, *TYPE_B):
             run(kind, g, start.mapping, D, platform)
@@ -770,8 +788,16 @@ class TestWalkOrders:
 
         monkeypatch.setattr(heuristics, "evaluate", evaluated)
         start, finish = metrics.start_times, metrics.finish_times
-        assert _critical_order(g, sched, state) == _sus_reference(g, start, finish, critical)
-        assert _singles_order(g, sched, state) == _sus_reference(g, start, finish, _singles(sched))
+        # The orders hold only single runs; the walks skip re-executed tasks.
+        singles = [tid for tid in critical if not sched.plans[tid].re_executed]
+        assert _critical_order(g, sched, state, ()) == _sus_reference(g, start, finish, singles)
+        assert _singles_order(g, sched, state, ()) == _sus_reference(g, start, finish, _singles(sched))
+        # A skipped task leaves the others in their order.
+        skip = set(singles[::2]) | set(_singles(sched)[::3])
+        assert _critical_order(g, sched, state, skip) == [tid for tid in _critical_order(g, sched, state, ())
+                                                           if tid not in skip]
+        assert _singles_order(g, sched, state, skip) == [tid for tid in _singles_order(g, sched, state, ())
+                                                          if tid not in skip]
 
 
 class TestWindowHandoff:
@@ -873,7 +899,7 @@ class TestWindowHandoff:
         second = heuristics._start(g, start.mapping, D, platform, speeds, platform.f_max)
         assert len(speeds._starts) == 1
         sched = uniform_schedule(g, start.mapping, platform.f_max)
-        for out, windows in (first, second):
+        for out, windows, _ in (first, second):
             assert out.plans == sched.plans and windows == _window_state(g, sched, D, platform)
         assert first[0].plans is not second[0].plans
         assert all(a is not b for a, b in zip(first[1], second[1]))
@@ -882,6 +908,11 @@ class TestWindowHandoff:
         # Another deadline, with the same speeds, gets its own start.
         heuristics._start(g, start.mapping, 2.0 * D, platform, speeds, platform.f_max)
         assert len(speeds._starts) == 2
+        # Each kind gets its own dead set too (here the f_dec start has one).
+        one, other = (heuristics._start(g, start.mapping, D, platform, speeds, speeds.f_dec)[2] for _ in range(2))
+        assert one and one == other and one is not other
+        one.clear()
+        assert heuristics._start(g, start.mapping, D, platform, speeds, speeds.f_dec)[2] == other
 
 
 class TestCheckedWindowBuilds:
@@ -920,3 +951,187 @@ class TestCheckedWindowBuilds:
                     assert len(speeds._starts) == (1 if ratio == 1.0 else 2)
                     solves += 1
         assert solves == 30
+
+
+def _walk_probing_every_task(g, schedule, D, platform, f_re_ex, windows, *, order, with_cohort=False,
+                             slowdown_on_fail=False):
+    """The ReExec walk before dead sets, kept as the oracle: it probes every single task it reaches.
+
+    ``order(g, schedule, state)`` lists every task it may reach, re-executed
+    ones included.
+    """
+    reexec = ExecutionPlan(f_re_ex, f_re_ex)
+    if windows is heuristics.UNKNOWN:
+        windows = _window_state(g, schedule, D, platform)
+
+    def times():
+        return windows or _window_state(g, schedule, D, platform, check=False)
+
+    for tid in order(g, schedule, times()):
+        if schedule.plans[tid].re_executed:
+            continue
+        ok, schedule = feasibility_probe(g, schedule, D, platform, {tid: reexec}, windows)
+        if ok:
+            if with_cohort:
+                for cid in cohort_of(g, schedule.mapping, times(), tid):
+                    if not schedule.plans[cid].re_executed:
+                        _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec}, windows)
+        elif slowdown_on_fail:
+            cohort = cohort_of(g, schedule.mapping, times(), tid) if with_cohort else []
+            if cohort:
+                schedule, windows = heuristics._slow_group(g, schedule, D, platform, [tid, *cohort], windows)
+            else:
+                schedule, windows = _slow_single(g, schedule, D, platform, tid, windows)
+    return schedule, heuristics.UNKNOWN if windows is None else windows
+
+
+def _every_critical_task(g, sched, state):
+    return sus_sort(g, sched.mapping, state, critical_path_tasks(g, sched.mapping, state))
+
+
+def _every_single(g, sched, state):
+    return sus_sort(g, sched.mapping, state, _singles(sched))
+
+
+def _reference_fixpoint(g, sched, D, platform, f_re_ex, windows):
+    """``_reexec_critical_fixpoint`` on the walks that probe every task."""
+    for _ in range(len(g)):
+        before = len(_reexecuted(sched))
+        sched, windows = _reference_critical(g, sched, D, platform, f_re_ex, windows)
+        after = len(_reexecuted(sched))
+        if after == before:
+            sched, windows = _walk_probing_every_task(g, sched, D, platform, f_re_ex, windows, order=_every_single)
+            if len(_reexecuted(sched)) == after:
+                break
+    return sched, windows
+
+
+def _reference_greedy(*args, **kwargs):
+    return _walk_probing_every_task(*args, order=lambda g, sched, state: g._by_weight, **kwargs)
+
+
+def _reference_critical(*args, **kwargs):
+    return _walk_probing_every_task(*args, order=_every_critical_task, with_cohort=True, **kwargs)
+
+
+def _reference_reclaim(g, sched, D, platform, f_re_ex, windows):
+    return heuristics._reclaim_redone(g, sched, D, platform)
+
+
+# Each kind's phases before dead sets, in the order of ``_PHASES``.
+_REFERENCE_PHASES = {
+    HeuristicKind.A_GREEDY: (_reference_greedy, _reference_reclaim),
+    HeuristicKind.A_SUS_CRIT: (_reference_fixpoint, _reference_reclaim),
+    HeuristicKind.B_GREEDY: (_reference_greedy,),
+    HeuristicKind.B_SUS_CRIT: (_reference_critical, _reference_greedy),
+    HeuristicKind.B_SUS_CRIT_SLOW: (lambda *args: _reference_critical(*args, slowdown_on_fail=True),
+                                    lambda *args: _reference_greedy(*args, slowdown_on_fail=True)),
+}
+
+
+def _integer_instances(p, lambda0, seeds=(1, 2)):
+    """Random DAGs with weights 1-4 (so times tie) on p processors, at deadline ratios 1.05, 1.2, 2 and 5."""
+    platform = make_platform(lambda0=lambda0)
+    for seed in seeds:
+        rng = random.Random(seed)
+        g0 = generate_random(36, 72, seed=seed)
+        g = TaskGraph(tuple(Task(t.id, float(rng.randint(1, 4))) for t in g0.tasks), g0.edges)
+        mapping = list_schedule(g, p)
+        for ratio in (1.05, 1.2, 2.0, 5.0):
+            yield g, mapping, ratio * min_deadline(g, mapping, platform), platform
+
+
+class TestDeadSets:
+    """Walks that skip dead tasks hand on what walks probing every task hand on."""
+
+    @pytest.mark.parametrize("p", [1, 4, 50])
+    @pytest.mark.parametrize("lambda0", [1e-5, 1e-3])
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_each_phase_equals_the_walk_probing_every_task(self, p, lambda0):
+        dead_seen = 0
+        for g, mapping, D, platform in _integer_instances(p, lambda0):
+            speeds = derived_speeds(g, mapping, D, platform)
+            for kind, reference in _REFERENCE_PHASES.items():
+                at_f_dec, phases = _PHASES[kind]
+                f = speeds.f_dec if at_f_dec else platform.f_max
+                sched, windows, dead = heuristics._start(g, mapping, D, platform, speeds, f)
+                expected = uniform_schedule(g, mapping, f)
+                expected_windows = _window_state(g, expected, D, platform)
+                for phase, oracle in zip(phases, reference, strict=True):
+                    sched, windows = phase(g, sched, D, platform, speeds.f_re_ex, windows, dead)
+                    expected, expected_windows = oracle(g, expected, D, platform, speeds.f_re_ex, expected_windows)
+                    assert sched.plans == expected.plans, (kind, D)
+                    assert windows == expected_windows, (kind, D)
+                dead_seen += len(dead)
+        assert dead_seen > 100
+
+    @pytest.mark.parametrize("p", [1, 4, 50])
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_every_dead_task_is_rejected(self, monkeypatch, p):
+        # Whenever a walk reaches a task, and whenever a phase ends, every
+        # dead task that runs once is rejected by a real probe on a copy of
+        # the walk's windows, and by evaluate: a skipped probe, or a task
+        # left out of an order, would have been rejected.
+        seen = collections.Counter()
+        live = heuristics._reexec_live
+
+        def assert_dead(g, sched, D, platform, f_re_ex, windows, dead):
+            reexec = ExecutionPlan(f_re_ex, f_re_ex)
+            if windows is heuristics.UNKNOWN:
+                windows = _window_state(g, sched, D, platform)
+            for tid in dead:
+                if not sched.plans[tid].re_executed:
+                    copy = None if windows is None else [col[:] for col in windows]
+                    assert not feasibility_probe(g, sched, D, platform, {tid: reexec}, copy)[0], tid
+                    assert copy == windows
+                    assert not evaluate(g, sched.with_plans({tid: reexec}), D, platform).feasible, tid
+                    seen["checked"] += 1
+
+        def spied_live(g, sched, D, platform, tid, reexec, windows, dead):
+            assert_dead(g, sched, D, platform, reexec.speed1, windows, dead)
+            seen["skipped"] += tid in dead
+            return live(g, sched, D, platform, tid, reexec, windows, dead)
+
+        def checked(phase):
+            def wrapper(g, sched, D, platform, f_re_ex, windows, dead):
+                out, out_windows = phase(g, sched, D, platform, f_re_ex, windows, dead)
+                assert_dead(g, out, D, platform, f_re_ex, out_windows, dead)
+                return out, out_windows
+            return wrapper
+
+        phases = {kind: (at_f_dec, tuple(map(checked, steps))) for kind, (at_f_dec, steps) in _PHASES.items()}
+        monkeypatch.setattr(heuristics, "_PHASES", phases)
+        monkeypatch.setattr(heuristics, "_reexec_live", spied_live)
+        for lambda0 in (1e-5, 1e-3):
+            for g, mapping, D, platform in _integer_instances(p, lambda0, seeds=(1,)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ModelValidityWarning)
+                    run(HeuristicKind.BEST, g, mapping, D, platform)
+        assert seen["skipped"] > 10 and seen["checked"] > 100, seen
+
+
+class TestFloors:
+    def test_floors_are_f_inf_and_kept_on_the_graph(self, platform, monkeypatch):
+        g = generate_random(40, 80, seed=5)
+        mapping = list_schedule(g, 4)
+        D = 3.0 * min_deadline(g, mapping, platform)
+        floors = heuristics._floors(g, platform)
+        assert floors == {t.id: f_inf(t.weight, platform) for t in g.tasks}
+        assert heuristics._floors(g, platform) is floors
+        expected = {kind: run(kind, g, mapping, D, platform)[0].plans for kind in (*TYPE_A, *TYPE_B)}
+        calls = []
+
+        def counted(w, platform_):
+            calls.append(w)
+            return f_inf(w, platform_)
+
+        monkeypatch.setattr(heuristics, "f_inf", counted)
+        for kind, plans in expected.items():
+            assert run(kind, g, mapping, D, platform)[0].plans == plans
+        # The reclaims read the floors from the graph.
+        assert not calls
+        # Another graph fills its own table, once.
+        other = generate_random(40, 80, seed=6)
+        mapping = list_schedule(other, 4)
+        run(HeuristicKind.BEST, other, mapping, 3.0 * min_deadline(other, mapping, platform), platform)
+        assert len(calls) == len(other)

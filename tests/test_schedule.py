@@ -1156,3 +1156,65 @@ class TestFormat:
         lines = text.strip().splitlines()
         assert len(lines) == 2
         assert lines[1].split()[0] == "1" and len(lines[1].split()) == 5
+
+
+def _cohort_scan(g, mapping, state, tid):
+    """``cohort_of`` by its definition: every task of ``g.tasks``, scanned."""
+    pos = _indexed(g, mapping)[1]
+    est, finish = state[0], state[1]
+    lo, hi = est[pos[tid]] - SLACK_TOL, finish[pos[tid]] + SLACK_TOL
+    return [t.id for t in g.tasks if t.id != tid and est[pos[t.id]] >= lo and finish[pos[t.id]] <= hi]
+
+
+class TestChainCohort:
+    """On a chain ``cohort_of`` bisects, and finds the scan's cohort, in ``g.tasks`` order."""
+
+    @staticmethod
+    def _chain(rng, seed, n):
+        """A random DAG on one processor, its tasks listed in shuffled order: ids, positions and list order differ."""
+        g0 = generate_random(n, rng.randint(0, n * (n - 1) // 4), seed=seed)
+        tasks = list(g0.tasks)
+        rng.shuffle(tasks)
+        g = TaskGraph(tuple(tasks), g0.edges)
+        mapping = list_schedule(g, 1)
+        assert _indexed(g, mapping)[4]
+        return g, mapping
+
+    def test_equals_the_scan_with_ties_at_slack_tol(self):
+        # Chain times from breakpoints b: position i starts at b[i] and
+        # finishes at b[i + 1]. Around one anchor position, breakpoints at its
+        # lo = start - SLACK_TOL and hi = finish + SLACK_TOL exactly, and one
+        # float either side, so tasks start exactly at lo or finish exactly
+        # at hi; short gaps make cohorts of several tasks.
+        ties = several = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            b = sorted(rng.choice((0.0, 1.0, 2.5)) + rng.choice((0.0, 0.25, 0.5)) * SLACK_TOL
+                       for _ in range(rng.randint(2, 12)))
+            a = rng.randrange(len(b) - 1)
+            lo, hi = b[a] - SLACK_TOL, b[a + 1] + SLACK_TOL
+            b = sorted(b + [lo, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf),
+                            hi, math.nextafter(hi, -math.inf), math.nextafter(hi, math.inf)])
+            n = len(b) - 1
+            g, mapping = self._chain(rng, seed, n)
+            order = _indexed(g, mapping)[0]
+            est, finish = b[:-1], b[1:]
+            state = [est, finish, finish[:], [f - s for s, f in zip(est, finish)]]
+            for tid in order:
+                out = cohort_of(g, mapping, state, tid)
+                assert out == _cohort_scan(g, mapping, state, tid), (seed, tid)
+                several += len(out) > 1
+            ties += lo in est and hi in finish
+        assert ties == 60 and several > 100, (ties, several)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_scan_on_window_states(self, platform, seed):
+        # Integer weights at speeds 1, 1/2 and (1/2, 1/2) make equal times.
+        _, g, sched, D = _integer_case(platform, seed, 1)
+        tasks = list(g.tasks)
+        random.Random(seed).shuffle(tasks)
+        g = TaskGraph(tuple(tasks), g.edges)
+        assert _indexed(g, sched.mapping)[4]
+        state = _window_state(g, sched, D, platform, check=False)
+        for t in g.tasks:
+            assert cohort_of(g, sched.mapping, state, t.id) == _cohort_scan(g, sched.mapping, state, t.id)
