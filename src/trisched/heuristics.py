@@ -64,7 +64,9 @@ the walk does next. The set lives and dies with one kind's solve.
 
 Type B's reclaims are incremental and exact. A task slowed alone after a
 rejected probe takes its window from the walk's windows, which hold the window
-a one-target sweep would compute. Each unjam round scores every swap from
+a one-target sweep would compute; a cohort's targets take theirs one at a
+time, in decreasing position, from the windows each slowed target moved
+(``_slow_group``). Each unjam round scores every swap from
 the round's schedule, a reclaim fixpoint of its single runs: a task whose
 earliest start and latest finish are bit-equal to that schedule's would be
 left as it is by a full reclaim of the trial, so only the tasks the swap
@@ -90,7 +92,6 @@ starts an empty one.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -108,6 +109,7 @@ from .schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
+    _forward,
     _indexed,
     _keep_swap,
     _retime,
@@ -173,9 +175,15 @@ class DerivedSpeeds:
 
 
 def min_deadline(g: TaskGraph, mapping: Mapping, platform: PlatformModel) -> float:
-    """Makespan with every task once at f_max."""
-    base = uniform_schedule(g, mapping, platform.f_max)
-    return evaluate(g, base, math.inf, platform).makespan
+    """Makespan with every task once at f_max.
+
+    One forward pass (``schedule._forward``) over the durations ``w /
+    f_max``, ``exe_time``'s expression, so the value is ``evaluate``'s
+    makespan of the uniform schedule at f_max, bit for bit.
+    """
+    _, _, _, pred, chain, weights = _indexed(g, mapping)
+    f_max = platform.f_max
+    return max(_forward(pred, [w / f_max for w in weights], chain)[1], default=0.0)
 
 
 def derived_speeds(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformModel) -> DerivedSpeeds:
@@ -346,27 +354,42 @@ def _slow_group(g, schedule, D, platform, group, windows):
 
     Singles keep the default floor, f_rel; re-executed tasks their f_inf.
     ``windows``, ``schedule``'s ``_window_state`` or None, moves to the
-    result by ``_retime`` of each slowed task (each yields the fresh state of
-    the schedule so far), and only the makespan and those tasks are checked,
-    as ``_slow_single`` does. Without windows they are built afresh.
+    result in place. With windows, the group is decided one target at a
+    time in decreasing position, each by ``_slowed`` on its window in the
+    moved windows, and a slowed target is retimed (``_retime``) before the
+    next. That is the reclaim's sweep: a retime moves only the starts of the
+    target's descendants, which sit higher and were decided before, and
+    keeps every latest finish equal to the sweep's, which builds them from
+    the current durations. Only the makespan and the slowed tasks are then
+    checked, as ``_slow_single`` does. Without windows the reclaim runs in
+    full and they are built afresh.
     """
-    _, pos, _, _, _, weights = _indexed(g, schedule.mapping)
     floors = _floors(g, platform)
-    bounds = {cid: floors[cid] for cid in group if schedule.plans[cid].re_executed}
-    out = slack_reclaim(g, schedule, D, platform, group, bounds)
+    plans = schedule.plans
+    bounds = {cid: floors[cid] for cid in group if plans[cid].re_executed}
     if windows is None:
+        out = slack_reclaim(g, schedule, D, platform, group, bounds)
         return out, _window_state(g, out, D, platform)
+    for cid in bounds:
+        plan = plans[cid]
+        if abs(plan.speed1 - plan.speed2) > SLACK_TOL:
+            raise ValueError(f"task {cid}: re-executed copies at different speeds {plan}")
+    order, pos, _, _, _, weights = _indexed(g, schedule.mapping)
+    est, finish, lft, _ = windows
     threshold = _thresholds(g, platform)
+    slowed = {}
     feasible = True
-    for tid in group:
-        plan = out.plans[tid]
-        if plan is not schedule.plans[tid]:  # slowed: slack_reclaim builds a new plan
-            r = pos[tid]
-            _retime(g, schedule.mapping, windows, r, exe_time(weights[r], plan))
-            feasible = feasible and task_feasible(weights[r], plan, threshold[tid], platform)
-    if not (feasible and max(windows[1], default=0.0) <= D + SLACK_TOL):
+    for r in sorted((pos[cid] for cid in group), reverse=True):
+        tid = order[r]
+        w = weights[r]
+        plan = _slowed(w, plans[tid], lft[r] - est[r], bounds.get(tid, platform.f_rel))
+        if plan is not None:
+            _retime(g, schedule.mapping, windows, r, exe_time(w, plan))
+            slowed[tid] = plan
+            feasible = feasible and task_feasible(w, plan, threshold[tid], platform)
+    if not (feasible and max(finish, default=0.0) <= D + SLACK_TOL):
         windows = None
-    return out, windows
+    return schedule.with_plans(slowed), windows
 
 
 def _slow_single(g, schedule, D, platform, tid, windows):

@@ -16,16 +16,19 @@ reclaims, and the ReExec walks' critical paths (``critical_path_tasks``, by
 ``_backward`` from the makespan), super-weight order (``sus_sort``) and
 cohorts (``cohort_of``), which read a walk's window state, all run on lists
 indexed by position; only ``ScheduleMetrics`` keys its times by task id.
-Incremental passes visit the positions they mark in position order, which
-is topological.
+Incremental passes visit the positions they mark (a ``bytearray``, searched
+with ``find`` and ``rfind``) in position order, which is topological.
 
-On a chain, the forward and backward passes (``_forward``, ``_backward``)
-and the incremental ones (``_push_starts``, ``_retime``, the backward sweep
-of ``swap_reclaims``) read one neighbour per position, without a queue:
-the passes are running sums and differences (``itertools.accumulate``),
-which add and subtract the same floats in the same order as the general
-loops, so every output is the same, bit for bit. ``slack_reclaim``'s sweep
-decides as it builds the backward pass, so it keeps its own loop.
+On a chain, the passes (``_forward``, ``_backward``, ``_retime``) and the
+trials of ``swap_reclaims`` read one neighbour per position, without a
+queue or a list copy: the passes are running sums and differences
+(``itertools.accumulate``), which add and subtract the same floats in the
+same order as the general loops, so every output is the same, bit for bit;
+a trial's sweep carries in locals the one latest finish and duration that
+a position reads. ``slack_reclaim``'s sweep decides as it builds the
+backward pass, so it keeps its own loop. Starts and finishes do not
+decrease with position, so ``sus_sort`` and ``cohort_of`` find the tasks
+nested in an interval as a range of positions, by bisection.
 
 Elsewhere the general loops (``_forward``, ``_backward``, ``_push_starts``,
 ``_retime``, ``slack_reclaim``'s sweep and ``swap_reclaims``' backward
@@ -389,7 +392,7 @@ def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: Platform
     return [est, finish, _backward(succ, dur, D, chain), dur]
 
 
-def _push_starts(succ, pred, est, finish, dur, r: int, d: float, end: int, chain: bool) -> list[int]:
+def _push_starts(succ, pred, est, finish, dur, r: int, d: float, end: int) -> list[int]:
     """Give position r the duration d, and move the earliest starts and finishes that follow, in place.
 
     Only r's descendants can start elsewhere. They are recomputed with
@@ -401,37 +404,18 @@ def _push_starts(succ, pred, est, finish, dur, r: int, d: float, end: int, chain
     out the same whatever ``end`` is, and ``len(est)`` moves them all.
     Returns the positions below ``end`` whose start moved, in increasing
     order.
-
-    On a chain (``_indexed``'s flag) the finishes from r up to ``end`` are
-    the running sum of the durations from r's new finish, as ``_forward``
-    adds them. The moved positions run from r + 1 up to the first start that
-    comes out bit-equal: from there on every start and finish is the old
-    one, as each is the one below plus the same duration.
     """
     dur[r] = d
     f = est[r] + d
     if f == finish[r]:
         return []
     finish[r] = f
-    if chain:
-        new = list(itertools.accumulate(dur[r + 1:end], initial=f))  # new[k]: the finish of r + k
-        same = list(map(operator.eq, new, est[r + 1:end]))  # same[k]: r + k + 1 starts where it did
-        same.append(True)
-        k = same.index(True)
-        est[r + 1:r + 1 + k] = new[:k]
-        finish[r + 1:r + 1 + k] = new[1:k + 1]
-        return list(range(r + 1, r + 1 + k))
     moved = []
     queued = bytearray(len(est))
     for x in succ[r]:
         queued[x] = 1
-    left = len(succ[r])
-    for v in range(r + 1, end):
-        if not left:
-            break
-        if not queued[v]:
-            continue
-        left -= 1
+    v = queued.find(1, r + 1, end)
+    while v >= 0:
         ps = pred[v]  # never empty: v succeeds r or a moved position
         s = finish[ps[0]]
         if len(ps) > 1:
@@ -439,49 +423,50 @@ def _push_starts(succ, pred, est, finish, dur, r: int, d: float, end: int, chain
                 x = finish[p]
                 if x > s:
                     s = x
-        if s == est[v]:
-            continue
-        est[v] = s
-        moved.append(v)
-        f = s + dur[v]
-        if f == finish[v]:
-            continue
-        finish[v] = f
-        for x in succ[v]:
-            if not queued[x]:
-                queued[x] = 1
-                left += 1
+        if s != est[v]:
+            est[v] = s
+            moved.append(v)
+            f = s + dur[v]
+            if f != finish[v]:
+                finish[v] = f
+                for x in succ[v]:
+                    queued[x] = 1
+        v = queued.find(1, v + 1, end)
     return moved
 
 
-def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> list[int]:
+def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> None:
     """Give position r the duration d in a ``_window_state`` of (g, mapping, D), in place.
 
     Afterwards the state equals a fresh ``_window_state`` (without the check)
     of the changed schedule, bit for bit. The earliest starts move as
     ``_push_starts`` moves them; only r's ancestors can have another latest
     finish, so those are recomputed next, with ``_backward``'s expression,
-    in reverse topological order, stopping where one comes out bit-equal;
-    on a chain, positions r - 1 down to 0, by ``_backward`` of the
-    durations up to r from r's latest finish. Returns the positions whose
-    start moved.
+    in reverse topological order, stopping where one comes out bit-equal.
+
+    On a chain (``_indexed``'s flag) r's finish and the starts and finishes
+    above it are one running sum of the durations from r's new finish, and
+    the latest finishes below r one running difference from r's latest
+    finish, each written whole. Past the first start that comes out
+    bit-equal to the old one, each start is the same float plus the same
+    duration, so writing them all changes nothing there.
     """
     _, _, succ, pred, chain, _ = _indexed(g, mapping)
     est, finish, lft, dur = state
-    moved = _push_starts(succ, pred, est, finish, dur, r, d, len(est), chain)
     if chain:
-        lft[:r + 1] = _backward(succ, dur[:r + 1], lft[r], chain)
-        return moved
+        dur[r] = d
+        acc = list(itertools.accumulate(dur[r + 1:], initial=est[r] + d))  # acc[k]: the finish of r + k
+        finish[r:] = acc
+        acc.pop()
+        est[r + 1:] = acc
+        lft[r::-1] = itertools.accumulate(dur[r:0:-1], operator.sub, initial=lft[r])
+        return
+    _push_starts(succ, pred, est, finish, dur, r, d, len(est))
     queued = bytearray(len(lft))
     for p in pred[r]:
         queued[p] = 1
-    left = len(pred[r])
-    for u in range(r - 1, -1, -1):
-        if not left:
-            break
-        if not queued[u]:
-            continue
-        left -= 1
+    u = queued.rfind(1, 0, r)
+    while u >= 0:
         ss = succ[u]  # never empty: u precedes r or a moved position
         s = ss[0]
         lf = lft[s] - dur[s]
@@ -490,14 +475,11 @@ def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> list[int
                 x = lft[s] - dur[s]
                 if x < lf:
                     lf = x
-        if lf == lft[u]:
-            continue
-        lft[u] = lf
-        for p in pred[u]:
-            if not queued[p]:
+        if lf != lft[u]:
+            lft[u] = lf
+            for p in pred[u]:
                 queued[p] = 1
-                left += 1
-    return moved
+        u = queued.rfind(1, 0, u)
 
 
 def critical_path_tasks(g: TaskGraph, mapping: Mapping, state) -> list[int]:
@@ -524,21 +506,31 @@ def sus_sort(g: TaskGraph, mapping: Mapping, state, task_ids) -> list[int]:
     ``g.tasks`` order. It measures the work that can be slowed down with the
     task. No task of a window state finishes before it starts, so the
     candidates are those whose start lies in [lo, hi], found by bisection in
-    the tasks sorted by start.
+    the tasks sorted by start. On a chain (``_indexed``'s flag) the tasks
+    inside are a position range, as in ``cohort_of``.
     """
-    _, pos, _, _, _, weights = _indexed(g, mapping)
+    _, pos, _, _, chain, weights = _indexed(g, mapping)
     est, finish = state[0], state[1]
-    rows = [(est[i := pos[t.id]], finish[i], t.weight) for t in g.tasks]
-    by_start = sorted((s, k) for k, (s, _, _) in enumerate(rows))
-    starts = [s for s, _ in by_start]
+    tasks = g.tasks
+    if chain:
+        rank = [0] * len(est)  # rank[i]: the index in g.tasks of the task at position i
+        for k, t in enumerate(tasks):
+            rank[pos[t.id]] = k
+    else:
+        by_start = sorted((est[pos[t.id]], k) for k, t in enumerate(tasks))
+        starts = [s for s, _ in by_start]
     sw = {}
     for tid in task_ids:
         r = pos[tid]
         lo, hi = est[r] - SLACK_TOL, finish[r] + SLACK_TOL
+        if chain:
+            inside = sorted(rank[bisect.bisect_left(est, lo):bisect.bisect_right(finish, hi)])
+        else:
+            inside = sorted(k for _, k in by_start[bisect.bisect_left(starts, lo):bisect.bisect_right(starts, hi)]
+                            if finish[pos[tasks[k].id]] <= hi)
         total = 0.0
-        for k in sorted(k for _, k in by_start[bisect.bisect_left(starts, lo):bisect.bisect_right(starts, hi)]):
-            if rows[k][1] <= hi:
-                total += rows[k][2]
+        for k in inside:
+            total += tasks[k].weight
         sw[tid] = total
     return sorted(task_ids, key=lambda tid: (-sw[tid], -weights[pos[tid]], tid))
 
@@ -732,13 +724,20 @@ def swap_reclaims(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformMo
     topological order from the last moved position, a latest finish wherever
     a successor's latest finish or duration moved, and the slow-down
     decision only where the earliest start or latest finish moved, plus r.
-    On a chain (``_indexed``'s flag) the moved starts run from r up to the
-    last moved one, so the sweep decides every position from there down to
-    r, and below r goes on while a latest finish moves or a task slows down:
-    the positions the general queue would visit, in the same order. The
-    energy continues the state's running sum from the first changed
+    The energy continues the state's running sum from the first changed
     position, one term at a time in the same order, as ``schedule_energy``
     adds it.
+
+    On a chain (``_indexed``'s flag) a trial copies no list. The starts
+    above r, up to hi, are one running sum from r's new finish, and the
+    sweep carries the latest finish and the duration of the position above,
+    all that a chain position reads. It decides every position from hi down
+    to r, though the general loop starts at the last moved start: between
+    the two every start is base's (past the first bit-equal start each is
+    the same float plus the same duration), and so is every latest finish,
+    built from base's durations, so each decision there is base's, no
+    change. Below r it goes on while a latest finish moves or a task slows
+    down: the positions the general queue would visit, in the same order.
 
     Each trial is clipped to the slow span: ``low`` and ``hi``, the lowest
     and highest positions of a single run above its floor, the only ones
@@ -764,33 +763,40 @@ def swap_reclaims(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformMo
     # The slow span, low to hi; without a slow position both passes are empty.
     span = [i for i, s in enumerate(slow) if s]
     low, hi = (span[0], span[-1]) if span else (n, -1)
+    lim = [f - SLACK_TOL for f in speeds]  # a slow-down must reach below lim[u]
     for r in rs:
-        # Forward: the earliest starts up to hi that the shorter task r moves.
-        t_dur, t_est, t_finish, t_lft = dur[:], est[:], finish[:], lft[:]
-        decide = _push_starts(succ, pred, t_est, t_finish, t_dur, r, weights[r] / f_rel, hi + 1, chain)
+        d = weights[r] / f_rel
         changes = {r: f_rel}
         if chain:
-            # Backward on a chain: decide[-1] down to r + 1 all moved their
-            # start, so every position at or above r is decided; below r the
-            # sweep goes on while a latest finish moves or a task slows down,
-            # as the general loop's queue would.
-            for u in range(decide[-1] if decide else r, low - 1, -1):
-                lf = t_lft[u + 1] - t_dur[u + 1] if u + 1 < n else D
-                moved = lf != lft[u]
-                t_lft[u] = lf
-                if slow[u] and (moved or u >= r):
-                    window = lf - t_est[u]
+            # One sweep from hi down (from r when hi is below it), carrying the
+            # latest finish and the duration of the position above; starts[k]
+            # is the new earliest start of r + 1 + k. Below r it goes on
+            # while a latest finish moves or a task slows down.
+            top = hi if hi > r else r
+            lf, d_up = (lft[top + 1], dur[top + 1]) if top + 1 < n else (D, 0.0)
+            starts = list(itertools.accumulate(dur[r + 1:top], initial=est[r] + d))
+            for u in range(top, low - 1, -1):
+                lf -= d_up
+                if u <= r:
+                    if u == r:  # no single run
+                        d_up = d
+                        continue
+                    if lf == lft[u]:
+                        break
+                d_up = dur[u]
+                if slow[u]:
+                    window = lf - (starts[u - r - 1] if u > r else est[u])
                     if window > 0.0:
                         f = weights[u] / window
                         if not f > f_rel:  # max(f_rel, f)
                             f = f_rel
-                        if f < speeds[u] - SLACK_TOL:
+                        if f < lim[u]:
                             changes[u] = f
-                            t_dur[u] = weights[u] / f
-                            moved = True
-                if u < r and not moved:
-                    break
+                            d_up = weights[u] / f
         else:
+            # Forward: the earliest starts up to hi that the shorter task r moves.
+            t_dur, t_est, t_finish, t_lft = dur[:], est[:], finish[:], lft[:]
+            decide = _push_starts(succ, pred, t_est, t_finish, t_dur, r, d, hi + 1)
             # Backward: the sweep, from the last moved task down to low.
             # queued[u] is 2 for r and the tasks whose earliest start moved, 1
             # for the others whose latest finish may move.
@@ -829,7 +835,7 @@ def swap_reclaims(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformMo
                         f = weights[u] / window
                         if not f > f_rel:  # max(f_rel, f)
                             f = f_rel
-                        if f < speeds[u] - SLACK_TOL:
+                        if f < lim[u]:
                             changes[u] = f
                             t_dur[u] = weights[u] / f
                             moved = True

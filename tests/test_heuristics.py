@@ -88,6 +88,23 @@ class TestDerivedSpeeds:
         g = chain([1.0, 2.0])
         assert min_deadline(g, list_schedule(g, 1), platform) == pytest.approx(3.0)
 
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_min_deadline_is_evaluates_makespan_bit_for_bit(self):
+        cases = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            n = rng.randint(1, 120)
+            g = generate_random(n, rng.randint(0, 3 * n), weight_range=rng.choice(((0.1, 10.0), (1.0, 1e6))),
+                                seed=seed)
+            for p in (1, 2, 4, 50):
+                for f_max in (1.0, 0.7, 3.0):
+                    platform = make_platform(f_max=f_max)
+                    mapping = list_schedule(g, p)
+                    full = evaluate(g, uniform_schedule(g, mapping, f_max), math.inf, platform).makespan
+                    assert min_deadline(g, mapping, platform).hex() == full.hex(), (seed, p, f_max)
+                    cases += 1
+        assert cases == 144
+
 
 class TestFeasibilityProbe:
     def test_noop_on_feasible_schedule(self, platform):
@@ -672,6 +689,36 @@ class TestSlowSingle:
             out, out_windows = _slow_single(g, sched, D, platform, tid, windows)
             assert out.plans == slack_reclaim(g, sched, D, platform, [tid], {}).plans
             assert out_windows is None
+
+
+class TestSlowGroup:
+    def test_equals_the_cohort_reclaim(self, platform):
+        # Groups of single runs and re-executions, in any order, slowed on
+        # the windows of a schedule that type-B walks hand on.
+        groups = several = 0
+        for case in range(12):
+            rng = random.Random(case)
+            for g, sched, D, _ in _type_b_starts(platform, case):
+                for _ in range(4):
+                    group = rng.sample(list(sched.plans), rng.randint(2, 8))
+                    bounds = {cid: f_inf(g.weight(cid), platform) for cid in group if sched.plans[cid].re_executed}
+                    expected = slack_reclaim(g, sched, D, platform, group, bounds)
+                    windows = _window_state(g, sched, D, platform)
+                    out, out_windows = heuristics._slow_group(g, sched, D, platform, group, windows)
+                    assert out.plans == expected.plans, (case, group)
+                    assert out_windows == _window_state(g, out, D, platform), (case, group)
+                    groups += 1
+                    several += sum(out.plans[cid] != sched.plans[cid] for cid in group) > 1
+        assert groups == 144 and several > 20, several
+
+    def test_unequal_copies_rejected_with_windows(self, platform):
+        g = chain([1.0, 1.0])
+        sched = Schedule(list_schedule(g, 1), {0: ExecutionPlan(1.0), 1: ExecutionPlan(0.3, 0.4)})
+        windows = _window_state(g, sched, 100.0, platform, check=False)
+        with pytest.raises(ValueError):
+            heuristics._slow_group(g, sched, 100.0, platform, [0, 1], windows)
+        # Rejected before any target moved the windows.
+        assert windows == _window_state(g, sched, 100.0, platform, check=False)
 
 
 class TestLiveWindows:
