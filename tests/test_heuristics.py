@@ -89,7 +89,7 @@ class TestDerivedSpeeds:
         assert min_deadline(g, list_schedule(g, 1), platform) == pytest.approx(3.0)
 
     @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
-    def test_min_deadline_is_evaluates_makespan_bit_for_bit(self):
+    def test_min_deadline_equals_evaluates_makespan_bit_for_bit(self):
         cases = 0
         for seed in range(12):
             rng = random.Random(seed)
