@@ -109,7 +109,6 @@ from .schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
-    _forward,
     _indexed,
     _keep_swap,
     _retime,
@@ -124,6 +123,7 @@ from .schedule import (
     sus_sort,
     swap_reclaims,
     task_feasible,
+    uniform_makespan,
     uniform_schedule,
 )
 
@@ -175,15 +175,8 @@ class DerivedSpeeds:
 
 
 def min_deadline(g: TaskGraph, mapping: Mapping, platform: PlatformModel) -> float:
-    """Makespan with every task once at f_max.
-
-    One forward pass (``schedule._forward``) over the durations ``w /
-    f_max``, ``exe_time``'s expression, so the value is ``evaluate``'s
-    makespan of the uniform schedule at f_max, bit for bit.
-    """
-    _, _, _, pred, chain, weights = _indexed(g, mapping)
-    f_max = platform.f_max
-    return max(_forward(pred, [w / f_max for w in weights], chain)[1], default=0.0)
+    """Makespan with every task once at f_max (``schedule.uniform_makespan``)."""
+    return uniform_makespan(g, mapping, platform.f_max)
 
 
 def derived_speeds(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformModel) -> DerivedSpeeds:

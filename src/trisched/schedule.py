@@ -28,7 +28,9 @@ a trial's sweep carries in locals the one latest finish and duration that
 a position reads. ``slack_reclaim``'s sweep decides as it builds the
 backward pass, so it keeps its own loop. Starts and finishes do not
 decrease with position, so ``sus_sort`` and ``cohort_of`` find the tasks
-nested in an interval as a range of positions, by bisection.
+nested in an interval as a range of positions, by bisection, with one
+helper (``_nested_on_chain``) over a per-(graph, mapping) table of each
+position's index in ``g.tasks`` (``_ranks``).
 
 Elsewhere the general loops (``_forward``, ``_backward``, ``_push_starts``,
 ``_retime``, ``slack_reclaim``'s sweep and ``swap_reclaims``' backward
@@ -343,12 +345,23 @@ def schedule_energy(g: TaskGraph, schedule: Schedule) -> float:
     return total
 
 
+def _timeline(pred, chain, weights, plans):
+    """``evaluate``'s times for plans by position: ``(est, finish, makespan)``, from ``_forward``."""
+    est, finish = _forward(pred, list(map(exe_time, weights, plans)), chain)
+    return est, finish, max(finish, default=0.0)
+
+
+def uniform_makespan(g: TaskGraph, mapping: Mapping, speed: float) -> float:
+    """``evaluate``'s makespan of ``uniform_schedule(g, mapping, speed)``, bit for bit, without its other metrics."""
+    _, _, _, pred, chain, weights = _indexed(g, mapping)
+    return _timeline(pred, chain, weights, [ExecutionPlan(speed)] * len(weights))[2]
+
+
 def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel) -> ScheduleMetrics:
     """Forward pass (``_forward``) over precedence plus processor-order constraints."""
     order, _, _, pred, chain, weights = _indexed(g, schedule.mapping)
     plans = _plans_at(schedule, order)
-    est, finish = _forward(pred, list(map(exe_time, weights, plans)), chain)
-    makespan = max(finish, default=0.0)
+    est, finish, makespan = _timeline(pred, chain, weights, plans)
     threshold = _thresholds(g, platform)
     slack = {t.id: reliability(t.weight, schedule.plans[t.id], platform) - threshold[t.id] for t in g.tasks}
     feasible = (
@@ -496,6 +509,36 @@ def critical_path_tasks(g: TaskGraph, mapping: Mapping, state) -> list[int]:
     return [tid for tid, s, lf, d in zip(order, est, lft, dur) if lf - d <= s + SLACK_TOL]
 
 
+def _ranks(g: TaskGraph, mapping: Mapping) -> tuple[int, ...]:
+    """``rank[i]``, the index in ``g.tasks`` of the task at position i of ``_indexed(g, mapping)``.
+
+    Kept in ``g._memo``, keyed by ``("rank", mapping)``, as ``_indexed`` is; do not mutate.
+    """
+    key = ("rank", mapping)
+    rank = g._memo.get(key)
+    if rank is None:
+        pos = _indexed(g, mapping)[1]
+        ranks = [0] * len(pos)
+        for k, t in enumerate(g.tasks):
+            ranks[pos[t.id]] = k
+        rank = g._memo[key] = tuple(ranks)
+    return rank
+
+
+def _nested_on_chain(rank, est, finish, lo: float, hi: float) -> list[int]:
+    """The tasks that start at or after lo and finish at or before hi, as increasing indices in ``g.tasks``.
+
+    For a chain (``_indexed``'s flag), its ``_ranks`` and its windows
+    ``est`` and ``finish`` by position. Each start is the finish below it and durations are
+    non-negative, so neither the starts nor the finishes decrease with
+    position: the tasks that start at or after lo are the positions from
+    ``bisect_left(est, lo)`` on, those that finish at or before hi the
+    positions below ``bisect_right(finish, hi)``, and the tasks inside are
+    the range between.
+    """
+    return sorted(rank[bisect.bisect_left(est, lo):bisect.bisect_right(finish, hi)])
+
+
 def sus_sort(g: TaskGraph, mapping: Mapping, state, task_ids) -> list[int]:
     """Sort by decreasing super-weight; ties by decreasing weight, then id.
 
@@ -507,15 +550,13 @@ def sus_sort(g: TaskGraph, mapping: Mapping, state, task_ids) -> list[int]:
     task. No task of a window state finishes before it starts, so the
     candidates are those whose start lies in [lo, hi], found by bisection in
     the tasks sorted by start. On a chain (``_indexed``'s flag) the tasks
-    inside are a position range, as in ``cohort_of``.
+    inside are a position range (``_nested_on_chain``).
     """
     _, pos, _, _, chain, weights = _indexed(g, mapping)
     est, finish = state[0], state[1]
     tasks = g.tasks
     if chain:
-        rank = [0] * len(est)  # rank[i]: the index in g.tasks of the task at position i
-        for k, t in enumerate(tasks):
-            rank[pos[t.id]] = k
+        rank = _ranks(g, mapping)
     else:
         by_start = sorted((est[pos[t.id]], k) for k, t in enumerate(tasks))
         starts = [s for s, _ in by_start]
@@ -524,7 +565,7 @@ def sus_sort(g: TaskGraph, mapping: Mapping, state, task_ids) -> list[int]:
         r = pos[tid]
         lo, hi = est[r] - SLACK_TOL, finish[r] + SLACK_TOL
         if chain:
-            inside = sorted(rank[bisect.bisect_left(est, lo):bisect.bisect_right(finish, hi)])
+            inside = _nested_on_chain(rank, est, finish, lo, hi)
         else:
             inside = sorted(k for _, k in by_start[bisect.bisect_left(starts, lo):bisect.bisect_right(starts, hi)]
                             if finish[pos[tasks[k].id]] <= hi)
@@ -540,27 +581,19 @@ def cohort_of(g: TaskGraph, mapping: Mapping, state, tid: int) -> list[int]:
 
     The times are the starts and finishes of ``state``, a ``_window_state``
     of a schedule on (g, mapping), indexed by position in ``_indexed``.
-
-    On a chain (``_indexed``'s flag) each start is the finish below it and
-    durations are non-negative, so neither the starts nor the finishes
-    decrease with position: the tasks that start at or after lo are the
-    positions from ``bisect_left(est, lo)`` on, those that finish at or
-    before hi the positions below ``bisect_right(finish, hi)``, and the
-    cohort is the range between, less r. Elsewhere every task is scanned:
-    the windows move between lookups, so an index by start would be rebuilt
-    for every lookup.
+    On a chain (``_indexed``'s flag) they are a position range
+    (``_nested_on_chain``). Elsewhere every task is scanned: the windows
+    move between lookups, so an index by start would be rebuilt for every
+    lookup.
     """
-    order, pos, _, _, chain, _ = _indexed(g, mapping)
+    _, pos, _, _, chain, _ = _indexed(g, mapping)
     est, finish = state[0], state[1]
     r = pos[tid]
     lo, hi = est[r] - SLACK_TOL, finish[r] + SLACK_TOL
+    tasks = g.tasks
     if chain:
-        found = [order[i] for i in range(bisect.bisect_left(est, lo), bisect.bisect_right(finish, hi)) if i != r]
-        if len(found) < 2:
-            return found
-        found = set(found)
-        return [t.id for t in g.tasks if t.id in found]
-    return [t.id for t in g.tasks if est[i := pos[t.id]] >= lo and finish[i] <= hi and i != r]
+        return [tasks[k].id for k in _nested_on_chain(_ranks(g, mapping), est, finish, lo, hi) if tasks[k].id != tid]
+    return [t.id for t in tasks if est[i := pos[t.id]] >= lo and finish[i] <= hi and i != r]
 
 
 def slack_reclaim(

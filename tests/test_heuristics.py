@@ -48,6 +48,7 @@ from trisched.schedule import (
     slack_reclaim,
     sus_sort,
     swap_reclaims,
+    uniform_makespan,
     uniform_schedule,
 )
 
@@ -102,6 +103,8 @@ class TestDerivedSpeeds:
                     mapping = list_schedule(g, p)
                     full = evaluate(g, uniform_schedule(g, mapping, f_max), math.inf, platform).makespan
                     assert min_deadline(g, mapping, platform).hex() == full.hex(), (seed, p, f_max)
+                    slow = evaluate(g, uniform_schedule(g, mapping, f_max / 3), math.inf, platform).makespan
+                    assert uniform_makespan(g, mapping, f_max / 3).hex() == slow.hex(), (seed, p, f_max)
                     cases += 1
         assert cases == 144
 
