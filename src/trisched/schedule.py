@@ -28,9 +28,8 @@ a trial's sweep carries in locals the one latest finish and duration that
 a position reads. ``slack_reclaim``'s sweep decides as it builds the
 backward pass, so it keeps its own loop. Starts and finishes do not
 decrease with position, so ``sus_sort`` and ``cohort_of`` find the tasks
-nested in an interval as a range of positions, by bisection, with one
-helper (``_nested_on_chain``) over a per-(graph, mapping) table of each
-position's index in ``g.tasks`` (``_ranks``).
+nested in an interval as a range of positions, by bisection
+(``_nested_on_chain``).
 
 Elsewhere the general loops (``_forward``, ``_backward``, ``_push_starts``,
 ``_retime``, ``slack_reclaim``'s sweep and ``swap_reclaims``' backward
@@ -528,8 +527,8 @@ def _ranks(g: TaskGraph, mapping: Mapping) -> tuple[int, ...]:
 def _nested_on_chain(rank, est, finish, lo: float, hi: float) -> list[int]:
     """The tasks that start at or after lo and finish at or before hi, as increasing indices in ``g.tasks``.
 
-    For a chain (``_indexed``'s flag), its ``_ranks`` and its windows
-    ``est`` and ``finish`` by position. Each start is the finish below it and durations are
+    For a chain (``_indexed``'s flag), its ``_ranks`` and its windows by
+    position. Each start is the finish below it and durations are
     non-negative, so neither the starts nor the finishes decrease with
     position: the tasks that start at or after lo are the positions from
     ``bisect_left(est, lo)`` on, those that finish at or before hi the
