@@ -9,8 +9,11 @@ energy, makespan, start times and feasibility verdict, as ``repr`` text, so
 a one-ulp difference anywhere changes it. The grid: 30/60, 60/150 and
 100/300 random DAGs, seeds 1-3, p in {1, 4, 50} processors (list
 scheduling), lambda0 in {1e-5, 1e-3} and deadline ratios {1.05, 1.2, 2, 5}
-of the full-speed makespan; 1,728 runs. Exits 1 when the digests differ.
-Standard library only.
+of the full-speed makespan. The same grid is then run again with integer
+weights 1-4 (drawn per graph from ``random.Random(seed)``, in task order), on
+which times and trial energies tie, so the digest also sees which of two
+equal-energy choices a heuristic keeps; 3,456 runs in all. Exits 1 when the
+digests differ. Standard library only.
 """
 
 from __future__ import annotations
@@ -49,25 +52,41 @@ def add_run(hasher, label, schedule, metrics) -> None:
     hasher.update(text.encode())
 
 
+def grid_instances():
+    """Every instance of the grid: ``(label, g, mapping, D, platform)``, float weights first, then integer."""
+    import random
+
+    from trisched.graph import TaskGraph, generate_random
+    from trisched.heuristics import min_deadline
+    from trisched.model import PlatformModel, Task
+    from trisched.schedule import list_schedule
+
+    for integer, (n, m), seed, p, lam0, ratio in itertools.product(
+        (False, True), SIZES, SEEDS, PROCS, LAMBDA0S, RATIOS
+    ):
+        g = generate_random(n, m, seed=seed)
+        if integer:
+            rng = random.Random(seed)
+            g = TaskGraph(tuple(Task(t.id, float(rng.randint(1, 4))) for t in g.tasks), g.edges)
+        mapping = list_schedule(g, p)
+        platform = PlatformModel(f_min=1e-6, f_max=1.0, f_rel=2.0 / 3.0, lambda0=lam0, proc_count=p)
+        D = ratio * min_deadline(g, mapping, platform)
+        label = (n, m, seed, p, lam0, ratio)
+        yield ("int", *label) if integer else label, g, mapping, D, platform
+
+
 def grid_digest() -> str:
     """The digest of the grid under the ``trisched`` on ``sys.path``."""
     import warnings
 
-    from trisched.graph import generate_random
-    from trisched.heuristics import ALL_HEURISTICS, HeuristicKind, min_deadline, run
-    from trisched.model import PlatformModel
-    from trisched.schedule import list_schedule
+    from trisched.heuristics import ALL_HEURISTICS, HeuristicKind, run
 
     warnings.simplefilter("ignore")
     hasher = hashlib.sha256()
-    for (n, m), seed, p, lam0, ratio in itertools.product(SIZES, SEEDS, PROCS, LAMBDA0S, RATIOS):
-        g = generate_random(n, m, seed=seed)
-        mapping = list_schedule(g, p)
-        platform = PlatformModel(f_min=1e-6, f_max=1.0, f_rel=2.0 / 3.0, lambda0=lam0, proc_count=p)
-        D = ratio * min_deadline(g, mapping, platform)
+    for label, g, mapping, D, platform in grid_instances():
         for kind in (*ALL_HEURISTICS, HeuristicKind.BEST):
             schedule, metrics = run(kind, g, mapping, D, platform)
-            add_run(hasher, (n, m, seed, p, lam0, ratio, kind.value), schedule, metrics)
+            add_run(hasher, (*label, kind.value), schedule, metrics)
     return hasher.hexdigest()
 
 
