@@ -7,11 +7,12 @@ applied in order. Type A starts at f_dec and then tries to re-execute
 slows what is left (good for tight deadlines and many processors). A phase is a ReExec
 walk over a task order, the critical-path fixpoint, or type A's closing
 reclaim of re-executed tasks; HFMAX and HNO_REEX have none. Every type-B
-kind then runs its tail, found by kind: the unjam of single runs, then the
-reclaim of re-executed ones. Every accepted change passes a feasibility
-probe whose verdict is exactly that of evaluating the whole changed
-schedule, so intermediate states are always feasible. A probe that changes one task of a feasible schedule is decided in
-O(1) from that schedule's time windows.
+kind then runs its tail, found by kind: the reclaim and unjam of single
+runs, then the reclaim of re-executed ones. Every accepted change passes a
+feasibility probe whose verdict is exactly that of evaluating the whole
+changed schedule, so intermediate states are always feasible. A probe that
+changes one task of a feasible schedule is decided in O(1) from that
+schedule's time windows.
 
 A kind's phases hand their time windows on: the earliest starts and
 finishes, latest finishes and durations of the schedule, as lists indexed
@@ -21,14 +22,17 @@ is looked up as ``pos[tid]``. Each start speed's uniform schedule and its
 checked windows (``schedule._window_state``) are built once per solve, on
 its ``DerivedSpeeds``, and each kind starting there inherits a copy. A walk
 passes its windows to its order and to each probe, slow-down and cohort
-lookup. An accepted one-task probe, a task slowed alone after a rejected
-one, and each task a cohort reclaim slowed move them in place, recomputing
-only the descendants' starts and the ancestors' latest finishes that the
-change moves (``schedule._retime``, which keeps them equal, bit for bit, to
-a fresh ``_window_state``); only the changed tasks and the makespan are
-then checked, as every other task passed already. A walk that ends without
-windows, after a failed check, hands on ``UNKNOWN``, and the next walk
-checks afresh. Its order and its cohorts are read from the same windows,
+lookup. An accepted one-task probe and each task a slow-down slowed move
+them in place, recomputing only the descendants' starts and the ancestors'
+latest finishes that the change moves (``schedule._retime``, which keeps
+them equal, bit for bit, to a fresh ``_window_state``); only the changed
+tasks and the makespan are then checked, as every other task passed
+already. Windows are such a checked list or None. None means the phase has
+none: a start or a slow-down whose check failed, or type A's closing
+reclaim, which moves none. A walk handed None checks its schedule afresh,
+and holds None while the schedule is infeasible; windows only decide how a
+verdict is reached, never what it is. Its order and its cohorts are read
+from the same windows,
 whose starts, finishes and durations are evaluate's, bit for bit: the
 critical path (``schedule.critical_path_tasks``, latest finishes by
 ``schedule._backward`` from the makespan) and the super-weight order
@@ -62,25 +66,27 @@ a makespan no smaller, the same rules, and perhaps other tasks' faults. So
 a rejection made while the walk holds windows stays a rejection, whatever
 the walk does next. The set lives and dies with one kind's solve.
 
-Type B's reclaims are incremental and exact. A task slowed alone after a
-rejected probe takes its window from the walk's windows, which hold the window
-a one-target sweep would compute; a cohort's targets take theirs one at a
-time, in decreasing position, from the windows each slowed target moved
-(``_slow_group``). Each unjam round scores every swap from
-the round's schedule, a reclaim fixpoint of its single runs: a task whose
-earliest start and latest finish are bit-equal to that schedule's would be
-left as it is by a full reclaim of the trial, so only the tasks the swap
-reaches are recomputed, with the same float operations and the same
-start propagation as ``schedule._retime`` (``schedule.swap_reclaims``).
-A trial carries plain speeds, not plans, and is clipped to the slow span,
-the positions of the single runs above f_rel, since no other position can
-be slowed. The rounds keep the schedule as position-indexed state
-(``schedule._swap_state``): each takes its windows, energy and stuck single
-runs from it, a kept swap moves only its own positions, and plans are built
-once, after the last round. Outputs are bit-identical to full reclaims.
+Type B's reclaims are incremental and exact. A rejected task slowed alone
+or with its cohort (``_slow_group``) takes each target's window, one at a
+time in decreasing position, from the walk's windows, which the slowed
+targets before it moved: the window the reclaim's sweep would compute.
+Type B's tail (``_tail``) keeps one position-indexed state
+(``schedule._swap_state``: speeds, re-execution flags, durations, energies
+and their running sum), built once from the entering plans and moved in
+place by both reclaims (``schedule._reclaim_sweep``, the sweep
+``slack_reclaim`` runs) and by the unjam rounds. Each round scores every
+swap from the round's state, a reclaim fixpoint of its single runs: a task
+whose earliest start and latest finish are bit-equal to that state's would
+be left as it is by a full reclaim of the trial, so only the tasks the swap
+reaches are recomputed, with the same float operations and the same start
+propagation as ``schedule._retime`` (``schedule.swap_reclaims``). A trial
+carries plain speeds, not plans, and is clipped to the slow span, the
+positions of the single runs above f_rel, since no other position can be
+slowed. A kept swap moves only its own positions (``schedule._keep_swap``,
+as does the opening reclaim), and plans are built once, at the tail's exit.
+Outputs are bit-identical to full reclaims.
 
-Type B's tail (the unjam rounds, then the reclaim of re-executed tasks)
-runs once per distinct entering schedule of a solve. The kinds BEST runs
+The tail runs once per distinct entering schedule of a solve. The kinds BEST runs
 share one ``DerivedSpeeds``, which carries a memo from the entering plans,
 in ``g.tasks`` order, with the graph, mapping, deadline and platform, to
 the tail's plans; two type-B walks often hand the tail equal plans. Speeds
@@ -111,6 +117,8 @@ from .schedule import (
     ScheduleMetrics,
     _indexed,
     _keep_swap,
+    _one_speed,
+    _reclaim_sweep,
     _retime,
     _slowed,
     _swap_state,
@@ -126,15 +134,6 @@ from .schedule import (
     uniform_makespan,
     uniform_schedule,
 )
-
-
-class _Windows(Enum):
-    UNKNOWN = "unknown"
-
-
-# What a phase hands on when it ends without windows: the next walk checks
-# its schedule afresh.
-UNKNOWN = _Windows.UNKNOWN
 
 
 class HeuristicKind(Enum):
@@ -306,16 +305,17 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, windows, dead, *, order, wit
     ``slowdown_on_fail`` a rejection changes nothing, so the order may leave
     out the dead tasks (``skip``).
 
-    ``windows`` holds the current schedule's time windows, as handed on by
-    the phase before (``UNKNOWN`` to check afresh), None while the schedule
-    is infeasible. The order and every cohort are read from them, or from
-    unchecked windows of the schedule while it has none (``times``); their
-    starts, finishes and durations are evaluate's. A walk calls evaluate only
-    for a probe the windows cannot decide. It hands on the windows it ends
-    with, ``UNKNOWN`` when it has none.
+    ``windows`` holds the current schedule's checked time windows, as
+    handed on by the phase before; None, from the phase before or after a
+    failed check, means the walk has none: it checks the schedule afresh at
+    its start, and holds None while the schedule is infeasible. The order
+    and every cohort are read from the windows, or from unchecked windows of
+    the schedule while it has none (``times``); their starts, finishes and
+    durations are evaluate's. A walk calls evaluate only for a probe the
+    windows cannot decide. It hands on the windows it ends with, or None.
     """
     reexec = ExecutionPlan(f_re_ex, f_re_ex)
-    if windows is UNKNOWN:
+    if windows is None:
         windows = _window_state(g, schedule, D, platform)
 
     def times():
@@ -334,16 +334,13 @@ def _reexec_over(g, schedule, D, platform, f_re_ex, windows, dead, *, order, wit
                     if not schedule.plans[cid].re_executed:
                         _, schedule = _reexec_live(g, schedule, D, platform, cid, reexec, windows, dead)
         elif slowdown_on_fail:
-            cohort = cohort_of(g, schedule.mapping, times(), tid) if with_cohort else []
-            if cohort:
-                schedule, windows = _slow_group(g, schedule, D, platform, [tid, *cohort], windows)
-            else:
-                schedule, windows = _slow_single(g, schedule, D, platform, tid, windows)
-    return schedule, UNKNOWN if windows is None else windows
+            group = [tid, *cohort_of(g, schedule.mapping, times(), tid)] if with_cohort else [tid]
+            schedule, windows = _slow_group(g, schedule, D, platform, group, windows)
+    return schedule, windows
 
 
 def _slow_group(g, schedule, D, platform, group, windows):
-    """``slack_reclaim`` of a rejected task and its cohort; returns the schedule and its windows.
+    """``slack_reclaim`` of a rejected task, alone or with its cohort; returns the schedule and its windows.
 
     Singles keep the default floor, f_rel; re-executed tasks their f_inf.
     ``windows``, ``schedule``'s ``_window_state`` or None, moves to the
@@ -353,66 +350,40 @@ def _slow_group(g, schedule, D, platform, group, windows):
     next. That is the reclaim's sweep: a retime moves only the starts of the
     target's descendants, which sit higher and were decided before, and
     keeps every latest finish equal to the sweep's, which builds them from
-    the current durations. Only the makespan and the slowed tasks are then
-    checked, as ``_slow_single`` does. Without windows the reclaim runs in
-    full and they are built afresh.
+    the current durations. With one target, its window in the windows is
+    the plain forward and backward pass, the sweep's too. Every other task
+    already passed ``_window_state``'s check, so only the makespan and the
+    slowed targets are checked; the windows become None when that fails. A
+    group that slows nothing returns ``schedule`` and ``windows`` as they
+    are. Without windows the reclaim runs in full and they are built afresh.
     """
-    floors = _floors(g, platform)
     plans = schedule.plans
-    bounds = {cid: floors[cid] for cid in group if plans[cid].re_executed}
+    redone = [cid for cid in group if plans[cid].re_executed]
+    floors = _floors(g, platform) if redone else None
     if windows is None:
-        out = slack_reclaim(g, schedule, D, platform, group, bounds)
+        out = slack_reclaim(g, schedule, D, platform, group, {cid: floors[cid] for cid in redone})
         return out, _window_state(g, out, D, platform)
-    for cid in bounds:
-        plan = plans[cid]
-        if abs(plan.speed1 - plan.speed2) > SLACK_TOL:
-            raise ValueError(f"task {cid}: re-executed copies at different speeds {plan}")
+    for cid in redone:
+        _one_speed(cid, plans[cid])
     order, pos, _, _, _, weights = _indexed(g, schedule.mapping)
     est, finish, lft, _ = windows
-    threshold = _thresholds(g, platform)
     slowed = {}
-    feasible = True
     for r in sorted((pos[cid] for cid in group), reverse=True):
         tid = order[r]
         w = weights[r]
-        plan = _slowed(w, plans[tid], lft[r] - est[r], bounds.get(tid, platform.f_rel))
-        if plan is not None:
+        plan = plans[tid]
+        x = plan.re_executed
+        f = _slowed(w, plan.speed1, x, lft[r] - est[r], floors[tid] if x else platform.f_rel)
+        if f is not None:
+            plan = slowed[tid] = ExecutionPlan(f, f) if x else ExecutionPlan(f)
             _retime(g, schedule.mapping, windows, r, exe_time(w, plan))
-            slowed[tid] = plan
-            feasible = feasible and task_feasible(w, plan, threshold[tid], platform)
-    if not (feasible and max(finish, default=0.0) <= D + SLACK_TOL):
+    if not slowed:
+        return schedule, windows
+    threshold = _thresholds(g, platform)
+    if not (all(task_feasible(weights[pos[tid]], plan, threshold[tid], platform) for tid, plan in slowed.items())
+            and max(finish, default=0.0) <= D + SLACK_TOL):
         windows = None
     return schedule.with_plans(slowed), windows
-
-
-def _slow_single(g, schedule, D, platform, tid, windows):
-    """``slack_reclaim(g, schedule, D, platform, [tid], {})`` for a tid that runs once.
-
-    ``windows`` is ``schedule``'s ``_window_state``. With one target, the
-    sweep's window for it is the plain forward and backward pass, which
-    ``windows`` holds with the same float operations, so only the decision
-    is left to make. ``windows`` then moves to the slowed schedule in place
-    and is returned with it, or None when ``_window_state``'s check fails,
-    of which only the makespan and the slowed task can change, as every
-    other task already passed. An infeasible ``schedule``, whose windows are
-    None, gets the full reclaim and None.
-    """
-    if windows is None:
-        return slack_reclaim(g, schedule, D, platform, [tid], {}), None
-    est, finish, lft, _ = windows
-    _, pos, _, _, _, weights = _indexed(g, schedule.mapping)
-    r = pos[tid]
-    w = weights[r]
-    slowed = _slowed(w, schedule.plans[tid], lft[r] - est[r], platform.f_rel)
-    if slowed is None:
-        return schedule, windows
-    _retime(g, schedule.mapping, windows, r, exe_time(w, slowed))
-    if not (
-        max(finish, default=0.0) <= D + SLACK_TOL
-        and task_feasible(w, slowed, _thresholds(g, platform)[tid], platform)
-    ):
-        windows = None
-    return schedule.with_plan(tid, slowed), windows
 
 
 def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex, windows, dead):
@@ -436,67 +407,15 @@ def _reexec_critical_fixpoint(g, sched, D, platform, f_re_ex, windows, dead):
     return sched, windows
 
 
-def _unjam_singles(g, sched, D, platform, f_re_ex):
-    """Slow single-execution tasks down to f_rel, then unjam them.
-
-    Singles go first because their appetite for slack is bounded by the f_rel
-    floor, whereas the re-executed reclaim can absorb every bit of slack and
-    would otherwise leave the singles pinned at f_max.
-
-    Type-B acceptance can saturate a path so thoroughly that a task left
-    running once is stuck near f_max, burning far more than the re-execution
-    of a neighbour saves.  Converting a re-executed task back to a single run
-    at f_rel strictly shortens it, so it is always feasible; we keep the best
-    such swap, followed by a reclaim of the single runs, whenever it lowers
-    total energy, and stop when none does. Every reclaim here uses
-    slack_reclaim's default floor, f_rel.
-
-    Each round's schedule is the output of a reclaim of its single runs, so
-    a second such reclaim would change nothing (slack_reclaim's sweep is
-    exact in one pass). That is the precondition of ``swap_reclaims``, which
-    scores every swap of the round from that schedule's windows, moving only
-    the tasks the swap reaches, with the same float operations as a full
-    reclaim and energy sum; the result is bit-identical to reclaiming each
-    trial in full.
-
-    The rounds run on position-indexed state (``schedule._swap_state``):
-    speeds, re-execution flags, durations, energies and their running sum,
-    from which each round takes its windows, its energy (the sum's last
-    term, ``schedule_energy``'s value) and its stuck single runs. The trials
-    are scored in ``sched.plans`` order, so ties go to the same swap. A kept
-    swap moves only its own positions (``schedule._keep_swap``), and plans
-    are built once, at the end, for the positions that changed.
-    """
-    sched = slack_reclaim(g, sched, D, platform, _singles(sched), {})
-    mapping = sched.mapping
-    order, pos, _, _, _, _ = _indexed(g, mapping)
-    state = _swap_state(g, sched)
-    speeds, redone, _, _, prefix = state
-    in_plans_order = [pos[tid] for tid in sched.plans]
-    stuck_above = platform.f_rel + SLACK_TOL
-    kept = {}
-    while any(not x and f > stuck_above for x, f in zip(redone, speeds)):
-        current = prefix[-1]
-        best = None
-        for e, changes in swap_reclaims(g, mapping, D, platform, state, [r for r in in_plans_order if redone[r]]):
-            if e < current - SLACK_TOL and (best is None or e < best[0]):
-                best = (e, changes)
-        if best is None:
-            break
-        _keep_swap(g, mapping, state, best[1])
-        kept.update(best[1])
-    return sched.with_plans({order[i]: ExecutionPlan(f) for i, f in kept.items()})
-
-
 def _reclaim_redone(g, sched, D, platform, *_):
     """Hand the remaining slack to the re-executed tasks, down to their f_inf floors.
 
-    Returns ``(sched, UNKNOWN)``: no walk follows it, so it moves no windows
+    Returns ``(sched, None)``: no walk follows it, so it moves no windows
     and reads none of a phase's other arguments (f_re_ex, windows, dead set).
     """
     redone = _reexecuted(sched)
     floors = _floors(g, platform)
-    return slack_reclaim(g, sched, D, platform, redone, {tid: floors[tid] for tid in redone}), UNKNOWN
+    return slack_reclaim(g, sched, D, platform, redone, {tid: floors[tid] for tid in redone}), None
 
 
 def _floors(g, platform):
@@ -618,7 +537,29 @@ def _start(g, mapping, D, platform, speeds, f):
 
 
 def _tail(g, sched, D, platform, speeds):
-    """Type B's tail from ``sched``: the unjam rounds, then the reclaim of re-executed tasks.
+    """Type B's tail from ``sched``: reclaim the single runs, unjam them, then reclaim the re-executed tasks.
+
+    Singles go first because their appetite for slack is bounded by the
+    f_rel floor, whereas the re-executed reclaim can absorb every bit of
+    slack and would otherwise leave the singles pinned at f_max.
+
+    Type-B acceptance can saturate a path so thoroughly that a task left
+    running once is stuck near f_max, burning far more than the
+    re-execution of a neighbour saves. Converting a re-executed task back to
+    a single run at f_rel strictly shortens it, so it is always feasible;
+    each unjam round keeps the best such swap, followed by a reclaim of the
+    single runs (floor f_rel), whenever it lowers total energy by more than
+    SLACK_TOL, and the rounds stop when none does or no single run is left
+    above f_rel. Last, the re-executed tasks are reclaimed down to their
+    f_inf floors (``_floors``).
+
+    All of it moves one state (``schedule._swap_state``), built once from
+    the entering plans (module docstring). The reclaims are
+    ``schedule._reclaim_sweep``, the sweep of ``slack_reclaim``, so each
+    round's state is a reclaim fixpoint of its single runs, as
+    ``swap_reclaims`` requires; the trials are scored in ``sched.plans``
+    order, so ties go to the first. Plans are built at the exit, in
+    ``sched.plans`` order, for the tasks whose speed or re-execution changed.
 
     It runs once per distinct entry of a solve. The memo is
     ``speeds._tails``, so it lives as long as the solve's ``speeds`` and is
@@ -628,11 +569,32 @@ def _tail(g, sched, D, platform, speeds):
     identical bits and the tail's answer is the same. A hit returns a fresh
     ``Schedule`` with its own copy of the plans.
     """
-    key = (g, sched.mapping, D, platform, tuple(sched.plans[t.id] for t in g.tasks))
+    mapping = sched.mapping
+    key = (g, mapping, D, platform, tuple(sched.plans[t.id] for t in g.tasks))
     plans = speeds._tails.get(key)
     if plans is None:
-        sched = _unjam_singles(g, sched, D, platform, speeds.f_re_ex)
-        sched, _ = _reclaim_redone(g, sched, D, platform)
-        speeds._tails[key] = dict(sched.plans)
-        return sched
-    return Schedule(sched.mapping, dict(plans))
+        pos = _indexed(g, mapping)[1]
+        state = _swap_state(g, sched)
+        fs, redone, _, _, prefix = state
+        singles = {i for i, x in enumerate(redone) if not x}
+        _keep_swap(g, mapping, state, _reclaim_sweep(g, mapping, D, platform, state, singles, {}))
+        in_plans_order = [pos[tid] for tid in sched.plans]
+        stuck_above = platform.f_rel + SLACK_TOL
+        while any(not x and f > stuck_above for x, f in zip(redone, fs)):
+            current = prefix[-1]
+            best = None
+            for e, changes in swap_reclaims(g, mapping, D, platform, state, [r for r in in_plans_order if redone[r]]):
+                if e < current - SLACK_TOL and (best is None or e < best[0]):
+                    best = (e, changes)
+            if best is None:
+                break
+            _keep_swap(g, mapping, state, best[1])
+        _reclaim_sweep(g, mapping, D, platform, state, {i for i, x in enumerate(redone) if x}, _floors(g, platform))
+        plans = {}
+        for tid, plan in sched.plans.items():
+            f, x = fs[pos[tid]], redone[pos[tid]]
+            if f != plan.speed1 or x != plan.re_executed:
+                plan = ExecutionPlan(f, f) if x else ExecutionPlan(f)
+            plans[tid] = plan
+        speeds._tails[key] = plans
+    return Schedule(mapping, dict(plans))

@@ -25,14 +25,14 @@ queue or a list copy: the passes are running sums and differences
 (``itertools.accumulate``), which add and subtract the same floats in the
 same order as the general loops, so every output is the same, bit for bit;
 a trial's sweep carries in locals the one latest finish and duration that
-a position reads. ``slack_reclaim``'s sweep decides as it builds the
-backward pass, so it keeps its own loop. Starts and finishes do not
+a position reads. The reclaim's sweep (``_reclaim_sweep``) decides as it
+builds the backward pass, so it keeps its own loop. Starts and finishes do not
 decrease with position, so ``sus_sort`` and ``cohort_of`` find the tasks
 nested in an interval as a range of positions, by bisection
 (``_nested_on_chain``).
 
 Elsewhere the general loops (``_forward``, ``_backward``, ``_push_starts``,
-``_retime``, ``slack_reclaim``'s sweep and ``swap_reclaims``' backward
+``_retime``, ``_reclaim_sweep`` and ``swap_reclaims``' backward
 sweep) take the max of the predecessors' finishes, or the min of ``lft[s] -
 dur[s]`` over the successors, by an inline scan: start from the first term,
 then take each term x that is greater (``x > m``), or smaller (``x < m``).
@@ -42,11 +42,15 @@ with the same operator and keep the first of equal terms, so the scan
 returns the same float, bit for bit (no time here is NaN); it only skips
 building a list and calling a builtin once per position.
 
-The unjam rounds of type B's tail keep their schedule as position-indexed
-state (``_swap_state``: speeds, re-execution flags, durations, energies and
-their running sum). ``swap_reclaims`` scores a round's trials from it and
-``_keep_swap`` moves it to the kept swap, with the trial's own expressions,
-so a round builds no plan and reads no ``Schedule``.
+Type B's tail keeps its schedule as one position-indexed state
+(``_swap_state``: speeds, re-execution flags, durations, energies and their
+running sum), built once from plans. The reclaim's sweep (``_reclaim_sweep``)
+moves its speeds and durations in place; ``slack_reclaim`` is the sweep on
+a schedule's ``[speeds, redone, dur]``, with plans built for the targets it
+slowed. ``swap_reclaims`` scores an unjam round's trials from the state and
+``_keep_swap`` moves it to the kept swap, or to the single runs a sweep
+slowed, with the trial's own expressions, so the tail builds plans only at
+its exit and reads no ``Schedule`` before.
 """
 
 from __future__ import annotations
@@ -605,41 +609,62 @@ def slack_reclaim(
 ) -> Schedule:
     """Slow the target tasks toward their lower bounds without losing feasibility.
 
-    One sweep in reverse topological order, over ``_indexed``'s positions
-    and reduced edges (the augmented DAG's windows, bit for bit): each target
-    may expand into the window between its earliest start (forward pass) and
-    its latest allowed finish (backward pass from D), down to its lower bound
-    (f_rel when it has none). Speeds never increase, so energy never
-    increases. A re-executed target must run both copies at one speed
-    (within SLACK_TOL); ValueError otherwise.
+    One sweep in reverse topological order (``_reclaim_sweep``, on the
+    schedule's ``[speeds, redone, dur]`` by position): each target may
+    expand into the window between its earliest start and its latest allowed
+    finish, down to its lower bound (f_rel when it has none). Speeds never
+    increase, so energy never increases. A re-executed target must run both
+    copies at one speed (``_one_speed``); ValueError otherwise.
+    """
+    order, pos, _, _, _, weights = _indexed(g, schedule.mapping)
+    rs = {pos[tid] for tid in targets}
+    plans = [schedule.plans[tid] for tid in order]
+    for r in rs:
+        _one_speed(order[r], plans[r])
+    state = [[plan.speed1 for plan in plans], [plan.re_executed for plan in plans], list(map(exe_time, weights, plans))]
+    slowed = _reclaim_sweep(g, schedule.mapping, D, platform, state, rs, lower_bounds)
+    return schedule.with_plans({
+        order[i]: ExecutionPlan(f, f) if plans[i].re_executed else ExecutionPlan(f) for i, f in slowed.items()
+    })
 
-    The sweep does one forward pass, at its start, and builds the backward
-    pass as it goes: a task's latest finish is taken from its successors just
-    before the task is examined. The windows are exactly those of a full
-    recomputation after every accepted change. Slowing task i moves only the
-    earliest starts of its descendants, which come after i in the order and
-    so were examined earlier in the sweep, and the latest finishes of its
-    ancestors, which the sweep reaches later and derives from the current
-    durations, with the same float operations in the same order.
+
+def _reclaim_sweep(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformModel, state, rs,
+                   floors: dict[int, float]) -> dict[int, float]:
+    """The reclaim's sweep over ``state``'s ``[speeds, redone, dur, ...]`` by position, in place.
+
+    Slows each position of ``rs`` into its window, down to its floor (by
+    task id in ``floors``, f_rel when it has none), and returns the new
+    speeds by position, for the positions it slowed. A slowed position gets
+    its new speed and its new duration, ``exe_time``'s expression for one
+    run, or for two at that speed when it is re-executed; nothing else of
+    the state moves.
+
+    One sweep in reverse topological order, over ``_indexed``'s positions
+    and reduced edges (the augmented DAG's windows, bit for bit). It does one
+    forward pass, at its start, and builds the backward pass from D as it
+    goes: a position's latest finish is taken from its successors just
+    before the position is examined. The windows are exactly those of a
+    full recomputation after every accepted change. Slowing position i
+    moves only the earliest starts of its descendants, which come after i
+    in the order and so were examined earlier in the sweep, and the latest
+    finishes of its ancestors, which the sweep reaches later and derives
+    from the current durations, with the same float operations in the same
+    order.
 
     One sweep is also exact: a second one could change nothing. A slowed
-    target runs below both of its former copy speeds, so durations only
-    grow; with rounding monotone, every earliest start can then only grow,
-    while every latest finish is rebuilt from the same descendant durations
-    and comes out the same. Every window can only shrink, so no target could
-    slow further.
+    target runs below its former speed, so durations only grow; with
+    rounding monotone, every earliest start can then only grow, while every
+    latest finish is rebuilt from the same descendant durations and comes
+    out the same. Every window can only shrink, so no target could slow
+    further.
     """
-    targets = set(targets)
-    order, _, succ, pred, chain, weights = _indexed(g, schedule.mapping)
-    plans = dict(schedule.plans)
-    for tid in targets:
-        plan = plans[tid]
-        if plan.re_executed and abs(plan.speed1 - plan.speed2) > SLACK_TOL:
-            raise ValueError(f"task {tid}: re-executed copies at different speeds {plan}")
-    dur = [exe_time(w, plans[tid]) for w, tid in zip(weights, order)]
+    order, _, succ, pred, chain, weights = _indexed(g, mapping)
+    speeds, redone, dur = state[0], state[1], state[2]
     est, _ = _forward(pred, dur, chain)
-    lft = [D] * len(order)
-    for i in reversed(range(len(order))):
+    f_rel = platform.f_rel
+    slowed = {}
+    lft = [D] * len(dur)
+    for i in reversed(range(len(dur))):
         ss = succ[i]
         if len(ss) == 1:
             s = ss[0]
@@ -652,45 +677,53 @@ def slack_reclaim(
                 if x < m:
                     m = x
             lft[i] = m
-        tid = order[i]
-        if tid not in targets:
+        if i not in rs:
             continue
-        slowed = _slowed(weights[i], plans[tid], lft[i] - est[i], lower_bounds.get(tid, platform.f_rel))
-        if slowed is not None:
-            plans[tid] = slowed
-            dur[i] = exe_time(weights[i], slowed)
-    return Schedule(schedule.mapping, plans)
+        w = weights[i]
+        f = _slowed(w, speeds[i], redone[i], lft[i] - est[i], floors.get(order[i], f_rel))
+        if f is not None:
+            slowed[i] = speeds[i] = f
+            d = w / f
+            if redone[i]:
+                d += w / f
+            dur[i] = d
+    return slowed
 
 
-def _slowed(w: float, plan: ExecutionPlan, window: float, floor: float) -> ExecutionPlan | None:
-    """``slack_reclaim``'s decision for one target: its slower plan, or None to keep ``plan``.
+def _one_speed(tid: int, plan: ExecutionPlan) -> None:
+    """ValueError unless a re-executed ``plan`` runs both copies at one speed, within SLACK_TOL."""
+    if plan.re_executed and abs(plan.speed1 - plan.speed2) > SLACK_TOL:
+        raise ValueError(f"task {tid}: re-executed copies at different speeds {plan}")
 
-    The target expands into ``window`` (latest finish minus earliest start),
-    down to ``floor``, and changes only when that is slower by SLACK_TOL.
+
+def _slowed(w: float, speed: float, redone: bool, window: float, floor: float) -> float | None:
+    """The reclaim's decision for one target running at ``speed``: its slower speed, or None to keep it.
+
+    The target (its two runs when ``redone``) expands into ``window``
+    (latest finish minus earliest start), down to ``floor``, and changes
+    only when that is slower by SLACK_TOL.
     """
     if window <= 0.0:
         return None
-    if plan.re_executed:
+    if redone:
         needed = 2.0 * w / window
     else:
         needed = w / window
     new_speed = needed if needed > floor else floor  # max(floor, needed)
-    if new_speed < plan.speed1 - SLACK_TOL:
-        return ExecutionPlan(new_speed, new_speed) if plan.re_executed else ExecutionPlan(new_speed)
-    return None
+    return new_speed if new_speed < speed - SLACK_TOL else None
 
 
 def _swap_state(g: TaskGraph, schedule: Schedule):
-    """The unjam rounds' state of ``schedule``: ``[speeds, redone, dur, energies, prefix]`` by position.
+    """Type B's tail state of ``schedule``: ``[speeds, redone, dur, energies, prefix]`` by position.
 
     Position i is the task ``order[i]`` of ``_indexed(g, schedule.mapping)``:
     ``speeds[i]`` is its plan's first speed, ``redone[i]`` whether it is
     re-executed, ``dur[i]`` and ``energies[i]`` its ``exe_time`` and
     ``energy``, and ``prefix`` the running sum of the energies from 0.0
     (``itertools.accumulate``), the additions ``schedule_energy`` makes in
-    the same order, so ``prefix[-1]`` is its value, bit for bit.
-    ``swap_reclaims`` scores a round from the state and ``_keep_swap`` moves
-    it to the swap kept.
+    the same order, so ``prefix[-1]`` is its value, bit for bit. The
+    reclaims (``_reclaim_sweep``) and the unjam rounds (``swap_reclaims``
+    scores a round, ``_keep_swap`` moves it to the swap kept) run on it.
     """
     order, _, _, _, _, weights = _indexed(g, schedule.mapping)
     plans = [schedule.plans[tid] for tid in order]
@@ -705,14 +738,17 @@ def _swap_state(g: TaskGraph, schedule: Schedule):
 
 
 def _keep_swap(g: TaskGraph, mapping: Mapping, state, changes: dict[int, float]) -> None:
-    """Move a ``_swap_state`` to a trial of ``swap_reclaims``, in place: its positions run once at their new speeds.
+    """Move a ``_swap_state`` in place so that the positions of ``changes`` run once at their new speeds.
 
-    Only the positions of ``changes`` move, with the trial's own
-    expressions: a single run at f lasts ``w / f`` and burns ``w * f ** 2``
-    (``exe_time`` and ``energy`` of ``ExecutionPlan(f)``); the running sum
-    is rebuilt from the first of them. The state then equals ``_swap_state``
-    of the schedule with those plans, bit for bit.
+    That is a trial of ``swap_reclaims``, or the single runs a
+    ``_reclaim_sweep`` slowed. Only those positions move, with the trial's
+    own expressions: a single run at f lasts ``w / f`` and burns ``w * f **
+    2`` (``exe_time`` and ``energy`` of ``ExecutionPlan(f)``); the running
+    sum is rebuilt from the first of them. The state then equals
+    ``_swap_state`` of the schedule with those plans, bit for bit.
     """
+    if not changes:
+        return
     weights = _indexed(g, mapping)[5]
     speeds, redone, dur, energies, prefix = state
     for i, f in changes.items():

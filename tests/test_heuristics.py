@@ -26,8 +26,8 @@ from trisched.heuristics import (
     _reexecuted,
     _singles,
     _singles_order,
-    _slow_single,
-    _unjam_singles,
+    _slow_group,
+    _tail,
     derived_speeds,
     feasibility_probe,
     min_deadline,
@@ -450,7 +450,7 @@ class TestHeuristicOutputs:
 
 
 def _unjam_singles_full_reclaims(g, sched, D, platform, f_re_ex):
-    """The earlier _unjam_singles, which reclaimed every trial in full.
+    """Type B's unjam rounds as first written, reclaiming every trial in full.
 
     Kept verbatim as the oracle: scoring the swaps from the base windows
     must give the same schedule, bit for bit.
@@ -476,6 +476,11 @@ def _unjam_singles_full_reclaims(g, sched, D, platform, f_re_ex):
         sched = best[1]
 
 
+def _full_tail(g, sched, D, platform, f_re_ex):
+    """Type B's tail on full reclaims: ``_unjam_singles_full_reclaims``, then ``_reclaim_redone``."""
+    return heuristics._reclaim_redone(g, _unjam_singles_full_reclaims(g, sched, D, platform, f_re_ex), D, platform)[0]
+
+
 def _type_b_starts(platform, case):
     """The schedules type-B walks hand to their tail, on _reclaim_case's DAG and deadline.
 
@@ -485,7 +490,7 @@ def _type_b_starts(platform, case):
     f_re_ex = derived_speeds(g, sched.mapping, D, platform).f_re_ex
     for kind in TYPE_B:
         _, phases = _PHASES[kind]
-        start, windows, dead = uniform_schedule(g, sched.mapping, platform.f_max), heuristics.UNKNOWN, set()
+        start, windows, dead = uniform_schedule(g, sched.mapping, platform.f_max), None, set()
         for phase in phases:
             start, windows = phase(g, start, D, platform, f_re_ex, windows, dead)
         yield g, start, D, f_re_ex
@@ -558,16 +563,16 @@ class TestUnjamFromBaseWindows:
         g = chain([1.0, 1.0, 1.0])
         plans = {tid: ExecutionPlan(1.0) if tid == 1 else ExecutionPlan(0.25, 0.25) for tid in ids}
         start = Schedule(list_schedule(g, 1), plans)
-        out = _unjam_singles(g, start, 17.0, platform, 0.25)
-        assert out.plans == _unjam_singles_full_reclaims(g, start, 17.0, platform, 0.25).plans
+        out = _tail(g, start, 17.0, platform, DerivedSpeeds(platform.f_rel, 0.25))
+        assert out.plans == _full_tail(g, start, 17.0, platform, 0.25).plans
         assert [tid for tid in ids if not out.plans[tid].re_executed] == [ids[0], 1]
 
     @pytest.mark.parametrize("case", range(24))
     def test_same_schedule_as_full_reclaims(self, platform, case):
         swapped = 0
         for g, start, D, f_re_ex in _type_b_starts(platform, case):
-            expected = _unjam_singles_full_reclaims(g, start, D, platform, f_re_ex)
-            out = _unjam_singles(g, start, D, platform, f_re_ex)
+            expected = _full_tail(g, start, D, platform, f_re_ex)
+            out = _tail(g, start, D, platform, derived_speeds(g, start.mapping, D, platform))
             assert out.plans == expected.plans
             assert schedule_energy(g, out) == schedule_energy(g, expected)
             first = slack_reclaim(g, start, D, platform, _singles(start), {})
@@ -633,6 +638,44 @@ class TestTailMemo:
         assert len(calls) == sum(counts[0] for counts in rounds.values())
         assert len(calls) < sum(map(sum, rounds.values()))
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_state_per_distinct_entry_and_no_slack_reclaim(self, platform, case, monkeypatch):
+        # The tail derives its state from plans once per distinct entry and
+        # moves it in place: its reclaims are sweeps on that state, not calls
+        # of slack_reclaim.
+        built, reclaims, inside = [], [], []
+        tail, swap_state, reclaim = heuristics._tail, heuristics._swap_state, heuristics.slack_reclaim
+
+        def spied_tail(*args):
+            inside.append(args[1])
+            try:
+                return tail(*args)
+            finally:
+                inside.pop()
+
+        def spied_state(g_, sched):
+            built.append(tuple(sched.plans[t.id] for t in g_.tasks))
+            return swap_state(g_, sched)
+
+        def spied_reclaim(*args):
+            if inside:
+                reclaims.append(args[4])
+            return reclaim(*args)
+
+        monkeypatch.setattr(heuristics, "_tail", spied_tail)
+        monkeypatch.setattr(heuristics, "_swap_state", spied_state)
+        monkeypatch.setattr(heuristics, "slack_reclaim", spied_reclaim)
+        g, start, D, _ = next(_type_b_starts(platform, case))
+        entries = self._entries(platform, case)
+        for kind, entry in zip(TYPE_B, entries):
+            built.clear()
+            run(kind, g, start.mapping, D, platform)
+            assert built == [entry], kind
+        built.clear()
+        run(HeuristicKind.BEST, g, start.mapping, D, platform)
+        assert sorted(built, key=entries.index) == list(dict.fromkeys(entries))
+        assert not reclaims
+
     def test_shared_speeds_return_distinct_plans(self, platform):
         g, start, D, _ = next(_type_b_starts(platform, 0))
         speeds = derived_speeds(g, start.mapping, D, platform)
@@ -661,6 +704,8 @@ class TestTailMemo:
 
 
 class TestSlowSingle:
+    """``_slow_group`` of one task that runs once."""
+
     def test_equals_one_target_reclaim(self, platform):
         slowed = 0
         for case in range(12):
@@ -674,7 +719,7 @@ class TestSlowSingle:
                         other = {rng.choice(singles): ExecutionPlan(platform.f_rel)}
                         _, sched = feasibility_probe(g, sched, D, platform, other, windows)
                     expected = slack_reclaim(g, sched, D, platform, [tid], {})
-                    out, out_windows = _slow_single(g, sched, D, platform, tid, windows)
+                    out, out_windows = _slow_group(g, sched, D, platform, [tid], windows)
                     assert out.plans == expected.plans, (case, tid)
                     assert out_windows == _window_state(g, out, D, platform), (case, tid)
                     slowed += out.plans != sched.plans
@@ -689,7 +734,7 @@ class TestSlowSingle:
         windows = _window_state(g, sched, D, platform)
         assert windows is None
         for tid in range(1, len(g)):
-            out, out_windows = _slow_single(g, sched, D, platform, tid, windows)
+            out, out_windows = _slow_group(g, sched, D, platform, [tid], windows)
             assert out.plans == slack_reclaim(g, sched, D, platform, [tid], {}).plans
             assert out_windows is None
 
@@ -750,15 +795,11 @@ class TestLiveWindows:
             seen["last"] = out
             return ok, out
 
-        def slow(g_, sched, D_, platform_, tid, windows):
-            out, out_windows = _slow_single(g_, sched, D_, platform_, tid, windows)
-            assert_windows_of(out, out_windows)
-            seen["slow"] += out.plans != sched.plans
-            seen["last"] = out
-            return out, out_windows
-
-        def slow_group(*args):
-            out, out_windows = slow_group_(*args)
+        def slow_group(g_, sched, D_, platform_, group, windows):
+            out, out_windows = slow_group_(g_, sched, D_, platform_, group, windows)
+            if len(group) == 1:
+                assert_windows_of(out, out_windows)
+                seen["slow"] += out.plans != sched.plans
             seen["last"] = out
             return out, out_windows
 
@@ -784,7 +825,6 @@ class TestLiveWindows:
 
         slow_group_, start_of = heuristics._slow_group, heuristics._start
         monkeypatch.setattr(heuristics, "feasibility_probe", probe)
-        monkeypatch.setattr(heuristics, "_slow_single", slow)
         monkeypatch.setattr(heuristics, "_slow_group", slow_group)
         monkeypatch.setattr(heuristics, "_start", start_)
         monkeypatch.setattr(heuristics, "cohort_of", cohort)
@@ -851,7 +891,7 @@ class TestWalkOrders:
 
 
 class TestWindowHandoff:
-    """Phases hand their windows on: each is UNKNOWN or a fresh, checked ``_window_state``."""
+    """Phases hand their windows on: each is None or a fresh, checked ``_window_state``."""
 
     @staticmethod
     def _solve(monkeypatch, g, mapping, D, platform):
@@ -859,7 +899,7 @@ class TestWindowHandoff:
         seen = collections.Counter()
 
         def check(kind, sched, windows):
-            if windows is heuristics.UNKNOWN:
+            if windows is None:
                 seen["unknown"] += 1
             else:
                 assert windows == _window_state(g, sched, D, platform), kind
@@ -1011,7 +1051,7 @@ def _walk_probing_every_task(g, schedule, D, platform, f_re_ex, windows, *, orde
     ones included.
     """
     reexec = ExecutionPlan(f_re_ex, f_re_ex)
-    if windows is heuristics.UNKNOWN:
+    if windows is None:
         windows = _window_state(g, schedule, D, platform)
 
     def times():
@@ -1028,11 +1068,8 @@ def _walk_probing_every_task(g, schedule, D, platform, f_re_ex, windows, *, orde
                         _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec}, windows)
         elif slowdown_on_fail:
             cohort = cohort_of(g, schedule.mapping, times(), tid) if with_cohort else []
-            if cohort:
-                schedule, windows = heuristics._slow_group(g, schedule, D, platform, [tid, *cohort], windows)
-            else:
-                schedule, windows = _slow_single(g, schedule, D, platform, tid, windows)
-    return schedule, heuristics.UNKNOWN if windows is None else windows
+            schedule, windows = heuristics._slow_group(g, schedule, D, platform, [tid, *cohort], windows)
+    return schedule, windows
 
 
 def _every_critical_task(g, sched, state):
@@ -1127,7 +1164,7 @@ class TestDeadSets:
 
         def assert_dead(g, sched, D, platform, f_re_ex, windows, dead):
             reexec = ExecutionPlan(f_re_ex, f_re_ex)
-            if windows is heuristics.UNKNOWN:
+            if windows is None:
                 windows = _window_state(g, sched, D, platform)
             for tid in dead:
                 if not sched.plans[tid].re_executed:
