@@ -350,38 +350,37 @@ def _slow_group(g, schedule, D, platform, group, windows):
     next. That is the reclaim's sweep: a retime moves only the starts of the
     target's descendants, which sit higher and were decided before, and
     keeps every latest finish equal to the sweep's, which builds them from
-    the current durations. With one target, its window in the windows is
-    the plain forward and backward pass, the sweep's too. Every other task
-    already passed ``_window_state``'s check, so only the makespan and the
-    slowed targets are checked; the windows become None when that fails. A
-    group that slows nothing returns ``schedule`` and ``windows`` as they
-    are. Without windows the reclaim runs in full and they are built afresh.
+    the current durations. Every other task passed ``_window_state``'s
+    check, so only the makespan and the slowed targets are checked, and the
+    windows become None when that fails. A group that slows nothing returns
+    its arguments. Without windows the reclaim runs in full and they are
+    built afresh.
     """
     plans = schedule.plans
-    redone = [cid for cid in group if plans[cid].re_executed]
-    floors = _floors(g, platform) if redone else None
     if windows is None:
-        out = slack_reclaim(g, schedule, D, platform, group, {cid: floors[cid] for cid in redone})
+        floors = _floors(g, platform)
+        out = slack_reclaim(g, schedule, D, platform, group, {
+            cid: floors[cid] for cid in group if plans[cid].re_executed})
         return out, _window_state(g, out, D, platform)
-    for cid in redone:
-        _one_speed(cid, plans[cid])
+    _one_speed(plans, group)
     order, pos, _, _, _, weights = _indexed(g, schedule.mapping)
     est, finish, lft, _ = windows
     slowed = {}
-    for r in sorted((pos[cid] for cid in group), reverse=True):
+    feasible = True
+    # A lone target, the common case, skips the sort.
+    for r in sorted((pos[cid] for cid in group), reverse=True) if len(group) > 1 else (pos[group[0]],):
         tid = order[r]
         w = weights[r]
         plan = plans[tid]
         x = plan.re_executed
-        f = _slowed(w, plan.speed1, x, lft[r] - est[r], floors[tid] if x else platform.f_rel)
+        f = _slowed(w, plan.speed1, x, lft[r] - est[r], _floors(g, platform)[tid] if x else platform.f_rel)
         if f is not None:
             plan = slowed[tid] = ExecutionPlan(f, f) if x else ExecutionPlan(f)
             _retime(g, schedule.mapping, windows, r, exe_time(w, plan))
+            feasible = feasible and task_feasible(w, plan, _thresholds(g, platform)[tid], platform)
     if not slowed:
         return schedule, windows
-    threshold = _thresholds(g, platform)
-    if not (all(task_feasible(weights[pos[tid]], plan, threshold[tid], platform) for tid, plan in slowed.items())
-            and max(finish, default=0.0) <= D + SLACK_TOL):
+    if not (feasible and max(finish, default=0.0) <= D + SLACK_TOL):
         windows = None
     return schedule.with_plans(slowed), windows
 

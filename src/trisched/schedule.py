@@ -44,13 +44,10 @@ building a list and calling a builtin once per position.
 
 Type B's tail keeps its schedule as one position-indexed state
 (``_swap_state``: speeds, re-execution flags, durations, energies and their
-running sum), built once from plans. The reclaim's sweep (``_reclaim_sweep``)
-moves its speeds and durations in place; ``slack_reclaim`` is the sweep on
-a schedule's ``[speeds, redone, dur]``, with plans built for the targets it
-slowed. ``swap_reclaims`` scores an unjam round's trials from the state and
-``_keep_swap`` moves it to the kept swap, or to the single runs a sweep
-slowed, with the trial's own expressions, so the tail builds plans only at
-its exit and reads no ``Schedule`` before.
+running sum), built once from plans. The reclaim's sweep (``_reclaim_sweep``,
+which ``slack_reclaim`` wraps) moves it in place, ``swap_reclaims`` scores
+an unjam round's trials from it and ``_keep_swap`` moves it to the kept
+swap, so the tail builds plans only at its exit.
 """
 
 from __future__ import annotations
@@ -609,19 +606,19 @@ def slack_reclaim(
 ) -> Schedule:
     """Slow the target tasks toward their lower bounds without losing feasibility.
 
-    One sweep in reverse topological order (``_reclaim_sweep``, on the
-    schedule's ``[speeds, redone, dur]`` by position): each target may
-    expand into the window between its earliest start and its latest allowed
-    finish, down to its lower bound (f_rel when it has none). Speeds never
-    increase, so energy never increases. A re-executed target must run both
-    copies at one speed (``_one_speed``); ValueError otherwise.
+    The reclaim's sweep (``_reclaim_sweep``), given the targets' speeds and
+    re-execution flags as dicts by position: each target may expand into the
+    window between its earliest start and its latest allowed finish, down to
+    its lower bound (f_rel when it has none). Speeds never increase, so
+    energy never increases. ValueError unless each re-executed target runs
+    both copies at one speed (``_one_speed``).
     """
+    targets = set(targets)
+    _one_speed(schedule.plans, targets)
     order, pos, _, _, _, weights = _indexed(g, schedule.mapping)
     rs = {pos[tid] for tid in targets}
     plans = [schedule.plans[tid] for tid in order]
-    for r in rs:
-        _one_speed(order[r], plans[r])
-    state = [[plan.speed1 for plan in plans], [plan.re_executed for plan in plans], list(map(exe_time, weights, plans))]
+    state = [{r: plans[r].speed1 for r in rs}, {r: plans[r].re_executed for r in rs}, list(map(exe_time, weights, plans))]
     slowed = _reclaim_sweep(g, schedule.mapping, D, platform, state, rs, lower_bounds)
     return schedule.with_plans({
         order[i]: ExecutionPlan(f, f) if plans[i].re_executed else ExecutionPlan(f) for i, f in slowed.items()
@@ -634,10 +631,10 @@ def _reclaim_sweep(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformM
 
     Slows each position of ``rs`` into its window, down to its floor (by
     task id in ``floors``, f_rel when it has none), and returns the new
-    speeds by position, for the positions it slowed. A slowed position gets
-    its new speed and its new duration, ``exe_time``'s expression for one
-    run, or for two at that speed when it is re-executed; nothing else of
-    the state moves.
+    speeds of the positions it slowed. Only those move: their speed, and
+    their duration by ``exe_time``'s expression for one run, or for two at
+    that speed when re-executed. ``speeds`` and ``redone`` are read only at
+    the positions of ``rs``.
 
     One sweep in reverse topological order, over ``_indexed``'s positions
     and reduced edges (the augmented DAG's windows, bit for bit). It does one
@@ -690,10 +687,12 @@ def _reclaim_sweep(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformM
     return slowed
 
 
-def _one_speed(tid: int, plan: ExecutionPlan) -> None:
-    """ValueError unless a re-executed ``plan`` runs both copies at one speed, within SLACK_TOL."""
-    if plan.re_executed and abs(plan.speed1 - plan.speed2) > SLACK_TOL:
-        raise ValueError(f"task {tid}: re-executed copies at different speeds {plan}")
+def _one_speed(plans: dict[int, ExecutionPlan], tids) -> None:
+    """ValueError unless each re-executed task of ``tids`` runs both copies at one speed, within SLACK_TOL."""
+    for tid in tids:
+        plan = plans[tid]
+        if plan.re_executed and abs(plan.speed1 - plan.speed2) > SLACK_TOL:
+            raise ValueError(f"task {tid}: re-executed copies at different speeds {plan}")
 
 
 def _slowed(w: float, speed: float, redone: bool, window: float, floor: float) -> float | None:
