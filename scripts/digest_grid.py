@@ -12,8 +12,12 @@ scheduling), lambda0 in {1e-5, 1e-3} and deadline ratios {1.05, 1.2, 2, 5}
 of the full-speed makespan. The same grid is then run again with integer
 weights 1-4 (drawn per graph from ``random.Random(seed)``, in task order), on
 which times and trial energies tie, so the digest also sees which of two
-equal-energy choices a heuristic keeps; 3,456 runs in all. Exits 1 when the
-digests differ. Standard library only.
+equal-energy choices a heuristic keeps. Last come large weights, drawn from
+(0, 1e9) by ``generate_random``, at lambda0 = 1e-14 and the same sizes,
+seeds, processors and ratios: near such times a float's last bit is above
+SLACK_TOL, so slow-downs can end past the deadline and some kinds end
+infeasible, and the digest sees the paths that handle an infeasible state;
+4,320 runs in all. Exits 1 when the digests differ. Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ SEEDS = (1, 2, 3)
 PROCS = (1, 4, 50)
 LAMBDA0S = (1e-5, 1e-3)
 RATIOS = (1.05, 1.2, 2.0, 5.0)
+BIG_WEIGHTS = (0.0, 1e9)
+BIG_LAMBDA0 = 1e-14
 
 # Run in the subprocess, with SRC first on the path and this directory next.
 _WORKER = """
@@ -53,7 +59,7 @@ def add_run(hasher, label, schedule, metrics) -> None:
 
 
 def grid_instances():
-    """Every instance of the grid: ``(label, g, mapping, D, platform)``, float weights first, then integer."""
+    """Every instance of the grid: ``(label, g, mapping, D, platform)``; float weights, then integer, then large."""
     import random
 
     from trisched.graph import TaskGraph, generate_random
@@ -61,18 +67,23 @@ def grid_instances():
     from trisched.model import PlatformModel, Task
     from trisched.schedule import list_schedule
 
-    for integer, (n, m), seed, p, lam0, ratio in itertools.product(
-        (False, True), SIZES, SEEDS, PROCS, LAMBDA0S, RATIOS
-    ):
-        g = generate_random(n, m, seed=seed)
-        if integer:
+    parts = itertools.chain(
+        itertools.product((None, "int"), SIZES, SEEDS, PROCS, LAMBDA0S, RATIOS),
+        itertools.product(("big",), SIZES, SEEDS, PROCS, (BIG_LAMBDA0,), RATIOS),
+    )
+    for part, (n, m), seed, p, lam0, ratio in parts:
+        if part == "big":
+            g = generate_random(n, m, weight_range=BIG_WEIGHTS, seed=seed)
+        else:
+            g = generate_random(n, m, seed=seed)
+        if part == "int":
             rng = random.Random(seed)
             g = TaskGraph(tuple(Task(t.id, float(rng.randint(1, 4))) for t in g.tasks), g.edges)
         mapping = list_schedule(g, p)
         platform = PlatformModel(f_min=1e-6, f_max=1.0, f_rel=2.0 / 3.0, lambda0=lam0, proc_count=p)
         D = ratio * min_deadline(g, mapping, platform)
         label = (n, m, seed, p, lam0, ratio)
-        yield ("int", *label) if integer else label, g, mapping, D, platform
+        yield (part, *label) if part else label, g, mapping, D, platform
 
 
 def grid_digest() -> str:

@@ -53,3 +53,13 @@ def test_an_integer_weight_instance_has_a_tied_unjam_round(monkeypatch):
     monkeypatch.setattr(heuristics, "swap_reclaims", spy)
     run(HeuristicKind.BEST, g, mapping, D, platform)
     assert any(ties), ties
+
+
+def test_a_large_weight_instance_has_an_infeasible_kind():
+    # Near times of 1e9 a float's last bit is above SLACK_TOL, so a slow-down
+    # that fills its window exactly can end past the deadline: the grid then
+    # sees how an infeasible state is carried to the verdict.
+    label = ("big", 30, 60, 1, 1, 1e-14, 1.2)
+    _, g, mapping, D, platform = next(inst for inst in digest_grid.grid_instances() if inst[0] == label)
+    infeasible = [kind for kind in heuristics.ALL_HEURISTICS if not run(kind, g, mapping, D, platform)[1].feasible]
+    assert infeasible == [HeuristicKind.B_GREEDY, HeuristicKind.B_SUS_CRIT]
