@@ -42,12 +42,13 @@ with the same operator and keep the first of equal terms, so the scan
 returns the same float, bit for bit (no time here is NaN); it only skips
 building a list and calling a builtin once per position.
 
-Type B's tail keeps its schedule as one position-indexed state
-(``_swap_state``: speeds, re-execution flags, durations, energies and their
-running sum), built once from plans. The reclaim's sweep (``_reclaim_sweep``,
-which ``slack_reclaim`` wraps) moves it in place, ``swap_reclaims`` scores
-an unjam round's trials from it and ``_keep_swap`` moves it to the kept
-swap, so the tail builds plans only at its exit.
+The heuristics keep a solve's schedule as position-indexed lists (speeds,
+re-execution flags and the windows of ``_window_state``), never as plans:
+the walks move them by ``_retime``, the reclaim's sweep (``_reclaim_sweep``,
+which ``slack_reclaim`` wraps for a ``Schedule``) moves speeds and durations
+in place, ``swap_reclaims`` scores an unjam round's trials from them, with
+the energies and their running sum, and ``_keep_swap`` moves all of them to
+the kept swap. Plans are built only at a solve's exit.
 """
 
 from __future__ import annotations
@@ -374,8 +375,8 @@ def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel
     )
 
 
-def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel, check: bool = True):
-    """``[est, finish, lft, dur]`` of every task, as lists indexed by position, or None.
+def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel):
+    """``[est, finish, lft, dur]`` of every task, as lists indexed by position, feasible or not.
 
     Position i is the task ``order[i]`` of ``_indexed(g, schedule.mapping)``.
     Both passes run over ``_indexed``'s transitive reduction, which gives
@@ -384,24 +385,11 @@ def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: Platform
     forward pass (``_forward``), equal to evaluate's start and finish times
     bit for bit; ``lft`` is the backward pass from D (``_backward``), taking
     ``lft[u] = min(lft[s] - dur[s])`` over the successors s of u (D for a
-    task without successors). With ``check``, the schedule must also be
-    feasible, decided from the same forward pass with the same float
-    operations as ``evaluate`` (makespan, every task's reliability
-    threshold, the speed rules), so the two verdicts agree; None when it
-    is not. Pass ``check=False`` only for a schedule already known to be
-    feasible. ``_retime`` updates the state in place.
+    task without successors). ``_retime`` updates the state in place.
     """
     order, _, succ, pred, chain, weights = _indexed(g, schedule.mapping)
-    plans = [schedule.plans[tid] for tid in order]
-    dur = list(map(exe_time, weights, plans))
+    dur = [exe_time(w, schedule.plans[tid]) for tid, w in zip(order, weights)]
     est, finish = _forward(pred, dur, chain)
-    if check:
-        if not max(finish, default=0.0) <= D + SLACK_TOL:
-            return None
-        threshold = _thresholds(g, platform)
-        if not all(task_feasible(w, plan, threshold[tid], platform)
-                   for tid, w, plan in zip(order, weights, plans)):
-            return None
     return [est, finish, _backward(succ, dur, D, chain), dur]
 
 
@@ -451,7 +439,7 @@ def _push_starts(succ, pred, est, finish, dur, r: int, d: float, end: int) -> li
 def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> None:
     """Give position r the duration d in a ``_window_state`` of (g, mapping, D), in place.
 
-    Afterwards the state equals a fresh ``_window_state`` (without the check)
+    Afterwards the state equals a fresh ``_window_state``
     of the changed schedule, bit for bit. The earliest starts move as
     ``_push_starts`` moves them; only r's ancestors can have another latest
     finish, so those are recomputed next, with ``_backward``'s expression,
@@ -611,10 +599,13 @@ def slack_reclaim(
     window between its earliest start and its latest allowed finish, down to
     its lower bound (f_rel when it has none). Speeds never increase, so
     energy never increases. ValueError unless each re-executed target runs
-    both copies at one speed (``_one_speed``).
+    both copies at one speed, within SLACK_TOL.
     """
     targets = set(targets)
-    _one_speed(schedule.plans, targets)
+    for tid in targets:
+        plan = schedule.plans[tid]
+        if plan.re_executed and abs(plan.speed1 - plan.speed2) > SLACK_TOL:
+            raise ValueError(f"task {tid}: re-executed copies at different speeds {plan}")
     order, pos, _, _, _, weights = _indexed(g, schedule.mapping)
     rs = {pos[tid] for tid in targets}
     plans = [schedule.plans[tid] for tid in order]
@@ -687,14 +678,6 @@ def _reclaim_sweep(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformM
     return slowed
 
 
-def _one_speed(plans: dict[int, ExecutionPlan], tids) -> None:
-    """ValueError unless each re-executed task of ``tids`` runs both copies at one speed, within SLACK_TOL."""
-    for tid in tids:
-        plan = plans[tid]
-        if plan.re_executed and abs(plan.speed1 - plan.speed2) > SLACK_TOL:
-            raise ValueError(f"task {tid}: re-executed copies at different speeds {plan}")
-
-
 def _slowed(w: float, speed: float, redone: bool, window: float, floor: float) -> float | None:
     """The reclaim's decision for one target running at ``speed``: its slower speed, or None to keep it.
 
@@ -712,39 +695,15 @@ def _slowed(w: float, speed: float, redone: bool, window: float, floor: float) -
     return new_speed if new_speed < speed - SLACK_TOL else None
 
 
-def _swap_state(g: TaskGraph, schedule: Schedule):
-    """Type B's tail state of ``schedule``: ``[speeds, redone, dur, energies, prefix]`` by position.
-
-    Position i is the task ``order[i]`` of ``_indexed(g, schedule.mapping)``:
-    ``speeds[i]`` is its plan's first speed, ``redone[i]`` whether it is
-    re-executed, ``dur[i]`` and ``energies[i]`` its ``exe_time`` and
-    ``energy``, and ``prefix`` the running sum of the energies from 0.0
-    (``itertools.accumulate``), the additions ``schedule_energy`` makes in
-    the same order, so ``prefix[-1]`` is its value, bit for bit. The
-    reclaims (``_reclaim_sweep``) and the unjam rounds (``swap_reclaims``
-    scores a round, ``_keep_swap`` moves it to the swap kept) run on it.
-    """
-    order, _, _, _, _, weights = _indexed(g, schedule.mapping)
-    plans = [schedule.plans[tid] for tid in order]
-    energies = list(map(energy, weights, plans))
-    return [
-        [plan.speed1 for plan in plans],
-        [plan.re_executed for plan in plans],
-        list(map(exe_time, weights, plans)),
-        energies,
-        list(itertools.accumulate(energies, initial=0.0)),
-    ]
-
-
 def _keep_swap(g: TaskGraph, mapping: Mapping, state, changes: dict[int, float]) -> None:
-    """Move a ``_swap_state`` in place so that the positions of ``changes`` run once at their new speeds.
+    """Move an unjam state (``swap_reclaims``) in place: the positions of ``changes`` run once at their new speeds.
 
     That is a trial of ``swap_reclaims``, or the single runs a
     ``_reclaim_sweep`` slowed. Only those positions move, with the trial's
     own expressions: a single run at f lasts ``w / f`` and burns ``w * f **
     2`` (``exe_time`` and ``energy`` of ``ExecutionPlan(f)``); the running
-    sum is rebuilt from the first of them. The state then equals
-    ``_swap_state`` of the schedule with those plans, bit for bit.
+    sum is rebuilt from the first of them. The state then equals the unjam
+    state of the schedule with those plans, bit for bit.
     """
     if not changes:
         return
@@ -763,20 +722,27 @@ def _keep_swap(g: TaskGraph, mapping: Mapping, state, changes: dict[int, float])
 def swap_reclaims(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformModel, state, rs):
     """Score each swap "r runs once at f_rel" of a round, then a reclaim of the single runs.
 
-    ``state`` is the round's ``_swap_state`` on (g, mapping), of a schedule
-    ``base``; for each position r of ``rs`` (re-executed in ``base``) yields
-    ``(energy, speeds)``: ``speeds`` maps r to f_rel and every single run
-    the reclaim slows to its new speed, all by position, all of them single
-    runs. ``base.with_plans({order[i]: ExecutionPlan(f) for i, f in
-    speeds.items()})`` equals ``slack_reclaim(g, trial, D, platform,
-    singles, {})``, where ``trial`` is ``base`` with ``order[r]`` at
-    ``ExecutionPlan(f_rel)`` and ``singles`` its single-run tasks, and
-    ``energy`` equals ``schedule_energy`` of that schedule, bit for bit. A
-    trial builds no plan: a single run at speed f lasts ``w / f`` and burns
-    ``w * f ** 2``, ``exe_time``'s and ``energy``'s expressions, and the
-    slow-down is ``_slowed``'s, ``max(f_rel, w / window)``, kept when it is
-    below the old speed by SLACK_TOL. The caller builds plans for the swap
-    it keeps.
+    ``state`` is the round's unjam state on (g, mapping), of a schedule
+    ``base``: ``[speeds, redone, dur, energies, prefix]`` by position, where
+    ``speeds[i]`` is the first speed of the plan at position i, ``redone[i]``
+    whether it is re-executed, ``dur[i]`` and ``energies[i]`` its
+    ``exe_time`` and ``energy``, and ``prefix`` the running sum of the
+    energies from 0.0 (``itertools.accumulate``), the additions
+    ``schedule_energy`` makes in the same order, so ``prefix[-1]`` is its
+    value, bit for bit. For each position r of ``rs`` (re-executed in
+    ``base``) it yields ``(energy, speeds)``: ``speeds`` maps r to f_rel
+    and every single run the reclaim slows to its new speed, all by
+    position, all of them single runs. ``base.with_plans({order[i]:
+    ExecutionPlan(f) for i, f in speeds.items()})`` equals
+    ``slack_reclaim(g, trial, D, platform, singles, {})``, where ``trial``
+    is ``base`` with ``order[r]`` at ``ExecutionPlan(f_rel)`` and
+    ``singles`` its single-run tasks, and ``energy`` equals
+    ``schedule_energy`` of that schedule, bit for bit. A trial builds no
+    plan: a single run at speed f lasts ``w / f`` and burns ``w * f ** 2``,
+    ``exe_time``'s and ``energy``'s expressions, and the slow-down is
+    ``_slowed``'s, ``max(f_rel, w / window)``, kept when it is below the old
+    speed by SLACK_TOL. The caller moves the state to the swap it keeps
+    (``_keep_swap``).
 
     Precondition: ``base`` is a reclaim fixpoint of its single runs, i.e.
     ``slack_reclaim(g, base, D, platform, singles of base, {})`` changes

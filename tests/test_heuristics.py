@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import make_platform, random_instance
 from trisched.graph import TaskGraph, chain, generate_random
-from test_schedule import _critical_reference, _reclaim_case, _sus_reference
+from test_schedule import _critical_reference, _reclaim_case, _sus_reference, _unjam_state
 from trisched import heuristics
 from trisched.heuristics import (
     _PHASES,
@@ -23,10 +23,10 @@ from trisched.heuristics import (
     DerivedSpeeds,
     HeuristicKind,
     _critical_order,
-    _reexecuted,
-    _singles,
+    _schedule,
     _singles_order,
     _slow_group,
+    _State,
     _tail,
     derived_speeds,
     feasibility_probe,
@@ -38,7 +38,6 @@ from trisched.schedule import (
     Schedule,
     _indexed,
     _keep_swap,
-    _swap_state,
     _window_state,
     cohort_of,
     critical_path_tasks,
@@ -51,6 +50,22 @@ from trisched.schedule import (
     uniform_makespan,
     uniform_schedule,
 )
+
+
+def _reexecuted(schedule):
+    return [tid for tid, plan in schedule.plans.items() if plan.re_executed]
+
+
+def _singles(schedule):
+    return [tid for tid, plan in schedule.plans.items() if not plan.re_executed]
+
+
+def _state_of(g, schedule, D, platform):
+    """A solve state of ``schedule`` by its definition: fresh windows, evaluate's verdict and no dead task."""
+    plans = [schedule.plans[tid] for tid in _indexed(g, schedule.mapping)[0]]
+    return _State(schedule.mapping, _window_state(g, schedule, D, platform),
+                  [plan.speed1 for plan in plans], [plan.re_executed for plan in plans],
+                  evaluate(g, schedule, D, platform).feasible, set())
 
 
 def assert_reexec_speed_window(g, sched, platform):
@@ -113,18 +128,16 @@ class TestFeasibilityProbe:
     def test_noop_on_feasible_schedule(self, platform):
         g = chain([1.0])
         sched = uniform_schedule(g, list_schedule(g, 1), 1.0)
-        ok, out = feasibility_probe(g, sched, 2.0, platform, {}, _window_state(g, sched, 2.0, platform))
-        assert ok and out is sched or out.plans == sched.plans
+        ok, out = feasibility_probe(g, _state_of(g, sched, 2.0, platform), 2.0, platform, 0, ExecutionPlan(1.0))
+        assert ok and _schedule(g, out).plans == sched.plans
 
     def test_re_execution_past_deadline_rejected(self, platform):
         g = chain([1.0])
         sched = uniform_schedule(g, list_schedule(g, 1), 1.0)
         f = reexec_speed(platform)
-        ok, out = feasibility_probe(
-            g, sched, 2.0, platform, {0: ExecutionPlan(f, f)}, _window_state(g, sched, 2.0, platform)
-        )
+        ok, out = feasibility_probe(g, _state_of(g, sched, 2.0, platform), 2.0, platform, 0, ExecutionPlan(f, f))
         assert not ok
-        assert out.plans == sched.plans
+        assert _schedule(g, out).plans == sched.plans
 
     @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
     def test_re_execution_below_f_inf_rejected_on_reliability(self, platform):
@@ -134,9 +147,7 @@ class TestFeasibilityProbe:
         g = chain([w])
         sched = uniform_schedule(g, list_schedule(g, 1), 1.0)
         f = reexec_speed(platform)
-        ok, _ = feasibility_probe(
-            g, sched, 1e9, platform, {0: ExecutionPlan(f, f)}, _window_state(g, sched, 1e9, platform)
-        )
+        ok, _ = feasibility_probe(g, _state_of(g, sched, 1e9, platform), 1e9, platform, 0, ExecutionPlan(f, f))
         assert not ok
 
     @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
@@ -161,11 +172,11 @@ class TestFeasibilityProbe:
             f_re_ex = reexec_speed(platform)
             ids = [t.id for t in g.tasks]
 
-            def probe(deltas, D=D, base=sched):
-                ok, out = feasibility_probe(g, base, D, platform, deltas, _window_state(g, base, D, platform))
-                candidate = base.with_plans(deltas)
-                assert ok == evaluate(g, candidate, D, platform).feasible, (case, deltas)
-                assert out.plans == (candidate if ok else base).plans
+            def probe(tid, plan, D=D, base=sched):
+                ok, out = feasibility_probe(g, _state_of(g, base, D, platform), D, platform, tid, plan)
+                candidate = base.with_plan(tid, plan)
+                assert ok == evaluate(g, candidate, D, platform).feasible, (case, tid, plan)
+                assert _schedule(g, out).plans == (candidate if ok else base).plans
                 return ok
 
             for _ in range(30):
@@ -178,22 +189,21 @@ class TestFeasibilityProbe:
                     speed = w / (target - est[tid])
                     twice = rng.random() < 0.5
                     plan = ExecutionPlan(2.0 * speed, 2.0 * speed) if twice else ExecutionPlan(speed)
-                    near[probe({tid: plan})] += 1
+                    near[probe(tid, plan)] += 1
                 f = rng.uniform(0.2, 1.2)
-                probe({tid: ExecutionPlan(f)})
-                probe({tid: ExecutionPlan(f, f)})
-                probe({tid: ExecutionPlan(f_re_ex, f_re_ex)})  # fails reliability when f_inf > f_re_ex
-                probe({tid: ExecutionPlan(0.9 * platform.f_rel)})  # single run below f_rel
-                probe({tid: ExecutionPlan(1.5 * platform.f_max)})  # speed fault
+                probe(tid, ExecutionPlan(f))
+                probe(tid, ExecutionPlan(f, f))
+                probe(tid, ExecutionPlan(f_re_ex, f_re_ex))  # fails reliability when f_inf > f_re_ex
+                probe(tid, ExecutionPlan(0.9 * platform.f_rel))  # single run below f_rel
+                probe(tid, ExecutionPlan(1.5 * platform.f_max))  # speed fault
                 hi = platform.f_rel / math.sqrt(2.0)
-                probe({tid: ExecutionPlan(hi, hi)})  # speed fault
-                probe({})
-                probe({tid: ExecutionPlan(f), rng.choice(ids): ExecutionPlan(f_re_ex, f_re_ex)})
+                probe(tid, ExecutionPlan(hi, hi))  # speed fault
+                probe(tid, sched.plans[tid])
                 # An infeasible current schedule: past a shorter deadline, or
                 # with one task slowed far past its window.
-                probe({tid: ExecutionPlan(platform.f_max)}, D=0.9 * D)
+                probe(tid, ExecutionPlan(platform.f_max), D=0.9 * D)
                 slowed = sched.with_plan(rng.choice(ids), ExecutionPlan(0.01))
-                probe({tid: ExecutionPlan(platform.f_max)}, base=slowed)
+                probe(tid, ExecutionPlan(platform.f_max), base=slowed)
         assert near[True] > 100 and near[False] > 100
 
 
@@ -477,8 +487,17 @@ def _unjam_singles_full_reclaims(g, sched, D, platform, f_re_ex):
 
 
 def _full_tail(g, sched, D, platform, f_re_ex):
-    """Type B's tail on full reclaims: ``_unjam_singles_full_reclaims``, then ``_reclaim_redone``."""
-    return heuristics._reclaim_redone(g, _unjam_singles_full_reclaims(g, sched, D, platform, f_re_ex), D, platform)[0]
+    """Type B's tail on full reclaims: ``_unjam_singles_full_reclaims``, then the reclaim of re-executed tasks."""
+    sched = _unjam_singles_full_reclaims(g, sched, D, platform, f_re_ex)
+    redone = _reexecuted(sched)
+    return slack_reclaim(g, sched, D, platform, redone, {tid: f_inf(g.weight(tid), platform) for tid in redone})
+
+
+def _tail_of(g, sched, D, platform, speeds):
+    """``_tail`` on a state of ``sched``; returns its schedule."""
+    state = _state_of(g, sched, D, platform)
+    _tail(g, state, D, platform, speeds)
+    return _schedule(g, state)
 
 
 def _type_b_starts(platform, case):
@@ -490,10 +509,10 @@ def _type_b_starts(platform, case):
     f_re_ex = derived_speeds(g, sched.mapping, D, platform).f_re_ex
     for kind in TYPE_B:
         _, phases = _PHASES[kind]
-        start, windows, dead = uniform_schedule(g, sched.mapping, platform.f_max), None, set()
+        state = _state_of(g, uniform_schedule(g, sched.mapping, platform.f_max), D, platform)
         for phase in phases:
-            start, windows = phase(g, start, D, platform, f_re_ex, windows, dead)
-        yield g, start, D, f_re_ex
+            phase(g, state, D, platform, f_re_ex)
+        yield g, _schedule(g, state), D, f_re_ex
 
 
 class TestUnjamFromBaseWindows:
@@ -513,7 +532,7 @@ class TestUnjamFromBaseWindows:
                     and base.plans[tid].speed1 - SLACK_TOL > platform.f_rel
                 ]
                 rids = _reexecuted(base)
-                state = _swap_state(g, base)
+                state = _unjam_state(g, base)
                 rs = [pos[tid] for tid in rids]
                 for rid, (e, changes) in zip(rids, swap_reclaims(g, base.mapping, D, platform, state, rs)):
                     speeds = {order[i]: f for i, f in changes.items()}
@@ -543,11 +562,11 @@ class TestUnjamFromBaseWindows:
                 base = slack_reclaim(g, start, D, platform, _singles(start), {})
                 order, pos, _, _, _, _ = _indexed(g, base.mapping)
                 rids = _reexecuted(base)
-                trials = swap_reclaims(g, base.mapping, D, platform, _swap_state(g, base), [pos[t] for t in rids])
+                trials = swap_reclaims(g, base.mapping, D, platform, _unjam_state(g, base), [pos[t] for t in rids])
                 for _, changes in trials:
-                    state = _swap_state(g, base)
+                    state = _unjam_state(g, base)
                     _keep_swap(g, base.mapping, state, changes)
-                    fresh = _swap_state(g, base.with_plans({order[i]: ExecutionPlan(f) for i, f in changes.items()}))
+                    fresh = _unjam_state(g, base.with_plans({order[i]: ExecutionPlan(f) for i, f in changes.items()}))
                     assert state[1] == fresh[1]
                     assert [[x.hex() for x in col] for col in state[:1] + state[2:]] == [
                         [x.hex() for x in col] for col in fresh[:1] + fresh[2:]]
@@ -555,15 +574,15 @@ class TestUnjamFromBaseWindows:
         assert kept > 10
 
     @pytest.mark.parametrize("ids", ([0, 1, 2], [2, 1, 0]))
-    def test_equal_trials_go_to_the_first_in_plans_order(self, ids):
+    def test_equal_trials_go_to_the_first_in_task_order(self, ids):
         # On the chain 0 -> 1 -> 2 the single run 1 is stuck at f_max between
         # two equal re-executions; either swap gives it the same slack and
-        # the same energy, and only one of them is kept.
+        # the same energy, and only one of them is kept: the first in g.tasks.
         platform = make_platform(f_rel=0.5)
-        g = chain([1.0, 1.0, 1.0])
+        g = TaskGraph(tuple(Task(tid, 1.0) for tid in ids), chain([1.0, 1.0, 1.0]).edges)
         plans = {tid: ExecutionPlan(1.0) if tid == 1 else ExecutionPlan(0.25, 0.25) for tid in ids}
         start = Schedule(list_schedule(g, 1), plans)
-        out = _tail(g, start, 17.0, platform, DerivedSpeeds(platform.f_rel, 0.25))
+        out = _tail_of(g, start, 17.0, platform, DerivedSpeeds(platform.f_rel, 0.25))
         assert out.plans == _full_tail(g, start, 17.0, platform, 0.25).plans
         assert [tid for tid in ids if not out.plans[tid].re_executed] == [ids[0], 1]
 
@@ -572,7 +591,7 @@ class TestUnjamFromBaseWindows:
         swapped = 0
         for g, start, D, f_re_ex in _type_b_starts(platform, case):
             expected = _full_tail(g, start, D, platform, f_re_ex)
-            out = _tail(g, start, D, platform, derived_speeds(g, start.mapping, D, platform))
+            out = _tail_of(g, start, D, platform, derived_speeds(g, start.mapping, D, platform))
             assert out.plans == expected.plans
             assert schedule_energy(g, out) == schedule_energy(g, expected)
             first = slack_reclaim(g, start, D, platform, _singles(start), {})
@@ -640,31 +659,27 @@ class TestTailMemo:
 
     @pytest.mark.parametrize("case", CASES)
     def test_one_state_per_distinct_entry_and_no_slack_reclaim(self, platform, case, monkeypatch):
-        # The tail derives its state from plans once per distinct entry and
-        # moves it in place: its reclaims are sweeps on that state, not calls
-        # of slack_reclaim.
-        built, reclaims, inside = [], [], []
-        tail, swap_state, reclaim = heuristics._tail, heuristics._swap_state, heuristics.slack_reclaim
+        # The tail derives its unjam state (the energies) from the solve state
+        # once per distinct entry and moves it in place: its reclaims are
+        # sweeps on that state, and the module has no slack_reclaim to call.
+        built, inside = [], []
+        tail, energy_of = heuristics._tail, heuristics.energy
 
-        def spied_tail(*args):
-            inside.append(args[1])
+        def spied_tail(g_, state, *args):
+            inside.append([tuple(_schedule(g_, state).plans[t.id] for t in g_.tasks), False])
             try:
-                return tail(*args)
+                return tail(g_, state, *args)
             finally:
                 inside.pop()
 
-        def spied_state(g_, sched):
-            built.append(tuple(sched.plans[t.id] for t in g_.tasks))
-            return swap_state(g_, sched)
-
-        def spied_reclaim(*args):
-            if inside:
-                reclaims.append(args[4])
-            return reclaim(*args)
+        def spied_energy(w, plan):
+            if inside and not inside[-1][1]:
+                inside[-1][1] = True
+                built.append(inside[-1][0])
+            return energy_of(w, plan)
 
         monkeypatch.setattr(heuristics, "_tail", spied_tail)
-        monkeypatch.setattr(heuristics, "_swap_state", spied_state)
-        monkeypatch.setattr(heuristics, "slack_reclaim", spied_reclaim)
+        monkeypatch.setattr(heuristics, "energy", spied_energy)
         g, start, D, _ = next(_type_b_starts(platform, case))
         entries = self._entries(platform, case)
         for kind, entry in zip(TYPE_B, entries):
@@ -674,7 +689,7 @@ class TestTailMemo:
         built.clear()
         run(HeuristicKind.BEST, g, start.mapping, D, platform)
         assert sorted(built, key=entries.index) == list(dict.fromkeys(entries))
-        assert not reclaims
+        assert "slack_reclaim" not in vars(heuristics)
 
     def test_shared_speeds_return_distinct_plans(self, platform):
         g, start, D, _ = next(_type_b_starts(platform, 0))
@@ -703,6 +718,15 @@ class TestTailMemo:
         assert shared.plans == alone.plans
 
 
+def _fresh(g, sched, D, platform):
+    """What a state of ``sched`` must hold: its ``_window_state`` and evaluate's verdict."""
+    return _window_state(g, sched, D, platform), evaluate(g, sched, D, platform).feasible
+
+
+def _held(state):
+    return state.windows, state.feasible
+
+
 class TestSlowSingle:
     """``_slow_group`` of one task that runs once."""
 
@@ -713,15 +737,16 @@ class TestSlowSingle:
             for g, sched, D, _ in _type_b_starts(platform, case):
                 singles = _singles(sched)
                 for tid in rng.sample(singles, min(len(singles), 8)):
-                    # Fresh windows of sched, or the windows an accept moved along.
-                    windows = _window_state(g, sched, D, platform)
+                    # A fresh state of sched, or the state an accept moved along.
+                    state = _state_of(g, sched, D, platform)
                     if rng.random() < 0.5:
-                        other = {rng.choice(singles): ExecutionPlan(platform.f_rel)}
-                        _, sched = feasibility_probe(g, sched, D, platform, other, windows)
+                        feasibility_probe(g, state, D, platform, rng.choice(singles), ExecutionPlan(platform.f_rel))
+                        sched = _schedule(g, state)
                     expected = slack_reclaim(g, sched, D, platform, [tid], {})
-                    out, out_windows = _slow_group(g, sched, D, platform, [tid], windows)
+                    _slow_group(g, state, D, platform, [tid])
+                    out = _schedule(g, state)
                     assert out.plans == expected.plans, (case, tid)
-                    assert out_windows == _window_state(g, out, D, platform), (case, tid)
+                    assert _held(state) == _fresh(g, out, D, platform), (case, tid)
                     slowed += out.plans != sched.plans
         assert slowed > 20
 
@@ -731,12 +756,11 @@ class TestSlowSingle:
         D = 2.0 * min_deadline(g, mapping, platform)
         sched = uniform_schedule(g, mapping, platform.f_max).with_plan(0, ExecutionPlan(0.5 * platform.f_rel))
         assert not evaluate(g, sched, D, platform).feasible
-        windows = _window_state(g, sched, D, platform)
-        assert windows is None
         for tid in range(1, len(g)):
-            out, out_windows = _slow_group(g, sched, D, platform, [tid], windows)
-            assert out.plans == slack_reclaim(g, sched, D, platform, [tid], {}).plans
-            assert out_windows is None
+            state = _state_of(g, sched, D, platform)
+            _slow_group(g, state, D, platform, [tid])
+            assert _schedule(g, state).plans == slack_reclaim(g, sched, D, platform, [tid], {}).plans
+            assert not state.feasible
 
 
 class TestSlowGroup:
@@ -751,22 +775,14 @@ class TestSlowGroup:
                     group = rng.sample(list(sched.plans), rng.randint(2, 8))
                     bounds = {cid: f_inf(g.weight(cid), platform) for cid in group if sched.plans[cid].re_executed}
                     expected = slack_reclaim(g, sched, D, platform, group, bounds)
-                    windows = _window_state(g, sched, D, platform)
-                    out, out_windows = heuristics._slow_group(g, sched, D, platform, group, windows)
+                    state = _state_of(g, sched, D, platform)
+                    heuristics._slow_group(g, state, D, platform, group)
+                    out = _schedule(g, state)
                     assert out.plans == expected.plans, (case, group)
-                    assert out_windows == _window_state(g, out, D, platform), (case, group)
+                    assert _held(state) == _fresh(g, out, D, platform), (case, group)
                     groups += 1
                     several += sum(out.plans[cid] != sched.plans[cid] for cid in group) > 1
         assert groups == 144 and several > 20, several
-
-    def test_unequal_copies_rejected_with_windows(self, platform):
-        g = chain([1.0, 1.0])
-        sched = Schedule(list_schedule(g, 1), {0: ExecutionPlan(1.0), 1: ExecutionPlan(0.3, 0.4)})
-        windows = _window_state(g, sched, 100.0, platform, check=False)
-        with pytest.raises(ValueError):
-            heuristics._slow_group(g, sched, 100.0, platform, [0, 1], windows)
-        # Rejected before any target moved the windows.
-        assert windows == _window_state(g, sched, 100.0, platform, check=False)
 
 
 class TestLiveWindows:
@@ -777,48 +793,49 @@ class TestLiveWindows:
         g, start, D, _, _ = _reclaim_case(platform, case)
         seen = {"accept": 0, "slow": 0, "cohort": 0}
 
-        def assert_windows_of(sched, windows):
-            # The windows describe sched: fresh windows, and evaluate's times.
+        def assert_windows_of(state):
+            # The windows describe the state's schedule: fresh windows, and evaluate's times.
+            sched = _schedule(g, state)
             metrics = evaluate(g, sched, D, platform)
-            assert (windows is not None) == metrics.feasible
-            if windows is not None:
-                order = _indexed(g, sched.mapping)[0]
-                assert dict(zip(order, windows[0])) == metrics.start_times
-                assert dict(zip(order, windows[1])) == metrics.finish_times
-                assert windows == _window_state(g, sched, D, platform)
+            assert state.feasible == metrics.feasible
+            order = _indexed(g, sched.mapping)[0]
+            assert dict(zip(order, state.windows[0])) == metrics.start_times
+            assert dict(zip(order, state.windows[1])) == metrics.finish_times
+            assert state.windows == _window_state(g, sched, D, platform)
 
-        def probe(g_, sched, D_, platform_, deltas, windows):
-            ok, out = feasibility_probe(g_, sched, D_, platform_, deltas, windows)
-            assert ok == evaluate(g, sched.with_plans(deltas), D, platform).feasible
-            assert_windows_of(out, windows)
+        def probe(g_, state, D_, platform_, tid, plan):
+            candidate = _schedule(g, state).with_plan(tid, plan)
+            ok, out = feasibility_probe(g_, state, D_, platform_, tid, plan)
+            assert ok == evaluate(g, candidate, D, platform).feasible
+            assert_windows_of(out)
             seen["accept"] += ok
             seen["last"] = out
             return ok, out
 
-        def slow_group(g_, sched, D_, platform_, group, windows):
-            out, out_windows = slow_group_(g_, sched, D_, platform_, group, windows)
+        def slow_group(g_, state, D_, platform_, group):
+            before = _schedule(g, state)
+            slow_group_(g_, state, D_, platform_, group)
             if len(group) == 1:
-                assert_windows_of(out, out_windows)
-                seen["slow"] += out.plans != sched.plans
-            seen["last"] = out
-            return out, out_windows
+                assert_windows_of(state)
+                seen["slow"] += _schedule(g, state).plans != before.plans
+            seen["last"] = state
 
         def start_(*args):
-            sched, windows, dead = start_of(*args)
-            seen["last"] = sched
-            return sched, windows, dead
+            state = start_of(*args)
+            seen["last"] = state
+            return state
 
-        def cohort(g_, mapping, state, tid):
-            # A cohort is that of the walk's schedule, the one the last probe,
-            # slow-down or start returned (a dead task's probe is skipped), by
+        def cohort(g_, mapping, windows, tid):
+            # A cohort is that of the walk's state, the one the last probe,
+            # slow-down or start moved (a dead task's probe is skipped), by
             # the dict definition on evaluate's times.
-            sched = seen["last"]
+            sched = _schedule(g, seen["last"])
             assert mapping == sched.mapping
-            assert state == _window_state(g, sched, D, platform, check=False)
+            assert windows == _window_state(g, sched, D, platform)
             metrics = evaluate(g, sched, D, platform)
             start, finish = metrics.start_times, metrics.finish_times
             lo, hi = start[tid] - SLACK_TOL, finish[tid] + SLACK_TOL
-            out = cohort_of(g_, mapping, state, tid)
+            out = cohort_of(g_, mapping, windows, tid)
             assert out == [t.id for t in g.tasks if t.id != tid and start[t.id] >= lo and finish[t.id] <= hi]
             seen["cohort"] += 1
             return out
@@ -850,14 +867,15 @@ class TestWalkOrders:
         rng = random.Random(case)
         ids = [t.id for t in g.tasks]
         for f in (platform.f_max, speeds.f_dec):
-            sched = uniform_schedule(g, mapping, f)
-            windows = _window_state(g, sched, D, platform)
+            state = _state_of(g, uniform_schedule(g, mapping, f), D, platform)
+            windows = state.windows
             accepted = 0
             for tid in rng.sample(ids, len(ids) // 2):
-                ok, sched = feasibility_probe(g, sched, D, platform, {tid: reexec}, windows)
+                ok, _ = feasibility_probe(g, state, D, platform, tid, reexec)
                 if not ok:
                     continue
                 accepted += 1
+                sched = _schedule(g, state)
                 metrics = evaluate(g, sched, D, platform)
                 critical = critical_path_tasks(g, mapping, windows)
                 assert critical == _critical_reference(g, sched, metrics), (case, tid)
@@ -870,7 +888,7 @@ class TestWalkOrders:
     def test_orders_call_no_evaluate(self, platform, case, monkeypatch):
         g, sched, D, _, _ = _reclaim_case(platform, case)
         metrics = evaluate(g, sched, D, platform)
-        state = _window_state(g, sched, D, platform, check=False)
+        state = _state_of(g, sched, D, platform)
         critical = _critical_reference(g, sched, metrics)
 
         def evaluated(*args):
@@ -880,60 +898,103 @@ class TestWalkOrders:
         start, finish = metrics.start_times, metrics.finish_times
         # The orders hold only single runs; the walks skip re-executed tasks.
         singles = [tid for tid in critical if not sched.plans[tid].re_executed]
-        assert _critical_order(g, sched, state, ()) == _sus_reference(g, start, finish, singles)
-        assert _singles_order(g, sched, state, ()) == _sus_reference(g, start, finish, _singles(sched))
+        assert _critical_order(g, state, ()) == _sus_reference(g, start, finish, singles)
+        assert _singles_order(g, state, ()) == _sus_reference(g, start, finish, _singles(sched))
         # A skipped task leaves the others in their order.
         skip = set(singles[::2]) | set(_singles(sched)[::3])
-        assert _critical_order(g, sched, state, skip) == [tid for tid in _critical_order(g, sched, state, ())
-                                                           if tid not in skip]
-        assert _singles_order(g, sched, state, skip) == [tid for tid in _singles_order(g, sched, state, ())
-                                                          if tid not in skip]
+        assert _critical_order(g, state, skip) == [tid for tid in _critical_order(g, state, ()) if tid not in skip]
+        assert _singles_order(g, state, skip) == [tid for tid in _singles_order(g, state, ()) if tid not in skip]
+
+
+def _solve_checked(monkeypatch, g, mapping, D, platform):
+    """Each kind, then BEST, on the instance, checking the state after every probe, slow-down, phase and tail.
+
+    Each check asserts that the state's windows are the fresh, unchecked
+    ``_window_state`` of the schedule built from it, and that its flag is
+    evaluate's verdict; a slow-down's schedule must also be that of
+    ``slack_reclaim``. Returns a count per ``(step, flag after it)``, and per
+    ``("slow-down on a feasible state", ...)``.
+    """
+    seen = collections.Counter()
+
+    def check(step, state):
+        sched = _schedule(g, state)
+        assert state.windows == _window_state(g, sched, D, platform), step
+        assert state.feasible == evaluate(g, sched, D, platform).feasible, step
+        seen[step, state.feasible] += 1
+
+    def checked(step, phase):
+        def wrapper(g_, state, *args, **kwargs):
+            out = phase(g_, state, *args, **kwargs)
+            check(step, state)
+            return out
+        return wrapper
+
+    def slow_group(g_, state, D_, platform_, group):
+        before = _schedule(g, state)
+        seen["slow-down on a feasible state", state.feasible] += 1
+        slow_group_(g_, state, D_, platform_, group)
+        assert _schedule(g, state).plans == slack_reclaim(g, before, D, platform, group, {
+            cid: f_inf(g.weight(cid), platform) for cid in group if before.plans[cid].re_executed}).plans
+        check("slow-down", state)
+
+    def checked_start(*args):
+        state = start_(*args)
+        check("start", state)
+        return state
+
+    slow_group_, start_ = heuristics._slow_group, heuristics._start
+    phases = {kind: (at_f_dec, tuple(checked(kind.value, phase) for phase in steps))
+              for kind, (at_f_dec, steps) in _PHASES.items()}
+    with monkeypatch.context() as m:
+        m.setattr(heuristics, "_PHASES", phases)
+        # The fixpoint's own walks, called through the module.
+        m.setattr(heuristics, "_critical_walk", checked("fixpoint", heuristics._critical_walk))
+        m.setattr(heuristics, "_reexec_over", checked("fixpoint", heuristics._reexec_over))
+        m.setattr(heuristics, "feasibility_probe", checked("probe", heuristics.feasibility_probe))
+        m.setattr(heuristics, "_tail", checked("tail", heuristics._tail))
+        m.setattr(heuristics, "_start", checked_start)
+        m.setattr(heuristics, "_slow_group", slow_group)
+        expected = [run(kind, g, mapping, D, platform)[0].plans for kind in ALL_HEURISTICS]
+        sched, _ = run(HeuristicKind.BEST, g, mapping, D, platform)
+    assert sched.plans in expected
+    return seen
+
+
+def _large_weight_instances(seeds=range(6)):
+    """Random DAGs with weights up to 1e9 at lambda0 = 1e-14, where a float's last bit is above SLACK_TOL."""
+    platform = make_platform(lambda0=1e-14)
+    for seed in seeds:
+        g = generate_random(30, 60, weight_range=(0.0, 1e9), seed=seed)
+        for p in (1, 4):
+            mapping = list_schedule(g, p)
+            for ratio in (1.05, 1.2, 2.0):
+                yield g, mapping, ratio * min_deadline(g, mapping, platform), platform
+
+
+class TestStateInvariant:
+    """After every probe, slow-down, phase and tail the state is that of its schedule: fresh windows, evaluate's flag."""
+
+    @pytest.mark.parametrize("case", range(0, 24, 3))
+    def test_on_reclaim_cases(self, platform, case, monkeypatch):
+        g, start, D, _, _ = _reclaim_case(platform, case)
+        seen = _solve_checked(monkeypatch, g, start.mapping, D, platform)
+        assert seen["probe", True] > 0 and seen["a.greedy", True] > 0
+
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_on_large_weights_where_the_flag_turns_false(self, monkeypatch):
+        seen = collections.Counter()
+        for g, mapping, D, platform in _large_weight_instances():
+            seen += _solve_checked(monkeypatch, g, mapping, D, platform)
+        # Slow-downs that end past the deadline or start from an infeasible
+        # state, and probes, phases and tails that see an infeasible state.
+        assert seen["slow-down", False] > 0 and seen["slow-down on a feasible state", False] > 0
+        assert seen["probe", False] > 0 and seen["b.sus-crit-slow", False] > 0
+        assert seen["tail", False] > 0 and seen["probe", True] > 0
 
 
 class TestWindowHandoff:
-    """Phases hand their windows on: each is None or a fresh, checked ``_window_state``."""
-
-    @staticmethod
-    def _solve(monkeypatch, g, mapping, D, platform):
-        """Each kind, then BEST, on the instance; every handoff and cohort reclaim checked as it happens."""
-        seen = collections.Counter()
-
-        def check(kind, sched, windows):
-            if windows is None:
-                seen["unknown"] += 1
-            else:
-                assert windows == _window_state(g, sched, D, platform), kind
-                seen["windows"] += 1
-
-        def checked(kind, phase):
-            def wrapper(*args, **kwargs):
-                sched, windows = phase(*args, **kwargs)
-                check(kind, sched, windows)
-                return sched, windows
-            return wrapper
-
-        def slow_group(g_, sched, D_, platform_, group, windows):
-            had = windows is not None
-            out, out_windows = slow_group_(g_, sched, D_, platform_, group, windows)
-            assert out.plans == slack_reclaim(g, sched, D, platform, group, {
-                cid: f_inf(g.weight(cid), platform) for cid in group if sched.plans[cid].re_executed}).plans
-            assert out_windows == _window_state(g, out, D, platform)
-            seen["cohort reclaim with windows" if had else "cohort reclaim without"] += 1
-            return out, out_windows
-
-        slow_group_ = heuristics._slow_group
-        phases = {kind: (at_f_dec, tuple(checked(kind.value, phase) for phase in steps))
-                  for kind, (at_f_dec, steps) in _PHASES.items()}
-        with monkeypatch.context() as m:
-            m.setattr(heuristics, "_PHASES", phases)
-            # The fixpoint's own walks, called through the module.
-            m.setattr(heuristics, "_critical_walk", checked("fixpoint", heuristics._critical_walk))
-            m.setattr(heuristics, "_reexec_over", checked("fixpoint", heuristics._reexec_over))
-            m.setattr(heuristics, "_slow_group", slow_group)
-            expected = [run(kind, g, mapping, D, platform)[0].plans for kind in ALL_HEURISTICS]
-            sched, _ = run(HeuristicKind.BEST, g, mapping, D, platform)
-        assert sched.plans in expected
-        return seen
+    """Phases hand their state on: its windows fresh, its flag evaluate's verdict."""
 
     @pytest.mark.parametrize("p", [1, 4, 50])
     @pytest.mark.parametrize("lambda0", [1e-5, 1e-3])
@@ -946,9 +1007,10 @@ class TestWindowHandoff:
             mapping = list_schedule(g, p)
             for ratio in (1.05, 1.2, 2.0, 5.0):
                 D = ratio * min_deadline(g, mapping, platform)
-                seen += self._solve(monkeypatch, g, mapping, D, platform)
-        # Every walk but a few hands its windows on; type A's closing reclaim never does.
-        assert seen["windows"] > 4 * seen["unknown"] > 0
+                seen += _solve_checked(monkeypatch, g, mapping, D, platform)
+        # Every kind with phases hands its state on from every phase.
+        phases = [kind.value for kind in (*TYPE_A, *TYPE_B)]
+        assert all(seen[kind, True] + seen[kind, False] > 0 for kind in phases), seen
 
     def test_cohort_reclaim_moves_the_windows(self, platform, monkeypatch):
         # b.sus-crit-slow slows rejected tasks with their cohorts, which on
@@ -957,13 +1019,13 @@ class TestWindowHandoff:
         for case in range(24):
             if case % 3:
                 g, start, D, _, _ = _reclaim_case(platform, case)
-                seen += self._solve(monkeypatch, g, start.mapping, D, platform)
-        assert seen["cohort reclaim with windows"] > 50, seen
+                seen += _solve_checked(monkeypatch, g, start.mapping, D, platform)
+        assert seen["slow-down on a feasible state", True] > 50, seen
 
     def test_cohort_reclaim_checks_the_makespan_at_large_times(self):
         # Near D = 1e9 a time's last bit is above SLACK_TOL, so a reclaim
-        # that fills a window exactly can end past D + SLACK_TOL; the moved
-        # windows must then be None, as a fresh check's are.
+        # that fills a window exactly can end past D + SLACK_TOL; the state
+        # must then be infeasible, as a fresh check says.
         platform = make_platform(lambda0=1e-14)
         failed = 0
         for seed in range(120):
@@ -971,13 +1033,11 @@ class TestWindowHandoff:
             g = generate_random(20, 40, weight_range=(0.0, 1e9), seed=seed)
             mapping = list_schedule(g, 4)
             D = rng.uniform(1.1, 3.0) * min_deadline(g, mapping, platform)
-            sched = uniform_schedule(g, mapping, platform.f_max)
-            windows = _window_state(g, sched, D, platform)
+            state = _state_of(g, uniform_schedule(g, mapping, platform.f_max), D, platform)
             for _ in range(10):
-                sched, windows = heuristics._slow_group(
-                    g, sched, D, platform, rng.sample(range(len(g)), 5), windows)
-                assert windows == _window_state(g, sched, D, platform), seed
-                if windows is None:
+                heuristics._slow_group(g, state, D, platform, rng.sample(range(len(g)), 5))
+                assert _held(state) == _fresh(g, _schedule(g, state), D, platform), seed
+                if not state.feasible:
                     failed += 1
                     break
         assert failed >= 3
@@ -989,42 +1049,56 @@ class TestWindowHandoff:
         second = heuristics._start(g, start.mapping, D, platform, speeds, platform.f_max)
         assert len(speeds._starts) == 1
         sched = uniform_schedule(g, start.mapping, platform.f_max)
-        for out, windows, _ in (first, second):
-            assert out.plans == sched.plans and windows == _window_state(g, sched, D, platform)
-        assert first[0].plans is not second[0].plans
-        assert all(a is not b for a, b in zip(first[1], second[1]))
-        first[1][0][0] = math.nan
-        assert heuristics._start(g, start.mapping, D, platform, speeds, platform.f_max)[1] == second[1]
+        for out in (first, second):
+            assert _schedule(g, out).plans == sched.plans and out.windows == _window_state(g, sched, D, platform)
+        assert first.speeds is not second.speeds and first.redone is not second.redone
+        assert all(a is not b for a, b in zip(first.windows, second.windows))
+        first.windows[0][0] = math.nan
+        assert heuristics._start(g, start.mapping, D, platform, speeds, platform.f_max).windows == second.windows
         # Another deadline, with the same speeds, gets its own start.
         heuristics._start(g, start.mapping, 2.0 * D, platform, speeds, platform.f_max)
         assert len(speeds._starts) == 2
         # Each kind gets its own dead set too (here the f_dec start has one).
-        one, other = (heuristics._start(g, start.mapping, D, platform, speeds, speeds.f_dec)[2] for _ in range(2))
+        one, other = (heuristics._start(g, start.mapping, D, platform, speeds, speeds.f_dec).dead for _ in range(2))
         assert one and one == other and one is not other
         one.clear()
-        assert heuristics._start(g, start.mapping, D, platform, speeds, speeds.f_dec)[2] == other
+        assert heuristics._start(g, start.mapping, D, platform, speeds, speeds.f_dec).dead == other
 
 
 class TestCheckedWindowBuilds:
     @pytest.mark.parametrize("p", [1, 4, 50])
     @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
     def test_one_per_start_speed_plus_cohort_reclaims_without_windows(self, monkeypatch, p):
-        builds, without = [], []
-        build = heuristics._window_state
-        slow_group = heuristics._slow_group
+        # Windows are built afresh once per start speed; every task is
+        # checked once per start, and once per slow-down or closing reclaim
+        # of an infeasible state, and never otherwise.
+        builds, checks, without = [], [], []
+        build, settle = heuristics._window_state, heuristics._settle
+        slow_group, refresh = heuristics._slow_group, heuristics._refresh
 
-        def counted(g, sched, D, platform, check=True):
-            if check:
-                builds.append(D)
-            return build(g, sched, D, platform, check)
+        def counted(g, sched, D, platform):
+            builds.append(D)
+            return build(g, sched, D, platform)
 
-        def counted_group(g, sched, D, platform, group, windows):
-            if windows is None:
+        def counted_settle(g, state, *args):
+            if not state.feasible:
+                checks.append(args[0])
+            return settle(g, state, *args)
+
+        def counted_group(g, state, D, *args):
+            if not state.feasible:
                 without.append(D)
-            return slow_group(g, sched, D, platform, group, windows)
+            return slow_group(g, state, D, *args)
+
+        def counted_refresh(g, state, D, *args):
+            if not state.feasible:
+                without.append(D)
+            return refresh(g, state, D, *args)
 
         monkeypatch.setattr(heuristics, "_window_state", counted)
+        monkeypatch.setattr(heuristics, "_settle", counted_settle)
         monkeypatch.setattr(heuristics, "_slow_group", counted_group)
+        monkeypatch.setattr(heuristics, "_refresh", counted_refresh)
         solves = 0
         for lambda0 in (1e-5, 1e-3):
             platform = make_platform(lambda0=lambda0)
@@ -1035,80 +1109,71 @@ class TestCheckedWindowBuilds:
                     D = ratio * min_deadline(g, mapping, platform)
                     speeds = derived_speeds(g, mapping, D, platform)
                     builds.clear()
+                    checks.clear()
                     without.clear()
                     run(HeuristicKind.BEST, g, mapping, D, platform, speeds=speeds)
-                    assert len(builds) <= len(speeds._starts) + len(without), (lambda0, seed, ratio)
+                    assert len(builds) == len(speeds._starts), (lambda0, seed, ratio)
+                    assert len(checks) <= len(speeds._starts) + len(without), (lambda0, seed, ratio)
                     assert len(speeds._starts) == (1 if ratio == 1.0 else 2)
                     solves += 1
         assert solves == 30
 
 
-def _walk_probing_every_task(g, schedule, D, platform, f_re_ex, windows, *, order, with_cohort=False,
-                             slowdown_on_fail=False):
+def _walk_probing_every_task(g, state, D, platform, f_re_ex, *, order, with_cohort=False, slowdown_on_fail=False):
     """The ReExec walk before dead sets, kept as the oracle: it probes every single task it reaches.
 
-    ``order(g, schedule, state)`` lists every task it may reach, re-executed
-    ones included.
+    ``order(g, state)`` lists every task it may reach, re-executed ones
+    included.
     """
     reexec = ExecutionPlan(f_re_ex, f_re_ex)
-    if windows is None:
-        windows = _window_state(g, schedule, D, platform)
-
-    def times():
-        return windows or _window_state(g, schedule, D, platform, check=False)
-
-    for tid in order(g, schedule, times()):
-        if schedule.plans[tid].re_executed:
+    pos = _indexed(g, state.mapping)[1]
+    for tid in order(g, state):
+        if state.redone[pos[tid]]:
             continue
-        ok, schedule = feasibility_probe(g, schedule, D, platform, {tid: reexec}, windows)
+        ok, _ = feasibility_probe(g, state, D, platform, tid, reexec)
         if ok:
             if with_cohort:
-                for cid in cohort_of(g, schedule.mapping, times(), tid):
-                    if not schedule.plans[cid].re_executed:
-                        _, schedule = feasibility_probe(g, schedule, D, platform, {cid: reexec}, windows)
+                for cid in cohort_of(g, state.mapping, state.windows, tid):
+                    if not state.redone[pos[cid]]:
+                        feasibility_probe(g, state, D, platform, cid, reexec)
         elif slowdown_on_fail:
-            cohort = cohort_of(g, schedule.mapping, times(), tid) if with_cohort else []
-            schedule, windows = heuristics._slow_group(g, schedule, D, platform, [tid, *cohort], windows)
-    return schedule, windows
+            cohort = cohort_of(g, state.mapping, state.windows, tid) if with_cohort else []
+            heuristics._slow_group(g, state, D, platform, [tid, *cohort])
 
 
-def _every_critical_task(g, sched, state):
-    return sus_sort(g, sched.mapping, state, critical_path_tasks(g, sched.mapping, state))
+def _every_critical_task(g, state):
+    return sus_sort(g, state.mapping, state.windows, critical_path_tasks(g, state.mapping, state.windows))
 
 
-def _every_single(g, sched, state):
-    return sus_sort(g, sched.mapping, state, _singles(sched))
+def _every_single(g, state):
+    order = _indexed(g, state.mapping)[0]
+    return sus_sort(g, state.mapping, state.windows, [tid for tid, x in zip(order, state.redone) if not x])
 
 
-def _reference_fixpoint(g, sched, D, platform, f_re_ex, windows):
+def _reference_fixpoint(g, state, D, platform, f_re_ex):
     """``_reexec_critical_fixpoint`` on the walks that probe every task."""
     for _ in range(len(g)):
-        before = len(_reexecuted(sched))
-        sched, windows = _reference_critical(g, sched, D, platform, f_re_ex, windows)
-        after = len(_reexecuted(sched))
+        before = sum(state.redone)
+        _reference_critical(g, state, D, platform, f_re_ex)
+        after = sum(state.redone)
         if after == before:
-            sched, windows = _walk_probing_every_task(g, sched, D, platform, f_re_ex, windows, order=_every_single)
-            if len(_reexecuted(sched)) == after:
+            _walk_probing_every_task(g, state, D, platform, f_re_ex, order=_every_single)
+            if sum(state.redone) == after:
                 break
-    return sched, windows
 
 
 def _reference_greedy(*args, **kwargs):
-    return _walk_probing_every_task(*args, order=lambda g, sched, state: g._by_weight, **kwargs)
+    return _walk_probing_every_task(*args, order=lambda g, state: g._by_weight, **kwargs)
 
 
 def _reference_critical(*args, **kwargs):
     return _walk_probing_every_task(*args, order=_every_critical_task, with_cohort=True, **kwargs)
 
 
-def _reference_reclaim(g, sched, D, platform, f_re_ex, windows):
-    return heuristics._reclaim_redone(g, sched, D, platform)
-
-
 # Each kind's phases before dead sets, in the order of ``_PHASES``.
 _REFERENCE_PHASES = {
-    HeuristicKind.A_GREEDY: (_reference_greedy, _reference_reclaim),
-    HeuristicKind.A_SUS_CRIT: (_reference_fixpoint, _reference_reclaim),
+    HeuristicKind.A_GREEDY: (_reference_greedy, heuristics._reclaim_redone),
+    HeuristicKind.A_SUS_CRIT: (_reference_fixpoint, heuristics._reclaim_redone),
     HeuristicKind.B_GREEDY: (_reference_greedy,),
     HeuristicKind.B_SUS_CRIT: (_reference_critical, _reference_greedy),
     HeuristicKind.B_SUS_CRIT_SLOW: (lambda *args: _reference_critical(*args, slowdown_on_fail=True),
@@ -1141,15 +1206,14 @@ class TestDeadSets:
             for kind, reference in _REFERENCE_PHASES.items():
                 at_f_dec, phases = _PHASES[kind]
                 f = speeds.f_dec if at_f_dec else platform.f_max
-                sched, windows, dead = heuristics._start(g, mapping, D, platform, speeds, f)
-                expected = uniform_schedule(g, mapping, f)
-                expected_windows = _window_state(g, expected, D, platform)
+                state = heuristics._start(g, mapping, D, platform, speeds, f)
+                expected = _state_of(g, uniform_schedule(g, mapping, f), D, platform)
                 for phase, oracle in zip(phases, reference, strict=True):
-                    sched, windows = phase(g, sched, D, platform, speeds.f_re_ex, windows, dead)
-                    expected, expected_windows = oracle(g, expected, D, platform, speeds.f_re_ex, expected_windows)
-                    assert sched.plans == expected.plans, (kind, D)
-                    assert windows == expected_windows, (kind, D)
-                dead_seen += len(dead)
+                    phase(g, state, D, platform, speeds.f_re_ex)
+                    oracle(g, expected, D, platform, speeds.f_re_ex)
+                    assert _schedule(g, state).plans == _schedule(g, expected).plans, (kind, D)
+                    assert _held(state) == _held(expected), (kind, D)
+                dead_seen += len(state.dead)
         assert dead_seen > 100
 
     @pytest.mark.parametrize("p", [1, 4, 50])
@@ -1157,33 +1221,31 @@ class TestDeadSets:
     def test_every_dead_task_is_rejected(self, monkeypatch, p):
         # Whenever a walk reaches a task, and whenever a phase ends, every
         # dead task that runs once is rejected by a real probe on a copy of
-        # the walk's windows, and by evaluate: a skipped probe, or a task
+        # the walk's state, and by evaluate: a skipped probe, or a task
         # left out of an order, would have been rejected.
         seen = collections.Counter()
         live = heuristics._reexec_live
 
-        def assert_dead(g, sched, D, platform, f_re_ex, windows, dead):
+        def assert_dead(g, state, D, platform, f_re_ex):
             reexec = ExecutionPlan(f_re_ex, f_re_ex)
-            if windows is None:
-                windows = _window_state(g, sched, D, platform)
-            for tid in dead:
+            sched = _schedule(g, state)
+            for tid in state.dead:
                 if not sched.plans[tid].re_executed:
-                    copy = None if windows is None else [col[:] for col in windows]
-                    assert not feasibility_probe(g, sched, D, platform, {tid: reexec}, copy)[0], tid
-                    assert copy == windows
-                    assert not evaluate(g, sched.with_plans({tid: reexec}), D, platform).feasible, tid
+                    copy = state.copy()
+                    assert not feasibility_probe(g, copy, D, platform, tid, reexec)[0], tid
+                    assert copy.windows == state.windows
+                    assert not evaluate(g, sched.with_plan(tid, reexec), D, platform).feasible, tid
                     seen["checked"] += 1
 
-        def spied_live(g, sched, D, platform, tid, reexec, windows, dead):
-            assert_dead(g, sched, D, platform, reexec.speed1, windows, dead)
-            seen["skipped"] += tid in dead
-            return live(g, sched, D, platform, tid, reexec, windows, dead)
+        def spied_live(g, state, D, platform, tid, reexec):
+            assert_dead(g, state, D, platform, reexec.speed1)
+            seen["skipped"] += tid in state.dead
+            return live(g, state, D, platform, tid, reexec)
 
         def checked(phase):
-            def wrapper(g, sched, D, platform, f_re_ex, windows, dead):
-                out, out_windows = phase(g, sched, D, platform, f_re_ex, windows, dead)
-                assert_dead(g, out, D, platform, f_re_ex, out_windows, dead)
-                return out, out_windows
+            def wrapper(g, state, D, platform, f_re_ex):
+                phase(g, state, D, platform, f_re_ex)
+                assert_dead(g, state, D, platform, f_re_ex)
             return wrapper
 
         phases = {kind: (at_f_dec, tuple(map(checked, steps))) for kind, (at_f_dec, steps) in _PHASES.items()}

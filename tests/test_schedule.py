@@ -1,6 +1,7 @@
 """Mappings, schedule evaluation, critical paths, super-weight order, slack reclaim."""
 
 import dataclasses
+import itertools
 import math
 import operator
 import pickle
@@ -22,7 +23,6 @@ from trisched.schedule import (
     _indexed,
     _push_starts,
     _retime,
-    _swap_state,
     _window_state,
     cohort_of,
     critical_path_tasks,
@@ -48,6 +48,20 @@ def _state(g, mapping, start_times, finish_times):
     est = [start_times[tid] for tid in order]
     finish = [finish_times[tid] for tid in order]
     return [est, finish, None, [f - s for s, f in zip(est, finish)]]
+
+
+def _unjam_state(g, schedule):
+    """``swap_reclaims``' state of ``schedule``, as its docstring lays it out: ``[speeds, redone, dur, energies, prefix]``."""
+    order, _, _, _, _, weights = _indexed(g, schedule.mapping)
+    plans = [schedule.plans[tid] for tid in order]
+    energies = list(map(energy, weights, plans))
+    return [
+        [plan.speed1 for plan in plans],
+        [plan.re_executed for plan in plans],
+        list(map(exe_time, weights, plans)),
+        energies,
+        list(itertools.accumulate(energies, initial=0.0)),
+    ]
 
 
 def _super_weight(g, start, finish, tid):
@@ -240,22 +254,24 @@ class TestEvaluate:
         ok = uniform_schedule(g, mapping, platform.f_rel).with_plan(1, ExecutionPlan(0.4, 0.4))
         assert evaluate(g, ok, 100.0, platform).feasible
 
-    def test_time_windows_exist_exactly_when_feasible(self, platform):
+    def test_time_windows_exist_feasible_or_not(self, platform):
         g = chain([1.0, 2.0])
         mapping = list_schedule(g, 1)
         sched = uniform_schedule(g, mapping, 1.0)
         assert _indexed(g, mapping)[0] == (0, 1)
         assert _window_state(g, sched, 10.0, platform) == [[0.0, 1.0], [1.0, 3.0], [8.0, 10.0], [1.0, 2.0]]
-        for D, plan in (
-            (2.5, ExecutionPlan(1.0)),  # past the deadline
-            (10.0, ExecutionPlan(0.9 * platform.f_rel)),  # reliability shortfall
-            (10.0, ExecutionPlan(0.5, 0.5)),  # speed fault
-            (12.0, ExecutionPlan(0.4, 0.4)),  # feasible
+        for D, plan, feasible in (
+            (2.5, ExecutionPlan(1.0), False),  # past the deadline
+            (10.0, ExecutionPlan(0.9 * platform.f_rel), False),  # reliability shortfall
+            (10.0, ExecutionPlan(0.5, 0.5), False),  # speed fault
+            (12.0, ExecutionPlan(0.4, 0.4), True),
         ):
             candidate = sched.with_plan(1, plan)
-            windows = _window_state(g, candidate, D, platform)
-            assert (windows is not None) == evaluate(g, candidate, D, platform).feasible
-            assert _window_state(g, candidate, D, platform, check=False) is not None
+            metrics = evaluate(g, candidate, D, platform)
+            assert metrics.feasible == feasible
+            est, finish, lft, dur = _window_state(g, candidate, D, platform)
+            assert (est, finish, lft[-1]) == ([0.0, 1.0], [1.0, 1.0 + dur[1]], D)
+            assert metrics.finish_times == {0: finish[0], 1: finish[1]}
 
     def test_schedule_energy_equals_evaluate_energy(self, platform):
         g = generate_random(40, 90, seed=8)
@@ -299,7 +315,7 @@ class TestCriticalPath:
     def test_nonempty_on_any_instance(self, platform):
         g = generate_random(40, 80, seed=2)
         sched = uniform_schedule(g, list_schedule(g, 5), 1.0)
-        state = _window_state(g, sched, math.inf, platform, check=False)
+        state = _window_state(g, sched, math.inf, platform)
         assert critical_path_tasks(g, sched.mapping, state)
 
 
@@ -369,7 +385,7 @@ class TestOrdersEqualReferences:
         uniform = uniform_schedule(g, mapping, platform.f_max)
         for sched, D in (mixed, (uniform, min_deadline(g, mapping, platform))):
             metrics = evaluate(g, sched, D, platform)
-            state = _window_state(g, sched, D, platform, check=False)
+            state = _window_state(g, sched, D, platform)
             critical = critical_path_tasks(g, mapping, state)
             assert critical == _critical_reference(g, sched, metrics)
             ids = [t.id for t in g.tasks]
@@ -618,7 +634,7 @@ class TestRetime:
         order, _, succ, pred, _, _ = _indexed(g, sched.mapping)
         n = len(order)
         rng = random.Random(case)
-        state = _window_state(g, sched, D, platform, check=False)
+        state = _window_state(g, sched, D, platform)
         f_re_ex = 0.9 * platform.f_rel / math.sqrt(2.0)
         moved_total = lft_changes = 0
         for _ in range(60):
@@ -638,7 +654,7 @@ class TestRetime:
             est_before, lft_before = state[0][:], state[2][:]
             moved = _push_starts(succ, pred, state[0][:], state[1][:], state[3][:], r, exe_time(w, plan), n)
             _retime(g, sched.mapping, state, r, exe_time(w, plan))
-            assert _bits(state) == _bits(_window_state(g, sched, D, platform, check=False)), (case, r)
+            assert _bits(state) == _bits(_window_state(g, sched, D, platform)), (case, r)
             assert sorted(moved) == [i for i, (a, b) in enumerate(zip(est_before, state[0])) if a != b]
             moved_total += len(moved)
             lft_changes += lft_before != state[2]
@@ -650,7 +666,7 @@ class TestRetime:
         order, _, succ, pred, chain_flag, _ = _indexed(g, mapping)
         assert chain_flag
         sched, D = TestIndexedReduction._schedule(rng, g, mapping, platform)
-        state = _window_state(g, sched, D, platform, check=False)
+        state = _window_state(g, sched, D, platform)
         for _ in range(60):
             r = rng.randrange(n)
             old = sched.plans[order[r]]
@@ -675,7 +691,7 @@ class TestRetime:
         rng, g, mapping = _chain_case(n, p, graph)
         assert _indexed(g, mapping)[4]
         sched, D = TestIndexedReduction._schedule(rng, g, mapping, platform)
-        base = _window_state(g, sched, D, platform, check=False)
+        base = _window_state(g, sched, D, platform)
         stopped = 0
         for _ in range(300):
             r = rng.randrange(n)
@@ -712,7 +728,7 @@ class TestChainSwapReclaims:
                 D = ratio * evaluate(g, start, math.inf, platform).makespan
                 base = slack_reclaim(g, start, D, platform, [t for t, q in plans.items() if not q.re_executed], {})
                 rids = [tid for tid, plan in base.plans.items() if plan.re_executed]
-                state = _swap_state(g, base)
+                state = _unjam_state(g, base)
                 rs = [pos[tid] for tid in rids]
                 for rid, (e, changes) in zip(rids, swap_reclaims(g, mapping, D, platform, state, rs)):
                     speeds = {order[i]: f for i, f in changes.items()}
@@ -749,16 +765,16 @@ class TestChainSwapReclaims:
             start = Schedule(mapping, plans)
             D = evaluate(g, start, math.inf, platform).makespan + rng.choice((0.0, 4.0, 16.0, 64.0))
             base = slack_reclaim(g, start, D, platform, [t for t, q in plans.items() if not q.re_executed], {})
-            before = _window_state(g, base, D, platform, check=False)
+            before = _window_state(g, base, D, platform)
             rids = [tid for tid, plan in base.plans.items() if plan.re_executed]
-            state = _swap_state(g, base)
+            state = _unjam_state(g, base)
             for rid, (e, changes) in zip(rids, swap_reclaims(g, mapping, D, platform, state, [pos[t] for t in rids])):
                 trial = base.with_plan(rid, ExecutionPlan(platform.f_rel))
                 singles = [tid for tid, plan in trial.plans.items() if not plan.re_executed]
                 expected = slack_reclaim(g, trial, D, platform, singles, {})
                 assert base.with_plans({order[i]: ExecutionPlan(f) for i, f in changes.items()}).plans == expected.plans
                 assert e == schedule_energy(g, expected)
-                after = _window_state(g, trial, D, platform, check=False)
+                after = _window_state(g, trial, D, platform)
                 r = pos[rid]
                 trials += 1
                 turned += after[1][r] != before[1][r] and any(map(operator.eq, after[0][r + 1:], before[0][r + 1:]))
@@ -998,7 +1014,7 @@ class TestInlineScansEqualListComprehensions:
         rng, g, sched, D = _integer_case(platform, seed, p)
         order, _, succ, pred, _, weights = _indexed(g, sched.mapping)
         n = len(order)
-        state = _window_state(g, sched, D, platform, check=False)
+        state = _window_state(g, sched, D, platform)
         reference = [col[:] for col in state]
         clipped = 0
         for _ in range(40):
@@ -1035,7 +1051,7 @@ class TestInlineScansEqualListComprehensions:
         order, pos, _, _, _, _ = _indexed(g, sched.mapping)
         base = slack_reclaim(g, sched, D, platform, [t for t, q in sched.plans.items() if not q.re_executed], {})
         rids = [tid for tid, plan in base.plans.items() if plan.re_executed]
-        out = swap_reclaims(g, base.mapping, D, platform, _swap_state(g, base), [pos[tid] for tid in rids])
+        out = swap_reclaims(g, base.mapping, D, platform, _unjam_state(g, base), [pos[tid] for tid in rids])
         expected = _swap_reclaims_listcomp(g, base, D, platform, rids)
         trials = 0
         for (e, changes), (e_ref, speeds_ref) in zip(out, expected, strict=True):
@@ -1123,7 +1139,7 @@ class TestIndexedReduction:
         lft = [D] * n
         for u in reversed(range(n)):
             lft[u] = min((lft[s] - dur[s] for s in full[u]), default=D)
-        state = _window_state(g, sched, D, platform, check=False)
+        state = _window_state(g, sched, D, platform)
         assert _bits(state) == _bits([est, finish, lft, dur])
 
     @pytest.mark.parametrize("n, p, graph", CHAINS)
@@ -1132,7 +1148,7 @@ class TestIndexedReduction:
         order, _, succ, pred, chain_flag, _ = _indexed(g, mapping)
         assert chain_flag and succ == tuple((i + 1,) for i in range(n - 1)) + ((),)
         sched, D = self._schedule(rng, g, mapping, platform)
-        state = _window_state(g, sched, D, platform, check=False)
+        state = _window_state(g, sched, D, platform)
         assert _bits(state) == _bits(_full_windows(g, sched, D))
         # The running sums against the general loops on the same edges.
         dur = state[3]
@@ -1156,7 +1172,7 @@ class TestIndexedReduction:
         # Latest finishes against the makespan over every augmented edge.
         _, lft = _est_lft(succs, preds, order, dur, metrics.makespan)
         critical = [tid for tid in order if lft[tid] - dur[tid] <= start[tid] + SLACK_TOL]
-        state = _window_state(g, sched, D, platform, check=False)
+        state = _window_state(g, sched, D, platform)
         assert critical_path_tasks(g, mapping, state) == critical
         result = vdd_schedule_convert(g, sched, (0.2, 0.4, 0.6, 0.8, 1.0), D, platform)
         _, vdd_finish = _full_forward(preds, order, {tid: sum(q.time for q in result.plans[tid]) for tid in order})
@@ -1263,7 +1279,7 @@ class TestChainCohort:
         random.Random(seed).shuffle(tasks)
         g = TaskGraph(tuple(tasks), g.edges)
         assert _indexed(g, sched.mapping)[4]
-        state = _window_state(g, sched, D, platform, check=False)
+        state = _window_state(g, sched, D, platform)
         for t in g.tasks:
             assert cohort_of(g, sched.mapping, state, t.id) == _cohort_scan(g, sched.mapping, state, t.id)
 
