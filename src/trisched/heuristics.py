@@ -177,8 +177,8 @@ class DerivedSpeeds:
 class _State:
     """One kind's solve on (g, mapping), by position in ``_indexed(g, mapping)`` (module docstring).
 
-    ``windows`` is the fresh ``_window_state(g, schedule, D, platform)`` of
-    the schedule whose position i runs at ``speeds[i]``, twice when
+    ``windows`` is the fresh ``_window_state(g, schedule, D)`` of the
+    schedule whose position i runs at ``speeds[i]``, twice when
     ``redone[i]``; ``feasible`` is evaluate's verdict on it, and ``dead`` the
     kind's dead set, by task id. The lists are only ever moved in place.
     """
@@ -196,8 +196,10 @@ class _State:
 
     def load(self, other: "_State") -> None:
         """Move to ``other``'s schedule, windows and flag, in place; the dead set stays."""
-        for col, saved in zip((*self.windows, self.speeds, self.redone), (*other.windows, other.speeds, other.redone)):
+        for col, saved in zip(self.windows, other.windows):
             col[:] = saved
+        self.speeds[:] = other.speeds
+        self.redone[:] = other.redone
         self.feasible = other.feasible
 
 
@@ -547,7 +549,7 @@ def _start(g, mapping, D, platform, speeds, f):
     key = (g, mapping, D, platform, f)
     start = speeds._starts.get(key)
     if start is None:
-        windows = _window_state(g, uniform_schedule(g, mapping, f), D, platform)
+        windows = _window_state(g, uniform_schedule(g, mapping, f), D)
         n = len(windows[0])
         start = _State(mapping, windows, [f] * n, [False] * n, False, set())
         _settle(g, start, D, platform, ())

@@ -375,7 +375,7 @@ def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel
     )
 
 
-def _window_state(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel):
+def _window_state(g: TaskGraph, schedule: Schedule, D: float):
     """``[est, finish, lft, dur]`` of every task, as lists indexed by position, feasible or not.
 
     Position i is the task ``order[i]`` of ``_indexed(g, schedule.mapping)``.
@@ -439,8 +439,8 @@ def _push_starts(succ, pred, est, finish, dur, r: int, d: float, end: int) -> li
 def _retime(g: TaskGraph, mapping: Mapping, state, r: int, d: float) -> None:
     """Give position r the duration d in a ``_window_state`` of (g, mapping, D), in place.
 
-    Afterwards the state equals a fresh ``_window_state``
-    of the changed schedule, bit for bit. The earliest starts move as
+    Afterwards the state equals a fresh ``_window_state`` of the changed
+    schedule, bit for bit. The earliest starts move as
     ``_push_starts`` moves them; only r's ancestors can have another latest
     finish, so those are recomputed next, with ``_backward``'s expression,
     in reverse topological order, stopping where one comes out bit-equal.

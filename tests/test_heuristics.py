@@ -63,7 +63,7 @@ def _singles(schedule):
 def _state_of(g, schedule, D, platform):
     """A solve state of ``schedule`` by its definition: fresh windows, evaluate's verdict and no dead task."""
     plans = [schedule.plans[tid] for tid in _indexed(g, schedule.mapping)[0]]
-    return _State(schedule.mapping, _window_state(g, schedule, D, platform),
+    return _State(schedule.mapping, _window_state(g, schedule, D),
                   [plan.speed1 for plan in plans], [plan.re_executed for plan in plans],
                   evaluate(g, schedule, D, platform).feasible, set())
 
@@ -168,7 +168,7 @@ class TestFeasibilityProbe:
             else:
                 sched, _ = run(rng.choice(ALL_HEURISTICS), g, mapping, D, platform)
             order = _indexed(g, mapping)[0]
-            est, _, lft, _ = (dict(zip(order, values)) for values in _window_state(g, sched, D, platform))
+            est, _, lft, _ = (dict(zip(order, values)) for values in _window_state(g, sched, D))
             f_re_ex = reexec_speed(platform)
             ids = [t.id for t in g.tasks]
 
@@ -720,7 +720,7 @@ class TestTailMemo:
 
 def _fresh(g, sched, D, platform):
     """What a state of ``sched`` must hold: its ``_window_state`` and evaluate's verdict."""
-    return _window_state(g, sched, D, platform), evaluate(g, sched, D, platform).feasible
+    return _window_state(g, sched, D), evaluate(g, sched, D, platform).feasible
 
 
 def _held(state):
@@ -801,7 +801,7 @@ class TestLiveWindows:
             order = _indexed(g, sched.mapping)[0]
             assert dict(zip(order, state.windows[0])) == metrics.start_times
             assert dict(zip(order, state.windows[1])) == metrics.finish_times
-            assert state.windows == _window_state(g, sched, D, platform)
+            assert state.windows == _window_state(g, sched, D)
 
         def probe(g_, state, D_, platform_, tid, plan):
             candidate = _schedule(g, state).with_plan(tid, plan)
@@ -831,7 +831,7 @@ class TestLiveWindows:
             # the dict definition on evaluate's times.
             sched = _schedule(g, seen["last"])
             assert mapping == sched.mapping
-            assert windows == _window_state(g, sched, D, platform)
+            assert windows == _window_state(g, sched, D)
             metrics = evaluate(g, sched, D, platform)
             start, finish = metrics.start_times, metrics.finish_times
             lo, hi = start[tid] - SLACK_TOL, finish[tid] + SLACK_TOL
@@ -919,7 +919,7 @@ def _solve_checked(monkeypatch, g, mapping, D, platform):
 
     def check(step, state):
         sched = _schedule(g, state)
-        assert state.windows == _window_state(g, sched, D, platform), step
+        assert state.windows == _window_state(g, sched, D), step
         assert state.feasible == evaluate(g, sched, D, platform).feasible, step
         seen[step, state.feasible] += 1
 
@@ -1050,7 +1050,7 @@ class TestWindowHandoff:
         assert len(speeds._starts) == 1
         sched = uniform_schedule(g, start.mapping, platform.f_max)
         for out in (first, second):
-            assert _schedule(g, out).plans == sched.plans and out.windows == _window_state(g, sched, D, platform)
+            assert _schedule(g, out).plans == sched.plans and out.windows == _window_state(g, sched, D)
         assert first.speeds is not second.speeds and first.redone is not second.redone
         assert all(a is not b for a, b in zip(first.windows, second.windows))
         first.windows[0][0] = math.nan
@@ -1076,9 +1076,9 @@ class TestCheckedWindowBuilds:
         build, settle = heuristics._window_state, heuristics._settle
         slow_group, refresh = heuristics._slow_group, heuristics._refresh
 
-        def counted(g, sched, D, platform):
+        def counted(g, sched, D):
             builds.append(D)
-            return build(g, sched, D, platform)
+            return build(g, sched, D)
 
         def counted_settle(g, state, *args):
             if not state.feasible:

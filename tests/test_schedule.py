@@ -259,7 +259,7 @@ class TestEvaluate:
         mapping = list_schedule(g, 1)
         sched = uniform_schedule(g, mapping, 1.0)
         assert _indexed(g, mapping)[0] == (0, 1)
-        assert _window_state(g, sched, 10.0, platform) == [[0.0, 1.0], [1.0, 3.0], [8.0, 10.0], [1.0, 2.0]]
+        assert _window_state(g, sched, 10.0) == [[0.0, 1.0], [1.0, 3.0], [8.0, 10.0], [1.0, 2.0]]
         for D, plan, feasible in (
             (2.5, ExecutionPlan(1.0), False),  # past the deadline
             (10.0, ExecutionPlan(0.9 * platform.f_rel), False),  # reliability shortfall
@@ -269,7 +269,7 @@ class TestEvaluate:
             candidate = sched.with_plan(1, plan)
             metrics = evaluate(g, candidate, D, platform)
             assert metrics.feasible == feasible
-            est, finish, lft, dur = _window_state(g, candidate, D, platform)
+            est, finish, lft, dur = _window_state(g, candidate, D)
             assert (est, finish, lft[-1]) == ([0.0, 1.0], [1.0, 1.0 + dur[1]], D)
             assert metrics.finish_times == {0: finish[0], 1: finish[1]}
 
@@ -315,7 +315,7 @@ class TestCriticalPath:
     def test_nonempty_on_any_instance(self, platform):
         g = generate_random(40, 80, seed=2)
         sched = uniform_schedule(g, list_schedule(g, 5), 1.0)
-        state = _window_state(g, sched, math.inf, platform)
+        state = _window_state(g, sched, math.inf)
         assert critical_path_tasks(g, sched.mapping, state)
 
 
@@ -385,7 +385,7 @@ class TestOrdersEqualReferences:
         uniform = uniform_schedule(g, mapping, platform.f_max)
         for sched, D in (mixed, (uniform, min_deadline(g, mapping, platform))):
             metrics = evaluate(g, sched, D, platform)
-            state = _window_state(g, sched, D, platform)
+            state = _window_state(g, sched, D)
             critical = critical_path_tasks(g, mapping, state)
             assert critical == _critical_reference(g, sched, metrics)
             ids = [t.id for t in g.tasks]
@@ -634,7 +634,7 @@ class TestRetime:
         order, _, succ, pred, _, _ = _indexed(g, sched.mapping)
         n = len(order)
         rng = random.Random(case)
-        state = _window_state(g, sched, D, platform)
+        state = _window_state(g, sched, D)
         f_re_ex = 0.9 * platform.f_rel / math.sqrt(2.0)
         moved_total = lft_changes = 0
         for _ in range(60):
@@ -654,7 +654,7 @@ class TestRetime:
             est_before, lft_before = state[0][:], state[2][:]
             moved = _push_starts(succ, pred, state[0][:], state[1][:], state[3][:], r, exe_time(w, plan), n)
             _retime(g, sched.mapping, state, r, exe_time(w, plan))
-            assert _bits(state) == _bits(_window_state(g, sched, D, platform)), (case, r)
+            assert _bits(state) == _bits(_window_state(g, sched, D)), (case, r)
             assert sorted(moved) == [i for i, (a, b) in enumerate(zip(est_before, state[0])) if a != b]
             moved_total += len(moved)
             lft_changes += lft_before != state[2]
@@ -666,7 +666,7 @@ class TestRetime:
         order, _, succ, pred, chain_flag, _ = _indexed(g, mapping)
         assert chain_flag
         sched, D = TestIndexedReduction._schedule(rng, g, mapping, platform)
-        state = _window_state(g, sched, D, platform)
+        state = _window_state(g, sched, D)
         for _ in range(60):
             r = rng.randrange(n)
             old = sched.plans[order[r]]
@@ -691,7 +691,7 @@ class TestRetime:
         rng, g, mapping = _chain_case(n, p, graph)
         assert _indexed(g, mapping)[4]
         sched, D = TestIndexedReduction._schedule(rng, g, mapping, platform)
-        base = _window_state(g, sched, D, platform)
+        base = _window_state(g, sched, D)
         stopped = 0
         for _ in range(300):
             r = rng.randrange(n)
@@ -765,7 +765,7 @@ class TestChainSwapReclaims:
             start = Schedule(mapping, plans)
             D = evaluate(g, start, math.inf, platform).makespan + rng.choice((0.0, 4.0, 16.0, 64.0))
             base = slack_reclaim(g, start, D, platform, [t for t, q in plans.items() if not q.re_executed], {})
-            before = _window_state(g, base, D, platform)
+            before = _window_state(g, base, D)
             rids = [tid for tid, plan in base.plans.items() if plan.re_executed]
             state = _unjam_state(g, base)
             for rid, (e, changes) in zip(rids, swap_reclaims(g, mapping, D, platform, state, [pos[t] for t in rids])):
@@ -774,7 +774,7 @@ class TestChainSwapReclaims:
                 expected = slack_reclaim(g, trial, D, platform, singles, {})
                 assert base.with_plans({order[i]: ExecutionPlan(f) for i, f in changes.items()}).plans == expected.plans
                 assert e == schedule_energy(g, expected)
-                after = _window_state(g, trial, D, platform)
+                after = _window_state(g, trial, D)
                 r = pos[rid]
                 trials += 1
                 turned += after[1][r] != before[1][r] and any(map(operator.eq, after[0][r + 1:], before[0][r + 1:]))
@@ -1014,7 +1014,7 @@ class TestInlineScansEqualListComprehensions:
         rng, g, sched, D = _integer_case(platform, seed, p)
         order, _, succ, pred, _, weights = _indexed(g, sched.mapping)
         n = len(order)
-        state = _window_state(g, sched, D, platform)
+        state = _window_state(g, sched, D)
         reference = [col[:] for col in state]
         clipped = 0
         for _ in range(40):
@@ -1139,7 +1139,7 @@ class TestIndexedReduction:
         lft = [D] * n
         for u in reversed(range(n)):
             lft[u] = min((lft[s] - dur[s] for s in full[u]), default=D)
-        state = _window_state(g, sched, D, platform)
+        state = _window_state(g, sched, D)
         assert _bits(state) == _bits([est, finish, lft, dur])
 
     @pytest.mark.parametrize("n, p, graph", CHAINS)
@@ -1148,7 +1148,7 @@ class TestIndexedReduction:
         order, _, succ, pred, chain_flag, _ = _indexed(g, mapping)
         assert chain_flag and succ == tuple((i + 1,) for i in range(n - 1)) + ((),)
         sched, D = self._schedule(rng, g, mapping, platform)
-        state = _window_state(g, sched, D, platform)
+        state = _window_state(g, sched, D)
         assert _bits(state) == _bits(_full_windows(g, sched, D))
         # The running sums against the general loops on the same edges.
         dur = state[3]
@@ -1172,7 +1172,7 @@ class TestIndexedReduction:
         # Latest finishes against the makespan over every augmented edge.
         _, lft = _est_lft(succs, preds, order, dur, metrics.makespan)
         critical = [tid for tid in order if lft[tid] - dur[tid] <= start[tid] + SLACK_TOL]
-        state = _window_state(g, sched, D, platform)
+        state = _window_state(g, sched, D)
         assert critical_path_tasks(g, mapping, state) == critical
         result = vdd_schedule_convert(g, sched, (0.2, 0.4, 0.6, 0.8, 1.0), D, platform)
         _, vdd_finish = _full_forward(preds, order, {tid: sum(q.time for q in result.plans[tid]) for tid in order})
@@ -1279,7 +1279,7 @@ class TestChainCohort:
         random.Random(seed).shuffle(tasks)
         g = TaskGraph(tuple(tasks), g.edges)
         assert _indexed(g, sched.mapping)[4]
-        state = _window_state(g, sched, D, platform)
+        state = _window_state(g, sched, D)
         for t in g.tasks:
             assert cohort_of(g, sched.mapping, state, t.id) == _cohort_scan(g, sched.mapping, state, t.id)
 
