@@ -203,25 +203,19 @@ class _State:
         self.feasible = other.feasible
 
 
-def _plan(f: float, redone: bool) -> ExecutionPlan:
-    return ExecutionPlan(f, f) if redone else ExecutionPlan(f)
+def _plans(state: _State, positions) -> list[ExecutionPlan]:
+    """The state's plans at ``positions``, in their order; positions of one speed and flag share a plan."""
+    speeds, redone = state.speeds, state.redone
+    keys = [(speeds[i], redone[i]) for i in positions]
+    made = {(f, x): ExecutionPlan(f, f) if x else ExecutionPlan(f) for f, x in set(keys)}
+    return [made[key] for key in keys]
 
 
 def _schedule(g: TaskGraph, state: _State) -> Schedule:
-    """The state's schedule, plans in ``g.tasks`` order; tasks of one speed and flag share a plan."""
+    """The state's schedule, plans in ``g.tasks`` order."""
     pos = _indexed(g, state.mapping)[1]
-    speeds, redone = state.speeds, state.redone
-    made = {key: _plan(*key) for key in set(zip(speeds, redone))}
-    return Schedule(state.mapping, {t.id: made[speeds[pos[t.id]], redone[pos[t.id]]] for t in g.tasks})
-
-
-def _tasks_pass(g: TaskGraph, state: _State, platform: PlatformModel, positions) -> bool:
-    """Whether the tasks at ``positions`` pass ``task_feasible`` under the state's plans."""
-    order, _, _, _, _, weights = _indexed(g, state.mapping)
-    threshold = _thresholds(g, platform)
-    speeds, redone = state.speeds, state.redone
-    return all(task_feasible(weights[i], _plan(speeds[i], redone[i]), threshold[order[i]], platform)
-               for i in positions)
+    plans = _plans(state, range(len(pos)))
+    return Schedule(state.mapping, {t.id: plans[pos[t.id]] for t in g.tasks})
 
 
 def _settle(g: TaskGraph, state: _State, D: float, platform: PlatformModel, changed) -> None:
@@ -232,8 +226,12 @@ def _settle(g: TaskGraph, state: _State, D: float, platform: PlatformModel, chan
     checks only the makespan and the changed tasks, as every other task kept
     the plan that passed; any other is checked in full.
     """
-    state.feasible = max(state.windows[1], default=0.0) <= D + SLACK_TOL and _tasks_pass(
-        g, state, platform, changed if state.feasible else range(len(state.speeds)))
+    order, _, _, _, _, weights = _indexed(g, state.mapping)
+    threshold = _thresholds(g, platform)
+    positions = changed if state.feasible else range(len(order))
+    state.feasible = max(state.windows[1], default=0.0) <= D + SLACK_TOL and all(
+        task_feasible(weights[i], plan, threshold[order[i]], platform)
+        for i, plan in zip(positions, _plans(state, positions)))
 
 
 def _refresh(g: TaskGraph, state: _State, D: float, platform: PlatformModel, changed) -> None:
@@ -283,16 +281,20 @@ def feasibility_probe(
     forward sums under 3M, n - 1 of backward differences under M, and lft +
     SLACK_TOL, the margin and D + SLACK_TOL (under M, 3M and M). A margin
     within 4n * eps * M of zero, where the verdicts could differ, and every
-    probe of an infeasible state, are settled by evaluate's own test: one
-    forward pass of the candidate's durations, and ``task_feasible`` of tid
-    and, when the state is infeasible, of every other task.
+    probe of an infeasible state, are settled by evaluate's own test on the
+    candidate: the state moves to it, as on accept, and ``_settle`` decides
+    from its fresh windows (evaluate's forward pass, bit for bit), checking
+    ``task_feasible`` of tid and, when the state was infeasible, of every
+    other task. A rejected candidate is moved back by a second
+    ``schedule._retime``, which restores the windows bit for bit.
 
     On accept, the state moves to the candidate in place: tid's speed and
     flag, and its windows by ``schedule._retime``; it is then feasible. A
-    rejected probe leaves it as it is.
+    rejected probe leaves it as it was.
     """
-    _, pos, _, pred, chain, weights = _indexed(g, state.mapping)
+    _, pos, _, _, _, weights = _indexed(g, state.mapping)
     est, _, lft, dur = windows = state.windows
+    speeds, redone = state.speeds, state.redone
     r = pos[tid]
     w = weights[r]
     d = exe_time(w, plan)
@@ -304,20 +306,19 @@ def feasibility_probe(
             verdict = task_feasible(w, plan, _thresholds(g, platform)[tid], platform)
         elif margin < -band:
             verdict = False
+    if verdict is False:
+        return False, state
+    before = speeds[r], redone[r], dur[r], state.feasible
+    _retime(g, state.mapping, windows, r, d)
+    speeds[r], redone[r] = plan.speed1, plan.re_executed
     if verdict is None:
-        trial = dur[:]
-        trial[r] = d
-        verdict = (
-            max(_forward(pred, trial, chain)[1], default=0.0) <= D + SLACK_TOL
-            and task_feasible(w, plan, _thresholds(g, platform)[tid], platform)
-            and (state.feasible or _tasks_pass(g, state, platform, [i for i in range(len(dur)) if i != r]))
-        )
-    if verdict:
-        _retime(g, state.mapping, windows, r, d)
-        state.speeds[r] = plan.speed1
-        state.redone[r] = plan.re_executed
-        state.feasible = True
-    return verdict, state
+        _settle(g, state, D, platform, (r,))
+        if not state.feasible:
+            speeds[r], redone[r], d, state.feasible = before
+            _retime(g, state.mapping, windows, r, d)
+            return False, state
+    state.feasible = True
+    return True, state
 
 
 def _band(n: int, D: float) -> float:
@@ -416,7 +417,8 @@ def _slow_group(g, state, D, platform, group):
         f = _slowed(w, speeds[r], x, lft[r] - est[r], _floors(g, platform)[order[r]] if x else platform.f_rel)
         if f is not None:
             speeds[r] = f
-            _retime(g, state.mapping, windows, r, exe_time(w, _plan(f, x)))
+            d = w / f  # exe_time's expression, for one run or two at f
+            _retime(g, state.mapping, windows, r, d + d if x else d)
             slowed.append(r)
     if slowed:
         _settle(g, state, D, platform, slowed)
@@ -448,9 +450,8 @@ def _reclaim_redone(g, state, D, platform, f_re_ex):
     The reclaim's sweep on the state (``schedule._reclaim_sweep``); its
     windows are then rebuilt and its flag settled (``_refresh``).
     """
-    redone = state.redone
-    slowed = _reclaim_sweep(g, state.mapping, D, platform, (state.speeds, redone, state.windows[3]),
-                            {i for i, x in enumerate(redone) if x}, _floors(g, platform))
+    slowed = _reclaim_sweep(g, state.mapping, D, platform, (state.speeds, state.redone, state.windows[3]),
+                            {i for i, x in enumerate(state.redone) if x}, _floors(g, platform))
     if slowed:
         _refresh(g, state, D, platform, slowed)
 
@@ -585,23 +586,20 @@ def _tail(g, state, D, platform, speeds):
     above f_rel. Last, the re-executed tasks are reclaimed down to their
     f_inf floors (``_floors``).
 
-    The reclaims are ``schedule._reclaim_sweep``, the sweep of
-    ``slack_reclaim``, on the state's speeds, flags and durations, so each
-    round's state is a reclaim fixpoint of its single runs, as
-    ``swap_reclaims`` requires. The rounds read those lists with the
-    energies and their running sum, ``[speeds, redone, dur, energies,
-    prefix]``, built once here; ``_keep_swap`` moves all five. The trials
-    are scored in ``g.tasks`` order, so ties go to the first. The windows,
-    which the rounds do not read, are rebuilt and the flag settled once, at
-    the exit (``_refresh``).
+    The reclaims are ``schedule._reclaim_sweep`` on the state's speeds,
+    flags and durations, so each round's state is a reclaim fixpoint of its
+    single runs, as ``swap_reclaims`` requires. The rounds read those lists
+    with the energies and their running sum, built once here, and
+    ``_keep_swap`` moves all five. The trials are scored in ``g.tasks``
+    order, so ties go to the first. The windows, which the rounds do not
+    read, are rebuilt and the flag settled at the exit (``_refresh``).
 
     It runs once per distinct entry of a solve. The memo is
-    ``speeds._tails``, so it lives as long as the solve's ``speeds`` and is
-    shared by the kinds BEST runs. Its key is the entering speeds and flags,
-    by position, with the graph, mapping, deadline and platform, which is
-    everything the tail reads. Speeds are positive, so equal speeds hold
-    identical bits and the tail's answer is the same. A hit moves the state
-    to the stored one (``_State.load``).
+    ``speeds._tails``, shared by the kinds BEST runs. Its key is the
+    entering speeds and flags, by position, with the graph, mapping,
+    deadline and platform: everything the tail reads. Speeds are positive,
+    so equal speeds hold identical bits and the tail's answer is the same.
+    A hit moves the state to the stored one (``_State.load``).
     """
     mapping = state.mapping
     fs, redone = state.speeds, state.redone
@@ -611,7 +609,7 @@ def _tail(g, state, D, platform, speeds):
         state.load(out)
         return
     _, pos, _, _, _, weights = _indexed(g, mapping)
-    energies = [energy(w, _plan(f, x)) for w, f, x in zip(weights, fs, redone)]
+    energies = list(map(energy, weights, _plans(state, range(len(fs)))))
     prefix = list(itertools.accumulate(energies, initial=0.0))
     swap = [fs, redone, state.windows[3], energies, prefix]
     _keep_swap(g, mapping, swap, _reclaim_sweep(g, mapping, D, platform, swap,
