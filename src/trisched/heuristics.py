@@ -22,15 +22,15 @@ graph and mapping, with the weights by position); a task id is looked up as
 windows of that schedule (``[est, finish, lft, dur]``: earliest starts and
 finishes, latest finishes and durations, laid out as
 ``schedule._window_state`` lays them out), a flag that says whether the
-schedule is feasible, and the kind's dead set. The windows are always the
-fresh passes of the current schedule, bit for bit, feasible or not. Each
+schedule is feasible, and the kind's dead set. Up to the kind's closing
+step (below), the windows are the fresh passes of the current schedule, bit
+for bit, feasible or not, and the flag is evaluate's verdict on it. Each
 start speed's state is built and checked once per solve, on its
 ``DerivedSpeeds``, and each kind starting there moves its own copy. An
 accepted probe and each task a slow-down slowed move the windows in place,
 recomputing only the descendants' starts and the ancestors' latest finishes
 that the change moves (``schedule._retime``, which keeps them equal, bit for
-bit, to a fresh ``_window_state``); the closing reclaims, which slow many
-tasks in one sweep, run both passes afresh. While the flag holds, only the
+bit, to a fresh ``_window_state``). While the flag holds, only the
 changed tasks and the makespan are then checked, as every other task passed
 already; an infeasible schedule is checked in full (``_settle``). The flag
 only decides how a verdict is reached, never what it is. A walk's order and
@@ -41,6 +41,15 @@ from the makespan) and the super-weight order (``schedule.sus_sort``) of the
 schedule it starts from. So no phase calls evaluate; it judges and reports
 ``run``'s result. States travel in arguments and on the solve's ``speeds``,
 so concurrent solves do not interfere.
+
+The state's contract ends at the kind's closing step: type A's reclaim of
+its re-executed tasks (``_reclaim_redone``), and type B's tail (``_tail``),
+which ends with that reclaim. Nothing is decided after it: ``run`` builds
+plans from the speeds and flags and judges them with evaluate. So the
+closing step moves only the speeds, flags and durations (the reclaim's
+sweep, ``schedule._reclaim_sweep``, builds its own windows), and leaves the
+other windows and the flag as they were. A kind without phases ends at its
+start.
 
 A kind's state also holds its dead set: the tasks whose re-execution at
 f_re_ex is ruled out. The start seeds it, once per start speed, from its
@@ -73,31 +82,32 @@ time in decreasing position, from the state's windows, which the slowed
 targets before it moved: the window the reclaim's sweep would compute.
 Type B's tail (``_tail``) moves the same state: both of its reclaims are
 ``schedule._reclaim_sweep`` on the state's speeds, re-execution flags and
-durations, and the unjam rounds score their swaps from those lists with
-the energies and their running sum, built once per tail. Each round scores
-every swap from the round's state, a reclaim fixpoint of its single runs: a
-task whose earliest start and latest finish are bit-equal to that state's
-would be left as it is by a full reclaim of the trial, so only the tasks the
-swap reaches are recomputed, with the same float operations and the same
-start propagation as ``schedule._retime`` (``schedule.swap_reclaims``). A
-trial carries plain speeds, not plans, and is clipped to the slow span, the
-positions of the single runs above f_rel, since no other position can be
-slowed. A kept swap moves only its own positions (``schedule._keep_swap``,
-as does the opening reclaim). Outputs are bit-identical to full reclaims.
+durations, and the unjam rounds score their swaps from those three lists.
+Each round scores every swap from the round's state, a reclaim fixpoint of
+its single runs: a task whose earliest start and latest finish are
+bit-equal to that state's would be left as it is by a full reclaim of the
+trial, so only the tasks the swap reaches are recomputed, with the same
+float operations and the same start propagation as ``schedule._retime``
+(``schedule.swap_reclaims``). A trial carries plain speeds, not plans, and
+is clipped to the slow span, the positions of the single runs above f_rel,
+since no other position can be slowed. A kept swap moves only its own
+positions' speeds, flags and durations, as does the opening reclaim, and
+the round's energy becomes the kept trial's. Outputs are bit-identical to
+full reclaims.
 
 The tail runs once per distinct entering schedule of a solve. The kinds BEST
 runs share one ``DerivedSpeeds``, which carries a memo from the entering
 speeds and re-execution flags, by position, with the graph, mapping,
-deadline and platform, to the tail's state; two type-B walks often hand the
-tail equal schedules. Speeds are positive, so equal speeds hold identical
-bits, and the memo returns what the tail would. It lives and dies with the
-solve's ``speeds``: a new solve starts an empty one.
+deadline and platform, to the speeds and flags the tail ends at; two
+type-B walks often hand the tail equal schedules. Speeds are positive, so
+equal speeds hold identical bits, and the memo returns what the tail would.
+It lives and dies with the solve's ``speeds``: a new solve starts an empty
+one.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -107,7 +117,6 @@ from .model import (
     SLACK_TOL,
     ExecutionPlan,
     PlatformModel,
-    energy,
     exe_time,
     f_inf,
     reexec_speed,
@@ -116,10 +125,8 @@ from .schedule import (
     Mapping,
     Schedule,
     ScheduleMetrics,
-    _backward,
     _forward,
     _indexed,
-    _keep_swap,
     _reclaim_sweep,
     _retime,
     _slowed,
@@ -128,10 +135,10 @@ from .schedule import (
     cohort_of,
     critical_path_tasks,
     evaluate,
+    schedule_energy,
     sus_sort,
     swap_reclaims,
     task_feasible,
-    uniform_makespan,
     uniform_schedule,
 )
 
@@ -180,7 +187,9 @@ class _State:
     ``windows`` is the fresh ``_window_state(g, schedule, D)`` of the
     schedule whose position i runs at ``speeds[i]``, twice when
     ``redone[i]``; ``feasible`` is evaluate's verdict on it, and ``dead`` the
-    kind's dead set, by task id. The lists are only ever moved in place.
+    kind's dead set, by task id. That holds until the kind's closing step,
+    after which only ``speeds`` and ``redone`` are read. The lists are only
+    ever moved in place.
     """
 
     mapping: Mapping
@@ -193,14 +202,6 @@ class _State:
     def copy(self) -> "_State":
         return _State(self.mapping, [col[:] for col in self.windows], self.speeds[:], self.redone[:],
                       self.feasible, set(self.dead))
-
-    def load(self, other: "_State") -> None:
-        """Move to ``other``'s schedule, windows and flag, in place; the dead set stays."""
-        for col, saved in zip(self.windows, other.windows):
-            col[:] = saved
-        self.speeds[:] = other.speeds
-        self.redone[:] = other.redone
-        self.feasible = other.feasible
 
 
 def _plans(state: _State, positions) -> list[ExecutionPlan]:
@@ -234,18 +235,11 @@ def _settle(g: TaskGraph, state: _State, D: float, platform: PlatformModel, chan
         for i, plan in zip(positions, _plans(state, positions)))
 
 
-def _refresh(g: TaskGraph, state: _State, D: float, platform: PlatformModel, changed) -> None:
-    """After a sweep moved the durations of ``changed``: both passes afresh, in place, then ``_settle``."""
-    _, _, succ, pred, chain, _ = _indexed(g, state.mapping)
-    est, finish, lft, dur = state.windows
-    est[:], finish[:] = _forward(pred, dur, chain)
-    lft[:] = _backward(succ, dur, D, chain)
-    _settle(g, state, D, platform, changed)
-
-
 def min_deadline(g: TaskGraph, mapping: Mapping, platform: PlatformModel) -> float:
-    """Makespan with every task once at f_max (``schedule.uniform_makespan``)."""
-    return uniform_makespan(g, mapping, platform.f_max)
+    """Makespan with every task once at f_max: evaluate's forward pass (``schedule._forward``), bit for bit."""
+    _, _, _, pred, chain, weights = _indexed(g, mapping)
+    plan = ExecutionPlan(platform.f_max)
+    return max(_forward(pred, [exe_time(w, plan) for w in weights], chain)[1], default=0.0)
 
 
 def derived_speeds(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformModel) -> DerivedSpeeds:
@@ -429,31 +423,40 @@ def _reexec_critical_fixpoint(g, state, D, platform, f_re_ex):
 
     Passes over the critical-path list (re-derived each time, as re-executed
     tasks stretch and shift the critical paths) until a pass adds nothing;
-    then remaining single-execution tasks are probed in super-weight order
-    so abundant off-path slack is not left on the table.  Re-executions only
-    accumulate, so the loop terminates within one pass per task.
+    then the remaining single-execution tasks are probed once, in
+    super-weight order, so abundant off-path slack is not left on the table.
+    Re-executions only accumulate, so the passes end within one per task.
+
+    No later walk could accept anything, so the singles sweep ends the
+    fixpoint. The sweep probes every single run but the dead ones. While the
+    state is feasible, a rejected task joins the dead set, and a rejection
+    made then stays one (module docstring): durations only grow, as no
+    type-A walk slows a task. An infeasible type-A state never accepts: it
+    has accepted nothing since its start, whose every task runs once at f_dec,
+    within [f_rel, f_max], and passes ``task_feasible``; so its makespan is
+    past D + SLACK_TOL, and a re-execution, which lengthens a task, leaves it
+    there. So the state is feasible throughout the sweep, or infeasible
+    throughout, and either way every task still running once after it is
+    rejected by every later probe.
     """
     redone = state.redone
-    for _ in range(len(g)):
+    while True:
         before = sum(redone)
         _critical_walk(g, state, D, platform, f_re_ex)
-        after = sum(redone)
-        if after == before:
-            _reexec_over(g, state, D, platform, f_re_ex, order=_singles_order)
-            if sum(redone) == after:
-                break
+        if sum(redone) == before:
+            break
+    _reexec_over(g, state, D, platform, f_re_ex, order=_singles_order)
 
 
 def _reclaim_redone(g, state, D, platform, f_re_ex):
     """Hand the remaining slack to the re-executed tasks, down to their f_inf floors.
 
-    The reclaim's sweep on the state (``schedule._reclaim_sweep``); its
-    windows are then rebuilt and its flag settled (``_refresh``).
+    The reclaim's sweep on the state's speeds, flags and durations
+    (``schedule._reclaim_sweep``). It is a kind's closing step: the other
+    windows and the flag are left as they were (module docstring).
     """
-    slowed = _reclaim_sweep(g, state.mapping, D, platform, (state.speeds, state.redone, state.windows[3]),
-                            {i for i, x in enumerate(state.redone) if x}, _floors(g, platform))
-    if slowed:
-        _refresh(g, state, D, platform, slowed)
+    _reclaim_sweep(g, state.mapping, D, platform, (state.speeds, state.redone, state.windows[3]),
+                   {i for i, x in enumerate(state.redone) if x}, _floors(g, platform))
 
 
 def _floors(g, platform):
@@ -584,47 +587,46 @@ def _tail(g, state, D, platform, speeds):
     single runs (floor f_rel), whenever it lowers total energy by more than
     SLACK_TOL, and the rounds stop when none does or no single run is left
     above f_rel. Last, the re-executed tasks are reclaimed down to their
-    f_inf floors (``_floors``).
+    f_inf floors (``_reclaim_redone``), the kind's closing step.
 
     The reclaims are ``schedule._reclaim_sweep`` on the state's speeds,
     flags and durations, so each round's state is a reclaim fixpoint of its
-    single runs, as ``swap_reclaims`` requires. The rounds read those lists
-    with the energies and their running sum, built once here, and
-    ``_keep_swap`` moves all five. The trials are scored in ``g.tasks``
-    order, so ties go to the first. The windows, which the rounds do not
-    read, are rebuilt and the flag settled at the exit (``_refresh``).
+    single runs, as ``swap_reclaims`` requires. The rounds read those three
+    lists. The round's energy is one float: ``schedule_energy`` of the state
+    after the opening reclaim, then the kept trial's energy, which is the
+    running sum of the state it moves to, bit for bit (``swap_reclaims``).
+    A kept swap writes its positions' speeds, flags and durations. The
+    trials are scored in ``g.tasks`` order, so ties go to the first.
 
     It runs once per distinct entry of a solve. The memo is
     ``speeds._tails``, shared by the kinds BEST runs. Its key is the
     entering speeds and flags, by position, with the graph, mapping,
     deadline and platform: everything the tail reads. Speeds are positive,
     so equal speeds hold identical bits and the tail's answer is the same.
-    A hit moves the state to the stored one (``_State.load``).
+    The memo keeps the speeds and flags the tail ends at, all that is read
+    after it, and a hit moves the state to them.
     """
     mapping = state.mapping
-    fs, redone = state.speeds, state.redone
+    fs, redone, dur = state.speeds, state.redone, state.windows[3]
     key = (g, mapping, D, platform, tuple(fs), tuple(redone))
     out = speeds._tails.get(key)
     if out is not None:
-        state.load(out)
+        fs[:], redone[:] = out
         return
     _, pos, _, _, _, weights = _indexed(g, mapping)
-    energies = list(map(energy, weights, _plans(state, range(len(fs)))))
-    prefix = list(itertools.accumulate(energies, initial=0.0))
-    swap = [fs, redone, state.windows[3], energies, prefix]
-    _keep_swap(g, mapping, swap, _reclaim_sweep(g, mapping, D, platform, swap,
-                                                 {i for i, x in enumerate(redone) if not x}, {}))
+    unjam = (fs, redone, dur)
+    _reclaim_sweep(g, mapping, D, platform, unjam, {i for i, x in enumerate(redone) if not x}, {})
+    current = schedule_energy(g, _schedule(g, state))
     stuck_above = platform.f_rel + SLACK_TOL
     while any(not x and f > stuck_above for x, f in zip(redone, fs)):
-        current = prefix[-1]
         best = None
-        for e, changes in swap_reclaims(g, mapping, D, platform, swap, [pos[t.id] for t in g.tasks if redone[pos[t.id]]]):
+        for e, changes in swap_reclaims(g, mapping, D, platform, unjam, [pos[t.id] for t in g.tasks if redone[pos[t.id]]]):
             if e < current - SLACK_TOL and (best is None or e < best[0]):
                 best = (e, changes)
         if best is None:
             break
-        _keep_swap(g, mapping, swap, best[1])
-    _reclaim_sweep(g, mapping, D, platform, swap, {i for i, x in enumerate(redone) if x}, _floors(g, platform))
-    _refresh(g, state, D, platform, [i for i, (f, x, f0, x0) in enumerate(zip(fs, redone, key[4], key[5]))
-                                     if f != f0 or x != x0])
-    speeds._tails[key] = state.copy()
+        current, changes = best
+        for i, f in changes.items():
+            fs[i], redone[i], dur[i] = f, False, weights[i] / f
+    _reclaim_redone(g, state, D, platform, speeds.f_re_ex)
+    speeds._tails[key] = fs[:], redone[:]

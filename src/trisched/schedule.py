@@ -46,9 +46,8 @@ The heuristics keep a solve's schedule as position-indexed lists (speeds,
 re-execution flags and the windows of ``_window_state``), never as plans:
 the walks move them by ``_retime``, the reclaim's sweep (``_reclaim_sweep``,
 which ``slack_reclaim`` wraps for a ``Schedule``) moves speeds and durations
-in place, ``swap_reclaims`` scores an unjam round's trials from them, with
-the energies and their running sum, and ``_keep_swap`` moves all of them to
-the kept swap. Plans are built only at a solve's exit.
+in place, and ``swap_reclaims`` scores an unjam round's trials from the
+speeds, flags and durations alone. Plans are built only at a solve's exit.
 """
 
 from __future__ import annotations
@@ -346,23 +345,12 @@ def schedule_energy(g: TaskGraph, schedule: Schedule) -> float:
     return total
 
 
-def _timeline(pred, chain, weights, plans):
-    """``evaluate``'s times for plans by position: ``(est, finish, makespan)``, from ``_forward``."""
-    est, finish = _forward(pred, list(map(exe_time, weights, plans)), chain)
-    return est, finish, max(finish, default=0.0)
-
-
-def uniform_makespan(g: TaskGraph, mapping: Mapping, speed: float) -> float:
-    """``evaluate``'s makespan of ``uniform_schedule(g, mapping, speed)``, bit for bit, without its other metrics."""
-    _, _, _, pred, chain, weights = _indexed(g, mapping)
-    return _timeline(pred, chain, weights, [ExecutionPlan(speed)] * len(weights))[2]
-
-
 def evaluate(g: TaskGraph, schedule: Schedule, D: float, platform: PlatformModel) -> ScheduleMetrics:
     """Forward pass (``_forward``) over precedence plus processor-order constraints."""
     order, _, _, pred, chain, weights = _indexed(g, schedule.mapping)
     plans = _plans_at(schedule, order)
-    est, finish, makespan = _timeline(pred, chain, weights, plans)
+    est, finish = _forward(pred, list(map(exe_time, weights, plans)), chain)
+    makespan = max(finish, default=0.0)
     threshold = _thresholds(g, platform)
     slack = {t.id: reliability(t.weight, schedule.plans[t.id], platform) - threshold[t.id] for t in g.tasks}
     feasible = (
@@ -618,14 +606,15 @@ def slack_reclaim(
 
 def _reclaim_sweep(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformModel, state, rs,
                    floors: dict[int, float]) -> dict[int, float]:
-    """The reclaim's sweep over ``state``'s ``[speeds, redone, dur, ...]`` by position, in place.
+    """The reclaim's sweep over ``state``, ``(speeds, redone, dur)`` by position, in place.
 
     Slows each position of ``rs`` into its window, down to its floor (by
     task id in ``floors``, f_rel when it has none), and returns the new
     speeds of the positions it slowed. Only those move: their speed, and
     their duration by ``exe_time``'s expression for one run, or for two at
     that speed when re-executed. ``speeds`` and ``redone`` are read only at
-    the positions of ``rs``.
+    the positions of ``rs``. The windows it builds are its own: windows of
+    the schedule held elsewhere are left as they were.
 
     One sweep in reverse topological order, over ``_indexed``'s positions
     and reduced edges (the augmented DAG's windows, bit for bit). It does one
@@ -647,7 +636,7 @@ def _reclaim_sweep(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformM
     further.
     """
     order, _, succ, pred, chain, weights = _indexed(g, mapping)
-    speeds, redone, dur = state[0], state[1], state[2]
+    speeds, redone, dur = state
     est, _ = _forward(pred, dur, chain)
     f_rel = platform.f_rel
     slowed = {}
@@ -695,41 +684,13 @@ def _slowed(w: float, speed: float, redone: bool, window: float, floor: float) -
     return new_speed if new_speed < speed - SLACK_TOL else None
 
 
-def _keep_swap(g: TaskGraph, mapping: Mapping, state, changes: dict[int, float]) -> None:
-    """Move an unjam state (``swap_reclaims``) in place: the positions of ``changes`` run once at their new speeds.
-
-    That is a trial of ``swap_reclaims``, or the single runs a
-    ``_reclaim_sweep`` slowed. Only those positions move, with the trial's
-    own expressions: a single run at f lasts ``w / f`` and burns ``w * f **
-    2`` (``exe_time`` and ``energy`` of ``ExecutionPlan(f)``); the running
-    sum is rebuilt from the first of them. The state then equals the unjam
-    state of the schedule with those plans, bit for bit.
-    """
-    if not changes:
-        return
-    weights = _indexed(g, mapping)[5]
-    speeds, redone, dur, energies, prefix = state
-    for i, f in changes.items():
-        w = weights[i]
-        speeds[i] = f
-        redone[i] = False
-        dur[i] = w / f
-        energies[i] = w * f ** 2
-    first = min(changes)
-    prefix[first:] = itertools.accumulate(energies[first:], initial=prefix[first])
-
-
 def swap_reclaims(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformModel, state, rs):
     """Score each swap "r runs once at f_rel" of a round, then a reclaim of the single runs.
 
-    ``state`` is the round's unjam state on (g, mapping), of a schedule
-    ``base``: ``[speeds, redone, dur, energies, prefix]`` by position, where
-    ``speeds[i]`` is the first speed of the plan at position i, ``redone[i]``
-    whether it is re-executed, ``dur[i]`` and ``energies[i]`` its
-    ``exe_time`` and ``energy``, and ``prefix`` the running sum of the
-    energies from 0.0 (``itertools.accumulate``), the additions
-    ``schedule_energy`` makes in the same order, so ``prefix[-1]`` is its
-    value, bit for bit. For each position r of ``rs`` (re-executed in
+    ``state`` is the round's ``(speeds, redone, dur)`` on (g, mapping), by
+    position, of a schedule ``base``: ``speeds[i]`` is the first speed of
+    the plan at position i, ``redone[i]`` whether it is re-executed and
+    ``dur[i]`` its ``exe_time``. For each position r of ``rs`` (re-executed in
     ``base``) it yields ``(energy, speeds)``: ``speeds`` maps r to f_rel
     and every single run the reclaim slows to its new speed, all by
     position, all of them single runs. ``base.with_plans({order[i]:
@@ -741,8 +702,8 @@ def swap_reclaims(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformMo
     plan: a single run at speed f lasts ``w / f`` and burns ``w * f ** 2``,
     ``exe_time``'s and ``energy``'s expressions, and the slow-down is
     ``_slowed``'s, ``max(f_rel, w / window)``, kept when it is below the old
-    speed by SLACK_TOL. The caller moves the state to the swap it keeps
-    (``_keep_swap``).
+    speed by SLACK_TOL. The caller moves the state to the swap it keeps:
+    each position of ``speeds`` runs once at its speed f, for ``w / f``.
 
     Precondition: ``base`` is a reclaim fixpoint of its single runs, i.e.
     ``slack_reclaim(g, base, D, platform, singles of base, {})`` changes
@@ -751,15 +712,19 @@ def swap_reclaims(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformMo
     whose earliest start and latest finish are bit-equal to base's, what the
     base sweep decided: no change. So the base's windows (``_forward`` and
     ``_backward`` over the state's durations, ``_window_state``'s passes)
-    are built once per round, and each trial recomputes on a copy only what
+    are built once per round, with its energies (``energy``'s expression,
+    ``w * f ** 2`` per run) and their running sum from 0.0
+    (``itertools.accumulate``), the additions ``schedule_energy`` makes in
+    the same order. Each trial recomputes on a copy only what
     the swap moves, with slack_reclaim's float expressions: the earliest
     starts of r's descendants (``_push_starts``); then, in reverse
     topological order from the last moved position, a latest finish wherever
     a successor's latest finish or duration moved, and the slow-down
     decision only where the earliest start or latest finish moved, plus r.
-    The energy continues the state's running sum from the first changed
+    The energy continues the round's running sum from the first changed
     position, one term at a time in the same order, as ``schedule_energy``
-    adds it.
+    adds it. So it is also the running sum of the state the kept swap moves
+    to, and ``schedule_energy`` of its schedule, bit for bit.
 
     On a chain (``_indexed``'s flag) a trial copies no list. The starts
     above r, up to hi, are one running sum from r's new finish, and the
@@ -783,10 +748,15 @@ def swap_reclaims(g: TaskGraph, mapping: Mapping, D: float, platform: PlatformMo
     trial changes r alone.
     """
     _, _, succ, pred, chain, weights = _indexed(g, mapping)
-    speeds, redone, dur, energies, prefix = state
+    speeds, redone, dur = state
     n = len(dur)
     est, finish = _forward(pred, dur, chain)
     lft = _backward(succ, dur, D, chain)
+    energies = []
+    for w, f, x in zip(weights, speeds, redone):
+        e = w * f ** 2
+        energies.append(e + e if x else e)
+    prefix = list(itertools.accumulate(energies, initial=0.0))
     f_rel = platform.f_rel
     # Whether the sweep could slow the position: a single run above its
     # floor. Otherwise max(f_rel, needed) >= speed1 - SLACK_TOL, and

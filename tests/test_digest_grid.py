@@ -9,7 +9,7 @@ from trisched.graph import generate_random
 from trisched import heuristics
 from trisched.heuristics import HeuristicKind, min_deadline, run
 from trisched.model import SLACK_TOL, ExecutionPlan
-from trisched.schedule import evaluate, list_schedule
+from trisched.schedule import Schedule, _indexed, evaluate, list_schedule, schedule_energy
 
 _spec = importlib.util.spec_from_file_location(
     "digest_grid", Path(__file__).resolve().parent.parent / "scripts" / "digest_grid.py"
@@ -45,7 +45,10 @@ def test_an_integer_weight_instance_has_a_tied_unjam_round(monkeypatch):
 
     def spy(*args):
         trials = list(trials_of(*args))
-        current = args[4][-1][-1]  # the round's energy: the state's running sum
+        # The round's energy, from the state's speeds and re-execution flags.
+        speeds, redone, _ = args[4]
+        plans = {tid: ExecutionPlan(f, f) if x else ExecutionPlan(f) for tid, f, x in zip(_indexed(g, mapping)[0], speeds, redone)}
+        current = schedule_energy(g, Schedule(mapping, plans))
         better = [e for e, _ in trials if e < current - SLACK_TOL]
         ties.append(len(better) > 1 and better.count(min(better)) > 1)
         return iter(trials)

@@ -37,7 +37,6 @@ from trisched.model import SLACK_TOL, ExecutionPlan, ModelValidityWarning, Task,
 from trisched.schedule import (
     Schedule,
     _indexed,
-    _keep_swap,
     _window_state,
     cohort_of,
     critical_path_tasks,
@@ -47,7 +46,6 @@ from trisched.schedule import (
     slack_reclaim,
     sus_sort,
     swap_reclaims,
-    uniform_makespan,
     uniform_schedule,
 )
 
@@ -118,8 +116,10 @@ class TestDerivedSpeeds:
                     mapping = list_schedule(g, p)
                     full = evaluate(g, uniform_schedule(g, mapping, f_max), math.inf, platform).makespan
                     assert min_deadline(g, mapping, platform).hex() == full.hex(), (seed, p, f_max)
-                    slow = evaluate(g, uniform_schedule(g, mapping, f_max / 3), math.inf, platform).makespan
-                    assert uniform_makespan(g, mapping, f_max / 3).hex() == slow.hex(), (seed, p, f_max)
+                    # A platform whose f_max is a third of this one's, with f_rel below it.
+                    slower = make_platform(f_max=f_max / 3)
+                    slow = evaluate(g, uniform_schedule(g, mapping, f_max / 3), math.inf, slower).makespan
+                    assert min_deadline(g, mapping, slower).hex() == slow.hex(), (seed, p, f_max)
                     cases += 1
         assert cases == 144
 
@@ -553,25 +553,55 @@ class TestUnjamFromBaseWindows:
         assert sum(seen.values()) > 100 and moved > 10
         assert all(seen[where] > 5 for where in ("none", "below", "inside", "above")), seen
 
-    def test_kept_swap_equals_a_fresh_state(self, platform):
-        # _keep_swap moves the round's state to the kept trial: the state
-        # of the schedule with the trial's plans, bit for bit.
-        kept = 0
+    def test_the_round_energy_is_the_sum_of_the_round_state(self, platform, monkeypatch):
+        # The tail holds each round's energy as one float: schedule_energy
+        # of its state after the opening reclaim, then the kept trial's
+        # energy. Each must be schedule_energy of the round's schedule, bit
+        # for bit, and so must every trial's energy be that of the state
+        # keeping it would move to.
+        sums, rounds = [], []
+        energy_of, trials_of = heuristics.schedule_energy, heuristics.swap_reclaims
+
+        def spied_sum(g_, sched):
+            sums.append(energy_of(g_, sched))
+            return sums[-1]
+
+        def spied_trials(g_, mapping, D_, platform_, state, rs):
+            trials = list(trials_of(g_, mapping, D_, platform_, state, rs))
+            rounds.append((state[0][:], state[1][:], trials))
+            return iter(trials)
+
+        def energy_at(g, mapping, speeds, redone):
+            order = _indexed(g, mapping)[0]
+            plans = {tid: ExecutionPlan(f, f) if x else ExecutionPlan(f) for tid, f, x in zip(order, speeds, redone)}
+            return schedule_energy(g, Schedule(mapping, plans)).hex()
+
+        monkeypatch.setattr(heuristics, "schedule_energy", spied_sum)
+        monkeypatch.setattr(heuristics, "swap_reclaims", spied_trials)
+        tails = kept = 0
         for case in range(0, 24, 3):
             for g, start, D, _ in _type_b_starts(platform, case):
-                base = slack_reclaim(g, start, D, platform, _singles(start), {})
-                order, pos, _, _, _, _ = _indexed(g, base.mapping)
-                rids = _reexecuted(base)
-                trials = swap_reclaims(g, base.mapping, D, platform, _unjam_state(g, base), [pos[t] for t in rids])
-                for _, changes in trials:
-                    state = _unjam_state(g, base)
-                    _keep_swap(g, base.mapping, state, changes)
-                    fresh = _unjam_state(g, base.with_plans({order[i]: ExecutionPlan(f) for i, f in changes.items()}))
-                    assert state[1] == fresh[1]
-                    assert [[x.hex() for x in col] for col in state[:1] + state[2:]] == [
-                        [x.hex() for x in col] for col in fresh[:1] + fresh[2:]]
-                    kept += len(changes) > 1
-        assert kept > 10
+                sums.clear()
+                rounds.clear()
+                _tail_of(g, start, D, platform, derived_speeds(g, start.mapping, D, platform))
+                opened = slack_reclaim(g, start, D, platform, _singles(start), {})
+                assert [e.hex() for e in sums] == [schedule_energy(g, opened).hex()], case
+                held = sums[0]
+                for speeds, redone, trials in rounds:
+                    assert held.hex() == energy_at(g, start.mapping, speeds, redone), case
+                    best = None
+                    for e, changes in trials:
+                        moved = speeds[:], redone[:]
+                        for i, f in changes.items():
+                            moved[0][i], moved[1][i] = f, False
+                        assert e.hex() == energy_at(g, start.mapping, *moved), case
+                        if e < held - SLACK_TOL and (best is None or e < best):
+                            best = e
+                    if best is not None:
+                        held = best
+                        kept += 1
+                tails += 1
+        assert tails == 24 and kept > 10, (tails, kept)
 
     @pytest.mark.parametrize("ids", ([0, 1, 2], [2, 1, 0]))
     def test_equal_trials_go_to_the_first_in_task_order(self, ids):
@@ -658,37 +688,36 @@ class TestTailMemo:
         assert len(calls) < sum(map(sum, rounds.values()))
 
     @pytest.mark.parametrize("case", CASES)
-    def test_one_state_per_distinct_entry_and_no_slack_reclaim(self, platform, case, monkeypatch):
-        # The tail derives its unjam state (the energies) from the solve state
-        # once per distinct entry and moves it in place: its reclaims are
+    def test_one_energy_sum_per_distinct_entry_and_no_slack_reclaim(self, platform, case, monkeypatch):
+        # The tail sums its state's energy (schedule_energy) once per
+        # distinct entry and moves the state in place: its reclaims are
         # sweeps on that state, and the module has no slack_reclaim to call.
-        built, inside = [], []
-        tail, energy_of = heuristics._tail, heuristics.energy
+        summed, inside = [], []
+        tail, energy_of = heuristics._tail, heuristics.schedule_energy
 
         def spied_tail(g_, state, *args):
-            inside.append([tuple(_schedule(g_, state).plans[t.id] for t in g_.tasks), False])
+            inside.append(tuple(_schedule(g_, state).plans[t.id] for t in g_.tasks))
             try:
                 return tail(g_, state, *args)
             finally:
                 inside.pop()
 
-        def spied_energy(w, plan):
-            if inside and not inside[-1][1]:
-                inside[-1][1] = True
-                built.append(inside[-1][0])
-            return energy_of(w, plan)
+        def spied_energy(g_, sched):
+            if inside:
+                summed.append(inside[-1])
+            return energy_of(g_, sched)
 
         monkeypatch.setattr(heuristics, "_tail", spied_tail)
-        monkeypatch.setattr(heuristics, "energy", spied_energy)
+        monkeypatch.setattr(heuristics, "schedule_energy", spied_energy)
         g, start, D, _ = next(_type_b_starts(platform, case))
         entries = self._entries(platform, case)
         for kind, entry in zip(TYPE_B, entries):
-            built.clear()
+            summed.clear()
             run(kind, g, start.mapping, D, platform)
-            assert built == [entry], kind
-        built.clear()
+            assert summed == [entry], kind
+        summed.clear()
         run(HeuristicKind.BEST, g, start.mapping, D, platform)
-        assert sorted(built, key=entries.index) == list(dict.fromkeys(entries))
+        assert sorted(summed, key=entries.index) == list(dict.fromkeys(entries))
         assert "slack_reclaim" not in vars(heuristics)
 
     def test_shared_speeds_return_distinct_plans(self, platform):
@@ -909,10 +938,15 @@ class TestWalkOrders:
 def _solve_checked(monkeypatch, g, mapping, D, platform):
     """Each kind, then BEST, on the instance, checking the state after every probe, slow-down, phase and tail.
 
-    Each check asserts that the state's windows are the fresh, unchecked
-    ``_window_state`` of the schedule built from it, and that its flag is
-    evaluate's verdict; a slow-down's schedule must also be that of
-    ``slack_reclaim``. Returns a count per ``(step, flag after it)``, and per
+    Up to a kind's closing step, each check asserts that the state's windows
+    are the fresh, unchecked ``_window_state`` of the schedule built from it,
+    and that its flag is evaluate's verdict; a slow-down's schedule must also
+    be that of ``slack_reclaim``. After the closing step (type A's
+    ``_reclaim_redone``, type B's ``_tail``), which leaves the windows and the
+    flag behind, the plans built from the state must be those of the same
+    step on full reclaims: ``slack_reclaim`` of the re-executed tasks, or
+    ``_full_tail``. Returns a count per ``(step, flag after it)``, where the
+    flag after a closing step is evaluate's verdict on its plans, and per
     ``("slow-down on a feasible state", ...)``.
     """
     seen = collections.Counter()
@@ -938,21 +972,40 @@ def _solve_checked(monkeypatch, g, mapping, D, platform):
             cid: f_inf(g.weight(cid), platform) for cid in group if before.plans[cid].re_executed}).plans
         check("slow-down", state)
 
+    def closing(step, phase, reference):
+        def wrapper(g_, state, D_, platform_, arg):
+            before = _schedule(g, state)
+            phase(g_, state, D_, platform_, arg)
+            sched = _schedule(g, state)
+            assert sched.plans == reference(before, arg).plans, step
+            seen[step, evaluate(g, sched, D, platform).feasible] += 1
+        return wrapper
+
+    def reclaim_redone(before, _):
+        redone = _reexecuted(before)
+        return slack_reclaim(g, before, D, platform, redone, {tid: f_inf(g.weight(tid), platform) for tid in redone})
+
     def checked_start(*args):
         state = start_(*args)
         check("start", state)
         return state
 
     slow_group_, start_ = heuristics._slow_group, heuristics._start
-    phases = {kind: (at_f_dec, tuple(checked(kind.value, phase) for phase in steps))
-              for kind, (at_f_dec, steps) in _PHASES.items()}
+    phases = {}
+    for kind, (at_f_dec, steps) in _PHASES.items():
+        wrapped = [checked(kind.value, phase) for phase in steps]
+        if kind in TYPE_A:
+            assert steps[-1] is heuristics._reclaim_redone
+            wrapped[-1] = closing(kind.value, steps[-1], reclaim_redone)
+        phases[kind] = at_f_dec, tuple(wrapped)
     with monkeypatch.context() as m:
         m.setattr(heuristics, "_PHASES", phases)
         # The fixpoint's own walks, called through the module.
         m.setattr(heuristics, "_critical_walk", checked("fixpoint", heuristics._critical_walk))
         m.setattr(heuristics, "_reexec_over", checked("fixpoint", heuristics._reexec_over))
         m.setattr(heuristics, "feasibility_probe", checked("probe", heuristics.feasibility_probe))
-        m.setattr(heuristics, "_tail", checked("tail", heuristics._tail))
+        m.setattr(heuristics, "_tail", closing("tail", heuristics._tail,
+                                               lambda before, speeds: _full_tail(g, before, D, platform, speeds.f_re_ex)))
         m.setattr(heuristics, "_start", checked_start)
         m.setattr(heuristics, "_slow_group", slow_group)
         expected = [run(kind, g, mapping, D, platform)[0].plans for kind in ALL_HEURISTICS]
@@ -973,7 +1026,7 @@ def _large_weight_instances(seeds=range(6)):
 
 
 class TestStateInvariant:
-    """After every probe, slow-down, phase and tail the state is that of its schedule: fresh windows, evaluate's flag."""
+    """Until the closing step the state is that of its schedule (fresh windows, evaluate's flag); then its plans are right."""
 
     @pytest.mark.parametrize("case", range(0, 24, 3))
     def test_on_reclaim_cases(self, platform, case, monkeypatch):
@@ -994,7 +1047,7 @@ class TestStateInvariant:
 
 
 class TestWindowHandoff:
-    """Phases hand their state on: its windows fresh, its flag evaluate's verdict."""
+    """Phases before the closing step hand their state on: its windows fresh, its flag evaluate's verdict."""
 
     @pytest.mark.parametrize("p", [1, 4, 50])
     @pytest.mark.parametrize("lambda0", [1e-5, 1e-3])
@@ -1070,11 +1123,11 @@ class TestCheckedWindowBuilds:
     @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
     def test_one_per_start_speed_plus_cohort_reclaims_without_windows(self, monkeypatch, p):
         # Windows are built afresh once per start speed; every task is
-        # checked once per start, and once per slow-down or closing reclaim
-        # of an infeasible state, and never otherwise.
+        # checked once per start, and once per slow-down of an infeasible
+        # state, and never otherwise.
         builds, checks, without = [], [], []
         build, settle = heuristics._window_state, heuristics._settle
-        slow_group, refresh = heuristics._slow_group, heuristics._refresh
+        slow_group = heuristics._slow_group
 
         def counted(g, sched, D):
             builds.append(D)
@@ -1090,15 +1143,9 @@ class TestCheckedWindowBuilds:
                 without.append(D)
             return slow_group(g, state, D, *args)
 
-        def counted_refresh(g, state, D, *args):
-            if not state.feasible:
-                without.append(D)
-            return refresh(g, state, D, *args)
-
         monkeypatch.setattr(heuristics, "_window_state", counted)
         monkeypatch.setattr(heuristics, "_settle", counted_settle)
         monkeypatch.setattr(heuristics, "_slow_group", counted_group)
-        monkeypatch.setattr(heuristics, "_refresh", counted_refresh)
         solves = 0
         for lambda0 in (1e-5, 1e-3):
             platform = make_platform(lambda0=lambda0)
@@ -1196,17 +1243,17 @@ def _integer_instances(p, lambda0, seeds=(1, 2)):
 class TestDeadSets:
     """Walks that skip dead tasks hand on what walks probing every task hand on."""
 
-    @pytest.mark.parametrize("p", [1, 4, 50])
-    @pytest.mark.parametrize("lambda0", [1e-5, 1e-3])
-    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
-    def test_each_phase_equals_the_walk_probing_every_task(self, p, lambda0):
-        dead_seen = 0
-        for g, mapping, D, platform in _integer_instances(p, lambda0):
+    @staticmethod
+    def _against_references(instances):
+        """Each kind's phases and their references on ``instances``; returns (dead tasks, infeasible type-A starts)."""
+        dead_seen = infeasible = 0
+        for g, mapping, D, platform in instances:
             speeds = derived_speeds(g, mapping, D, platform)
             for kind, reference in _REFERENCE_PHASES.items():
                 at_f_dec, phases = _PHASES[kind]
                 f = speeds.f_dec if at_f_dec else platform.f_max
                 state = heuristics._start(g, mapping, D, platform, speeds, f)
+                infeasible += kind in TYPE_A and not state.feasible
                 expected = _state_of(g, uniform_schedule(g, mapping, f), D, platform)
                 for phase, oracle in zip(phases, reference, strict=True):
                     phase(g, state, D, platform, speeds.f_re_ex)
@@ -1214,7 +1261,20 @@ class TestDeadSets:
                     assert _schedule(g, state).plans == _schedule(g, expected).plans, (kind, D)
                     assert _held(state) == _held(expected), (kind, D)
                 dead_seen += len(state.dead)
-        assert dead_seen > 100
+        return dead_seen, infeasible
+
+    @pytest.mark.parametrize("p", [1, 4, 50])
+    @pytest.mark.parametrize("lambda0", [1e-5, 1e-3])
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_each_phase_equals_the_walk_probing_every_task(self, p, lambda0):
+        assert self._against_references(_integer_instances(p, lambda0))[0] > 100
+
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_each_phase_equals_the_walk_probing_every_task_from_infeasible_starts(self):
+        # At weights up to 1e9 some type-A starts end past the deadline, so
+        # the fixpoint's singles sweep runs on an infeasible state.
+        _, infeasible = self._against_references(_large_weight_instances())
+        assert infeasible > 5, infeasible
 
     @pytest.mark.parametrize("p", [1, 4, 50])
     @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")

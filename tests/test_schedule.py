@@ -1,7 +1,6 @@
 """Mappings, schedule evaluation, critical paths, super-weight order, slack reclaim."""
 
 import dataclasses
-import itertools
 import math
 import operator
 import pickle
@@ -51,17 +50,10 @@ def _state(g, mapping, start_times, finish_times):
 
 
 def _unjam_state(g, schedule):
-    """``swap_reclaims``' state of ``schedule``, as its docstring lays it out: ``[speeds, redone, dur, energies, prefix]``."""
+    """``swap_reclaims``' state of ``schedule``, as its docstring lays it out: ``(speeds, redone, dur)``."""
     order, _, _, _, _, weights = _indexed(g, schedule.mapping)
     plans = [schedule.plans[tid] for tid in order]
-    energies = list(map(energy, weights, plans))
-    return [
-        [plan.speed1 for plan in plans],
-        [plan.re_executed for plan in plans],
-        list(map(exe_time, weights, plans)),
-        energies,
-        list(itertools.accumulate(energies, initial=0.0)),
-    ]
+    return [plan.speed1 for plan in plans], [plan.re_executed for plan in plans], list(map(exe_time, weights, plans))
 
 
 def _super_weight(g, start, finish, tid):
