@@ -47,7 +47,8 @@ def test_an_integer_weight_instance_has_a_tied_unjam_round(monkeypatch):
         trials = list(trials_of(*args))
         # The round's energy, from the state's speeds and re-execution flags.
         speeds, redone, _ = args[4]
-        plans = {tid: ExecutionPlan(f, f) if x else ExecutionPlan(f) for tid, f, x in zip(_indexed(g, mapping)[0], speeds, redone)}
+        order = _indexed(g, mapping)[0]
+        plans = {tid: ExecutionPlan(f, f) if x else ExecutionPlan(f) for tid, f, x in zip(order, speeds, redone)}
         current = schedule_energy(g, Schedule(mapping, plans))
         better = [e for e, _ in trials if e < current - SLACK_TOL]
         ties.append(len(better) > 1 and better.count(min(better)) > 1)

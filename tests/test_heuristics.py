@@ -1026,7 +1026,7 @@ def _large_weight_instances(seeds=range(6)):
 
 
 class TestStateInvariant:
-    """Until the closing step the state is that of its schedule (fresh windows, evaluate's flag); then its plans are right."""
+    """Up to the closing step the state is its schedule's (fresh windows, evaluate's flag); after it, its plans are right."""
 
     @pytest.mark.parametrize("case", range(0, 24, 3))
     def test_on_reclaim_cases(self, platform, case, monkeypatch):
