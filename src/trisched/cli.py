@@ -113,19 +113,17 @@ def cmd_solve(args) -> int:
     print(header)
     no_reex = run(HeuristicKind.HNO_REEX, g, mapping, D, platform)
     base = no_reex[1]
-    any_infeasible = False
     for kind in (*ALL_HEURISTICS, HeuristicKind.BEST):
         sched, metrics = (no_reex if kind is HeuristicKind.HNO_REEX
                           else run(kind, g, mapping, D, platform))
         norm = metrics.energy / base.energy if base.energy > 0 else math.nan
         print(f"{kind.value:<18}{metrics.energy:>14.6g}{norm:>10.4f}"
               f"{metrics.makespan:>14.6g}{str(metrics.feasible):>10}")
-        if not metrics.feasible:
-            any_infeasible = True
         if kind is HeuristicKind.BEST and args.schedule_out:
             with open(args.schedule_out, "w") as fh:
                 fh.write(format_schedule(g, sched))
-    if any_infeasible:
+    # The loop ends on BEST, which is infeasible exactly when no kind is feasible.
+    if not metrics.feasible:
         print("infeasible: deadline below the full-speed makespan", file=sys.stderr)
         return 1
     return 0

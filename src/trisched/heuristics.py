@@ -8,10 +8,10 @@ deadlines and many processors). A phase is a ReExec walk over a task order,
 the critical-path fixpoint, or type A's closing reclaim of re-executed
 tasks; HFMAX and HNO_REEX have none. Every type-B kind then runs its tail,
 found by kind: the reclaim and unjam of single runs, then the reclaim of
-re-executed ones. Every accepted change passes a feasibility probe whose
-verdict is exactly that of evaluating the whole changed schedule, so
-intermediate states are always feasible. A probe that changes one task of a
-feasible schedule is decided in O(1) from that schedule's time windows.
+re-executed ones. A re-execution is accepted only when a feasibility probe
+finds the whole changed schedule feasible, with evaluate's verdict. A probe
+that changes one task of a feasible schedule is decided in O(1) from that
+schedule's time windows.
 
 A kind's solve holds one state (``_State``), built by ``_start`` and moved
 in place by every phase, slow-down and the tail; plans and a ``Schedule``
@@ -22,25 +22,24 @@ graph and mapping, with the weights by position); a task id is looked up as
 windows of that schedule (``[est, finish, lft, dur]``: earliest starts and
 finishes, latest finishes and durations, laid out as
 ``schedule._window_state`` lays them out), a flag that says whether the
-schedule is feasible, and the kind's dead set. Up to the kind's closing
-step (below), the windows are the fresh passes of the current schedule, bit
-for bit, feasible or not, and the flag is evaluate's verdict on it. Each
-start speed's state is built and checked once per solve, on its
+schedule is feasible, and the kind's dead set. Up to the kind's closing step
+(below), the windows are the fresh passes of the current schedule, bit for
+bit, feasible or not, and the flag is evaluate's verdict on it. Each start
+speed's state is built and checked in full once per solve, on its
 ``DerivedSpeeds``, and each kind starting there moves its own copy. An
 accepted probe and each task a slow-down slowed move the windows in place,
 recomputing only the descendants' starts and the ancestors' latest finishes
 that the change moves (``schedule._retime``, which keeps them equal, bit for
-bit, to a fresh ``_window_state``). While the flag holds, only the
-changed tasks and the makespan are then checked, as every other task passed
-already; an infeasible schedule is checked in full (``_settle``). The flag
-only decides how a verdict is reached, never what it is. A walk's order and
-cohorts are read from the same windows, whose starts, finishes and
-durations are evaluate's, bit for bit: the critical path
-(``schedule.critical_path_tasks``, latest finishes by ``schedule._backward``
-from the makespan) and the super-weight order (``schedule.sus_sort``) of the
-schedule it starts from. So no phase calls evaluate; it judges and reports
-``run``'s result. States travel in arguments and on the solve's ``speeds``,
-so concurrent solves do not interfere.
+bit, to a fresh ``_window_state``). Then only the makespan and the changed
+tasks are checked (``_settle``), as every other task passed already. An
+infeasible state is not checked again, and rejects every probe: the flag is
+one-way (below). A walk's order and cohorts are read from the same windows,
+whose starts, finishes and durations are evaluate's, bit for bit: the
+critical path (``schedule.critical_path_tasks``, latest finishes by
+``schedule._backward`` from the makespan) and the super-weight order
+(``schedule.sus_sort``) of the schedule it starts from. So no phase calls
+evaluate; it judges and reports ``run``'s result. States travel in arguments
+and on the solve's ``speeds``, so concurrent solves do not interfere.
 
 The state's contract ends at the kind's closing step: type A's reclaim of
 its re-executed tasks (``_reclaim_redone``), and type B's tail (``_tail``),
@@ -51,30 +50,39 @@ sweep, ``schedule._reclaim_sweep``, builds its own windows), and leaves the
 other windows and the flag as they were. A kind without phases ends at its
 start.
 
+The flag is one-way: once False, it stays False up to the kind's closing
+step. At a start every task runs once at a speed f in [f_rel, f_max], so it
+keeps the speed rules and, as reliability grows with speed, its threshold,
+the reliability at f_rel: every task passes ``task_feasible``, and a start
+can fail only on its makespan. Within a kind's walks every move makes a
+duration longer: an accepted re-execution turns w/f into 2w/f_re_ex, with
+f_re_ex < f_rel <= f <= f_max, and the slow-downs (``_slowed``,
+``schedule._reclaim_sweep``) only lower speeds. Float addition, subtraction,
+max and min are monotone, so at every position the earliest start only grows
+and the latest finish only shrinks, and the makespan never shrinks: a state
+past D + SLACK_TOL stays past it. A task that breaks a rule is only ever
+slowed, so it keeps breaking it. A walk probes only single runs, each at a
+speed in [f_rel, f_max], so an infeasible state it probes fails on its
+makespan or on another task, and the probe, which lengthens tid, leaves it
+infeasible: evaluate rejects it too.
+
 A kind's state also holds its dead set: the tasks whose re-execution at
 f_re_ex is ruled out. The start seeds it, once per start speed, from its
-windows with the probe's own expressions, when the start is feasible: a
-margin below the band, or a re-execution plan that fails ``task_feasible``.
-A walk adds each task whose probe it rejects while the flag holds, that is,
-while its schedule is feasible. A dead task is not probed: the walk treats
-it as a rejection, so a ReExec&SlowDown walk still slows it; the walks
-without a slow-down, for which it is a no-op, leave it out of their order
-(``sus_sort``'s key is a total order, so the other tasks keep their relative
-order).
+windows with the probe's own expression: a margin below minus the band. A
+walk adds each task whose probe it rejects. A dead task is not probed: the
+walk treats it as a rejection, so a ReExec&SlowDown walk still slows it;
+the walks without a slow-down, for which it is a no-op, leave it out of
+their order (``sus_sort``'s key is a total order, so the other tasks keep
+their relative order).
 
-This is exact. Within a kind's walks every change makes a duration longer:
-a re-execution at f_re_ex turns w/f into 2w/f_re_ex, with f_re_ex < f_rel
-<= f <= f_max, and the slow-downs (``_slowed``, ``schedule._reclaim_sweep``)
-only lower speeds. Float addition, subtraction, max and min are monotone, so
-at every position the earliest start only grows and the latest finish only
-shrinks, and the makespan of "tid at f_re_ex" only grows. For that change
-the duration d, the band 4n * eps * max(D, 1) and ``task_feasible`` (which
-reads only w and the plan) are fixed. A probe's verdict is evaluate's on
-the changed schedule. While the schedule is feasible, a rejection is
-decided by that makespan or by tid's own rules; a later probe of tid sees
-a makespan no smaller, the same rules, and perhaps other tasks' faults. So
-a rejection made while the flag holds stays a rejection, whatever the walk
-does next. The set lives and dies with one kind's solve.
+This is exact. For the change "tid at f_re_ex" the duration d, the band 4n *
+eps * max(D, 1) and ``task_feasible`` (which reads only w and the plan) are
+fixed, and its makespan only grows as the walk moves (above). A probe
+rejects on that makespan, on tid's own rules, or on an infeasible state; a
+later probe of tid sees a makespan no smaller, the same rules, and a state
+that stays infeasible. So a rejection, the seeds' included, stays a
+rejection, whatever the walk does next. The set lives and dies with one
+kind's solve.
 
 Type B's reclaims are incremental and exact. A rejected task slowed alone
 or with its cohort (``_slow_group``) takes each target's window, one at a
@@ -186,10 +194,10 @@ class _State:
 
     ``windows`` is the fresh ``_window_state(g, schedule, D)`` of the
     schedule whose position i runs at ``speeds[i]``, twice when
-    ``redone[i]``; ``feasible`` is evaluate's verdict on it, and ``dead`` the
-    kind's dead set, by task id. That holds until the kind's closing step,
-    after which only ``speeds`` and ``redone`` are read. The lists are only
-    ever moved in place.
+    ``redone[i]``; ``feasible`` is evaluate's verdict on it, which once False
+    stays False, and ``dead`` the kind's dead set, by task id. That holds
+    until the kind's closing step, after which only ``speeds`` and ``redone``
+    are read. The lists are only ever moved in place.
     """
 
     mapping: Mapping
@@ -223,16 +231,17 @@ def _settle(g: TaskGraph, state: _State, D: float, platform: PlatformModel, chan
     """Set the flag of ``state``, whose windows are fresh, after the positions of ``changed`` moved.
 
     Evaluate's verdict with its float operations: the makespan against D +
-    SLACK_TOL and ``task_feasible`` of every task. A state that was feasible
-    checks only the makespan and the changed tasks, as every other task kept
-    the plan that passed; any other is checked in full.
+    SLACK_TOL and ``task_feasible`` of the changed tasks, as every other task
+    kept the plan that passed. An infeasible state stays infeasible (module
+    docstring), so it is left as it is. ``_start`` settles every position.
     """
+    if not state.feasible:
+        return
     order, _, _, _, _, weights = _indexed(g, state.mapping)
     threshold = _thresholds(g, platform)
-    positions = changed if state.feasible else range(len(order))
     state.feasible = max(state.windows[1], default=0.0) <= D + SLACK_TOL and all(
         task_feasible(weights[i], plan, threshold[order[i]], platform)
-        for i, plan in zip(positions, _plans(state, positions)))
+        for i, plan in zip(changed, _plans(state, changed)))
 
 
 def min_deadline(g: TaskGraph, mapping: Mapping, platform: PlatformModel) -> float:
@@ -259,13 +268,19 @@ def feasibility_probe(
     """Try task tid at ``plan``; accept only if the whole schedule stays feasible. Returns ``(verdict, state)``.
 
     ``state`` is a kind's solve state (``_State``); ``plan`` runs both copies
-    at one speed when it re-executes. The verdict is that of ``evaluate`` on
-    the state's schedule with tid at ``plan``. While the state is feasible,
-    only tid's constraints can break: it must keep its reliability threshold
-    and the speed rules, and finish in its window, ``est + exe_time <= lft +
-    SLACK_TOL``, with est and lft its earliest start and latest finish in the
-    state's windows. Every path through the task is no longer than D +
-    SLACK_TOL exactly when that holds, and every other path is unchanged.
+    at one speed when it re-executes. On a feasible state the verdict is that
+    of ``evaluate`` on the state's schedule with tid at ``plan``, for any
+    plan. An infeasible state is rejected before any move. That is
+    evaluate's verdict for any plan that does not shorten tid, when the state
+    fails on its makespan or on a task other than tid: every probe a walk
+    makes is such (module docstring).
+
+    On a feasible state only tid's constraints can break: it must keep its
+    reliability threshold and the speed rules, and finish in its window, ``est +
+    exe_time <= lft + SLACK_TOL``, with est and lft its earliest start and
+    latest finish in the state's windows. Every path through the task is no
+    longer than D + SLACK_TOL exactly when that holds, and every other path is
+    unchanged.
 
     In floats, each addition or subtraction errs by at most eps/2 of its
     result. A finish past 2 * max(D, 1) is rejected by both checks (no
@@ -273,45 +288,41 @@ def feasibility_probe(
     n tasks, the margin and evaluate's makespan test together stray
     from exact arithmetic by at most (2n + 2) * eps * M: n roundings of
     forward sums under 3M, n - 1 of backward differences under M, and lft +
-    SLACK_TOL, the margin and D + SLACK_TOL (under M, 3M and M). A margin
-    within 4n * eps * M of zero, where the verdicts could differ, and every
-    probe of an infeasible state, are settled by evaluate's own test on the
-    candidate: the state moves to it, as on accept, and ``_settle`` decides
-    from its fresh windows (evaluate's forward pass, bit for bit), checking
-    ``task_feasible`` of tid and, when the state was infeasible, of every
-    other task. A rejected candidate is moved back by a second
+    SLACK_TOL, the margin and D + SLACK_TOL (under M, 3M and M). So a margin
+    below minus 4n * eps * M rejects, and one above it is decided by
+    ``task_feasible``. A margin within it, where the verdicts could differ,
+    is settled by evaluate's own test on the candidate: the state moves to
+    it, as on accept, and ``_settle`` decides from its fresh windows
+    (evaluate's forward pass, bit for bit), checking the makespan and
+    ``task_feasible`` of tid. A rejected candidate is moved back by a second
     ``schedule._retime``, which restores the windows bit for bit.
 
     On accept, the state moves to the candidate in place: tid's speed and
-    flag, and its windows by ``schedule._retime``; it is then feasible. A
-    rejected probe leaves it as it was.
+    flag, and its windows by ``schedule._retime``. A rejected probe leaves it
+    as it was.
     """
+    if not state.feasible:
+        return False, state
     _, pos, _, _, _, weights = _indexed(g, state.mapping)
     est, _, lft, dur = windows = state.windows
     speeds, redone = state.speeds, state.redone
     r = pos[tid]
     w = weights[r]
     d = exe_time(w, plan)
-    verdict = None
-    if state.feasible:
-        margin = lft[r] + SLACK_TOL - (est[r] + d)
-        band = _band(len(est), D)
-        if margin > band:
-            verdict = task_feasible(w, plan, _thresholds(g, platform)[tid], platform)
-        elif margin < -band:
-            verdict = False
-    if verdict is False:
+    margin = lft[r] + SLACK_TOL - (est[r] + d)
+    band = _band(len(est), D)
+    if margin < -band or margin > band and not task_feasible(w, plan, _thresholds(g, platform)[tid], platform):
         return False, state
-    before = speeds[r], redone[r], dur[r], state.feasible
+    before = speeds[r], redone[r], dur[r]
     _retime(g, state.mapping, windows, r, d)
     speeds[r], redone[r] = plan.speed1, plan.re_executed
-    if verdict is None:
+    if not margin > band:  # within the band: evaluate's own test
         _settle(g, state, D, platform, (r,))
         if not state.feasible:
-            speeds[r], redone[r], d, state.feasible = before
+            speeds[r], redone[r], d = before
             _retime(g, state.mapping, windows, r, d)
+            state.feasible = True
             return False, state
-    state.feasible = True
     return True, state
 
 
@@ -344,13 +355,13 @@ def _singles_order(g, state, skip):
 def _reexec_live(g, state, D, platform, tid, reexec):
     """``feasibility_probe`` of tid at ``reexec``, unless tid is dead; returns the verdict.
 
-    A dead task is rejected without a probe. A probe rejected while the
-    state is feasible adds tid to the dead set.
+    A dead task is rejected without a probe. A rejected probe adds tid to
+    the dead set.
     """
     if tid in state.dead:
         return False
     ok = feasibility_probe(g, state, D, platform, tid, reexec)[0]
-    if not ok and state.feasible:
+    if not ok:
         state.dead.add(tid)
     return ok
 
@@ -398,8 +409,7 @@ def _slow_group(g, state, D, platform, group):
     (``slack_reclaim``): a retime moves only the starts of the target's
     descendants, which sit higher and were decided before, and keeps every
     latest finish equal to the sweep's, which builds them from the current
-    durations. Then ``_settle`` sets the flag: only the makespan and the
-    slowed targets are checked when the state was feasible.
+    durations. Then ``_settle`` checks the makespan and the slowed targets.
     """
     order, pos, _, _, _, weights = _indexed(g, state.mapping)
     est, _, lft, _ = windows = state.windows
@@ -428,15 +438,9 @@ def _reexec_critical_fixpoint(g, state, D, platform, f_re_ex):
     Re-executions only accumulate, so the passes end within one per task.
 
     No later walk could accept anything, so the singles sweep ends the
-    fixpoint. The sweep probes every single run but the dead ones. While the
-    state is feasible, a rejected task joins the dead set, and a rejection
-    made then stays one (module docstring): durations only grow, as no
-    type-A walk slows a task. An infeasible type-A state never accepts: it
-    has accepted nothing since its start, whose every task runs once at f_dec,
-    within [f_rel, f_max], and passes ``task_feasible``; so its makespan is
-    past D + SLACK_TOL, and a re-execution, which lengthens a task, leaves it
-    there. So the state is feasible throughout the sweep, or infeasible
-    throughout, and either way every task still running once after it is
+    fixpoint. The sweep probes every single run but the dead ones, and a
+    rejected task joins the dead set. A rejection stays one (module
+    docstring), so every task still running once after the sweep is
     rejected by every later probe.
     """
     redone = state.redone
@@ -545,29 +549,24 @@ def _start(g, mapping, D, platform, speeds, f):
     solve's), so it lives as long as the solve's ``speeds``. Every call
     returns its own copy, which the kind's phases move in place.
 
-    The dead set of a feasible start holds the tasks whose probe at f_re_ex
-    its windows reject, by ``feasibility_probe``'s expressions: a margin
-    below minus the band, or a plan that fails ``task_feasible`` (rejected by
-    every branch of the probe). An infeasible start has an empty one.
+    The flag is ``_settle``'s of every position, a solve's one full check.
+    The dead set holds the tasks whose margin at f_re_ex is below minus the
+    band (``feasibility_probe``); a walk adds the other rejected ones.
     """
     key = (g, mapping, D, platform, f)
     start = speeds._starts.get(key)
     if start is None:
         windows = _window_state(g, uniform_schedule(g, mapping, f), D)
         n = len(windows[0])
-        start = _State(mapping, windows, [f] * n, [False] * n, False, set())
-        _settle(g, start, D, platform, ())
-        if start.feasible:
-            est, _, lft, _ = windows
-            order, _, _, _, _, weights = _indexed(g, mapping)
-            reexec = ExecutionPlan(speeds.f_re_ex, speeds.f_re_ex)
-            band = _band(n, D)
-            threshold = _thresholds(g, platform)
-            start.dead = {
-                tid for tid, w, s, lf in zip(order, weights, est, lft)
-                if lf + SLACK_TOL - (s + exe_time(w, reexec)) < -band
-                or not task_feasible(w, reexec, threshold[tid], platform)
-            }
+        est, _, lft, _ = windows
+        order, _, _, _, _, weights = _indexed(g, mapping)
+        reexec = ExecutionPlan(speeds.f_re_ex, speeds.f_re_ex)
+        band = _band(n, D)
+        start = _State(mapping, windows, [f] * n, [False] * n, True, {
+            tid for tid, w, s, lf in zip(order, weights, est, lft)
+            if lf + SLACK_TOL - (s + exe_time(w, reexec)) < -band
+        })
+        _settle(g, start, D, platform, range(n))
         speeds._starts[key] = start
     return start.copy()
 

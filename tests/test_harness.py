@@ -252,6 +252,20 @@ class TestCli:
         assert rc == 1
         assert "infeasible" in captured.err
 
+    def test_solve_exits_on_best_when_a_kind_ends_infeasible(self, tmp_path, capsys):
+        # Near times of 1e9 b.greedy ends past the deadline while BEST is
+        # feasible; the verdict is BEST's.
+        dag = tmp_path / "big.dag"
+        cli.main(["gen", "--nodes", "30", "--edges", "60", "--seed", "1", "--weight-max", "1e9",
+                  "--output", str(dag)])
+        capsys.readouterr()
+        rc = cli.main(["solve", "--dag", str(dag), "--procs", "1", "--deadline-ratio", "1.2",
+                       "--lambda0", "1e-14"])
+        captured = capsys.readouterr()
+        rows = {line.split()[0]: line.split()[-1] for line in captured.out.splitlines()[2:]}
+        assert rc == 0 and captured.err == ""
+        assert rows["b.greedy"] == "False" and rows["best"] == "True"
+
     def test_solve_on_dag_file(self, tmp_path, capsys):
         dag = tmp_path / "g.dag"
         cli.main(["gen", "--nodes", "6", "--edges", "5", "--seed", "9",

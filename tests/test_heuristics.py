@@ -33,7 +33,7 @@ from trisched.heuristics import (
     min_deadline,
     run,
 )
-from trisched.model import SLACK_TOL, ExecutionPlan, ModelValidityWarning, Task, f_inf, reexec_speed
+from trisched.model import SLACK_TOL, ExecutionPlan, ModelValidityWarning, Task, exe_time, f_inf, reexec_speed
 from trisched.schedule import (
     Schedule,
     _indexed,
@@ -155,6 +155,7 @@ class TestFeasibilityProbe:
         # Probes of every kind against heuristic outputs and against slack-rich
         # full-speed schedules; the verdict must be evaluate's, bit for bit.
         near = {True: 0, False: 0}
+        infeasible_bases = 0
         for case in range(24):
             rng = random.Random(case)
             n = rng.randint(20, 80)
@@ -177,6 +178,7 @@ class TestFeasibilityProbe:
                 candidate = base.with_plan(tid, plan)
                 assert ok == evaluate(g, candidate, D, platform).feasible, (case, tid, plan)
                 assert _schedule(g, out).plans == (candidate if ok else base).plans
+                assert out.windows == _window_state(g, candidate if ok else base, D)
                 return ok
 
             for _ in range(30):
@@ -199,12 +201,20 @@ class TestFeasibilityProbe:
                 hi = platform.f_rel / math.sqrt(2.0)
                 probe(tid, ExecutionPlan(hi, hi))  # speed fault
                 probe(tid, sched.plans[tid])
-                # An infeasible current schedule: past a shorter deadline, or
-                # with one task slowed far past its window.
-                probe(tid, ExecutionPlan(platform.f_max), D=0.9 * D)
+                # A current schedule that may be infeasible: past a shorter
+                # deadline, or with one task slowed far past its window. On
+                # an infeasible one the verdict is evaluate's for the plans
+                # that do not shorten tid: its own, a re-execution at f_re_ex
+                # and a slower single run.
                 slowed = sched.with_plan(rng.choice(ids), ExecutionPlan(0.01))
-                probe(tid, ExecutionPlan(platform.f_max), base=slowed)
+                for D_, base in ((0.9 * D, sched), (D, slowed)):
+                    own = base.plans[tid]
+                    infeasible_bases += not evaluate(g, base, D_, platform).feasible
+                    for plan in (own, ExecutionPlan(f_re_ex, f_re_ex), ExecutionPlan(own.speed1 / 3)):
+                        if exe_time(w, plan) >= exe_time(w, own):
+                            probe(tid, plan, D=D_, base=base)
         assert near[True] > 100 and near[False] > 100
+        assert infeasible_bases > 1000
 
 
 class TestBaselines:
@@ -940,8 +950,9 @@ def _solve_checked(monkeypatch, g, mapping, D, platform):
 
     Up to a kind's closing step, each check asserts that the state's windows
     are the fresh, unchecked ``_window_state`` of the schedule built from it,
-    and that its flag is evaluate's verdict; a slow-down's schedule must also
-    be that of ``slack_reclaim``. After the closing step (type A's
+    that its flag is evaluate's verdict, and that a flag once False stays
+    False; a slow-down's schedule must also be that of ``slack_reclaim``.
+    After the closing step (type A's
     ``_reclaim_redone``, type B's ``_tail``), which leaves the windows and the
     flag behind, the plans built from the state must be those of the same
     step on full reclaims: ``slack_reclaim`` of the re-executed tasks, or
@@ -950,11 +961,15 @@ def _solve_checked(monkeypatch, g, mapping, D, platform):
     ``("slow-down on a feasible state", ...)``.
     """
     seen = collections.Counter()
+    # The kind's flag at its last check; every kind's solve checks its start first.
+    flag = [True]
 
     def check(step, state):
         sched = _schedule(g, state)
         assert state.windows == _window_state(g, sched, D), step
         assert state.feasible == evaluate(g, sched, D, platform).feasible, step
+        assert step == "start" or flag[0] or not state.feasible, step
+        flag[0] = state.feasible
         seen[step, state.feasible] += 1
 
     def checked(step, phase):
@@ -1119,51 +1134,62 @@ class TestWindowHandoff:
 
 
 class TestCheckedWindowBuilds:
-    @pytest.mark.parametrize("p", [1, 4, 50])
-    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
-    def test_one_per_start_speed_plus_cohort_reclaims_without_windows(self, monkeypatch, p):
-        # Windows are built afresh once per start speed; every task is
-        # checked once per start, and once per slow-down of an infeasible
-        # state, and never otherwise.
-        builds, checks, without = [], [], []
-        build, settle = heuristics._window_state, heuristics._settle
-        slow_group = heuristics._slow_group
+    """Windows are built afresh once per start speed; every task is checked once per start, and never on an infeasible state."""
+
+    @staticmethod
+    def _counted(monkeypatch, instances):
+        """BEST on each instance, asserting the rule; counts the infeasible starts and the settles of infeasible states."""
+        builds, full, checked = [], [], []
+        build, settle, task_feasible = heuristics._window_state, heuristics._settle, heuristics.task_feasible
 
         def counted(g, sched, D):
             builds.append(D)
             return build(g, sched, D)
 
-        def counted_settle(g, state, *args):
-            if not state.feasible:
-                checks.append(args[0])
-            return settle(g, state, *args)
+        def counted_check(*args):
+            checked.append(args)
+            return task_feasible(*args)
 
-        def counted_group(g, state, D, *args):
-            if not state.feasible:
-                without.append(D)
-            return slow_group(g, state, D, *args)
+        def counted_settle(g, state, D, platform, changed):
+            was, before = state.feasible, len(checked)
+            settle(g, state, D, platform, changed)
+            assert was or len(checked) == before
+            if len(changed) == len(g):
+                full.append(D)
+            infeasible["settle"] += not was
 
         monkeypatch.setattr(heuristics, "_window_state", counted)
         monkeypatch.setattr(heuristics, "_settle", counted_settle)
-        monkeypatch.setattr(heuristics, "_slow_group", counted_group)
-        solves = 0
-        for lambda0 in (1e-5, 1e-3):
-            platform = make_platform(lambda0=lambda0)
-            for seed in (1, 2, 3):
-                g = generate_random(40, 100, seed=seed)
-                mapping = list_schedule(g, p)
-                for ratio in (1.0, 1.05, 1.2, 2.0, 5.0):
-                    D = ratio * min_deadline(g, mapping, platform)
-                    speeds = derived_speeds(g, mapping, D, platform)
-                    builds.clear()
-                    checks.clear()
-                    without.clear()
-                    run(HeuristicKind.BEST, g, mapping, D, platform, speeds=speeds)
-                    assert len(builds) == len(speeds._starts), (lambda0, seed, ratio)
-                    assert len(checks) <= len(speeds._starts) + len(without), (lambda0, seed, ratio)
-                    assert len(speeds._starts) == (1 if ratio == 1.0 else 2)
-                    solves += 1
-        assert solves == 30
+        monkeypatch.setattr(heuristics, "task_feasible", counted_check)
+        infeasible = collections.Counter()
+        for g, mapping, D, platform in instances:
+            speeds = derived_speeds(g, mapping, D, platform)
+            builds.clear()
+            full.clear()
+            run(HeuristicKind.BEST, g, mapping, D, platform, speeds=speeds)
+            assert len(builds) == len(full) == len(speeds._starts), D
+            assert len(speeds._starts) == (1 if speeds.f_dec >= platform.f_max else 2)
+            infeasible["start"] += not all(start.feasible for start in speeds._starts.values())
+        return infeasible
+
+    @pytest.mark.parametrize("p", [1, 4, 50])
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_one_per_start_speed(self, monkeypatch, p):
+        def instances():
+            for lambda0 in (1e-5, 1e-3):
+                platform = make_platform(lambda0=lambda0)
+                for seed in (1, 2, 3):
+                    g = generate_random(40, 100, seed=seed)
+                    mapping = list_schedule(g, p)
+                    for ratio in (0.9, 1.0, 1.05, 1.2, 2.0, 5.0):
+                        yield g, mapping, ratio * min_deadline(g, mapping, platform), platform
+
+        # Below ratio 1 the one start is infeasible.
+        assert self._counted(monkeypatch, instances())["start"] == 6
+
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_on_large_weights_where_slow_downs_see_an_infeasible_state(self, monkeypatch):
+        assert self._counted(monkeypatch, _large_weight_instances())["settle"] > 0
 
 
 def _walk_probing_every_task(g, state, D, platform, f_re_ex, *, order, with_cohort=False, slowdown_on_fail=False):
