@@ -952,24 +952,25 @@ def _solve_checked(monkeypatch, g, mapping, D, platform):
     are the fresh, unchecked ``_window_state`` of the schedule built from it,
     that its flag is evaluate's verdict, and that a flag once False stays
     False; a slow-down's schedule must also be that of ``slack_reclaim``.
-    After the closing step (type A's
-    ``_reclaim_redone``, type B's ``_tail``), which leaves the windows and the
-    flag behind, the plans built from the state must be those of the same
-    step on full reclaims: ``slack_reclaim`` of the re-executed tasks, or
-    ``_full_tail``. Returns a count per ``(step, flag after it)``, where the
-    flag after a closing step is evaluate's verdict on its plans, and per
-    ``("slow-down on a feasible state", ...)``.
+    After the closing step (type A's ``_reclaim_redone``, type B's
+    ``_tail``), which leaves the windows and the flag behind, the plans built
+    from the state must be those of the same step on full reclaims:
+    ``slack_reclaim`` of the re-executed tasks, or ``_full_tail``. Returns a
+    count per ``(step, flag after it)``, where the flag after a closing step
+    is evaluate's verdict on its plans, and per ``("slow-down on a feasible
+    state", ...)``.
     """
     seen = collections.Counter()
     # The kind's flag at its last check; every kind's solve checks its start first.
-    flag = [True]
+    last = True
 
     def check(step, state):
+        nonlocal last
         sched = _schedule(g, state)
         assert state.windows == _window_state(g, sched, D), step
         assert state.feasible == evaluate(g, sched, D, platform).feasible, step
-        assert step == "start" or flag[0] or not state.feasible, step
-        flag[0] = state.feasible
+        assert step == "start" or last or not state.feasible, step
+        last = state.feasible
         seen[step, state.feasible] += 1
 
     def checked(step, phase):
