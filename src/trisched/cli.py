@@ -24,15 +24,20 @@ from .schedule import format_schedule, list_schedule
 OUTPUT_DIR_ENV = "TRISCHED_OUTPUT_DIR"
 
 
-def _platform_args(p: argparse.ArgumentParser) -> None:
+def _speed_args(p: argparse.ArgumentParser) -> None:
+    """The platform flags ``sweep`` shares; it takes f_rel and lambda0 as lists (``--frels``, ``--lambda0s``)."""
     p.add_argument("--fmax", type=float, default=1.0, help="maximum speed (default 1.0)")
-    p.add_argument("--frel", type=float, default=None,
-                   help="reliability threshold speed (default 2/3 of fmax)")
     p.add_argument("--fmin", type=float, default=1e-6, help="minimum speed (default 1e-6)")
-    p.add_argument("--lambda0", type=float, default=1e-5,
-                   help="fault-rate scale (default 1e-5)")
     p.add_argument("--d", type=float, default=0.0, dest="d_sensitivity",
                    help="fault-rate speed sensitivity exponent (default 0)")
+
+
+def _platform_args(p: argparse.ArgumentParser) -> None:
+    _speed_args(p)
+    p.add_argument("--frel", type=float, default=None,
+                   help="reliability threshold speed (default 2/3 of fmax)")
+    p.add_argument("--lambda0", type=float, default=1e-5,
+                   help="fault-rate scale (default 1e-5)")
 
 
 def _platform(args, procs: int = 1) -> PlatformModel:
@@ -80,7 +85,7 @@ def _apply_config_file(path: str, args: argparse.Namespace) -> None:
                 setattr(args, key, _parse_floats(value))
             elif key in intish:
                 setattr(args, key, int(value))
-            elif key in {"fmax", "fmin", "lambda0", "d"}:
+            elif key in {"fmax", "fmin", "d"}:
                 setattr(args, "d_sensitivity" if key == "d" else key, float(value))
             elif key == "output":
                 args.output = value
@@ -283,8 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline-ratio", type=float, default=2.0)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("sweep", help="run the simulation campaign and write a CSV")
-    _platform_args(p)
+    # No abbreviations: --lambda0 and --frel would pass as --lambda0s and --frels.
+    p = sub.add_parser("sweep", help="run the simulation campaign and write a CSV", allow_abbrev=False)
+    _speed_args(p)
     p.add_argument("--nodes", type=int, default=100)
     p.add_argument("--edges", type=int, default=300)
     p.add_argument("--procs", type=int, default=1)

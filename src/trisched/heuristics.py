@@ -24,16 +24,14 @@ finishes, latest finishes and durations, laid out as
 ``schedule._window_state`` lays them out), a flag that says whether the
 schedule is feasible, and the kind's dead set. Up to the kind's closing step
 (below), the windows are the fresh passes of the current schedule, bit for
-bit, feasible or not, and the flag is evaluate's verdict on it. Each start
-speed's state is built and checked in full once per solve, on its
-``DerivedSpeeds``, and each kind starting there moves its own copy. An
-accepted probe and each task a slow-down slowed move the windows in place,
-recomputing only the descendants' starts and the ancestors' latest finishes
-that the change moves (``schedule._retime``, which keeps them equal, bit for
-bit, to a fresh ``_window_state``). Then only the makespan and the changed
-tasks are checked (``_settle``), as every other task passed already. An
-infeasible state is not checked again, and rejects every probe: the flag is
-one-way (below). A walk's order and cohorts are read from the same windows,
+bit, feasible or not, and the flag is the makespan test, ``max(finish) <= D
++ SLACK_TOL``, which is evaluate's verdict on it (below). Each start speed's
+state is built once per solve, on its ``DerivedSpeeds``, and each kind
+starting there moves its own copy. An accepted probe and each task a
+slow-down slowed move the windows in place, recomputing only the
+descendants' starts and the ancestors' latest finishes that the change moves
+(``schedule._retime``, which keeps them equal, bit for bit, to a fresh
+``_window_state``). A walk's order and cohorts are read from the same windows,
 whose starts, finishes and durations are evaluate's, bit for bit: the
 critical path (``schedule.critical_path_tasks``, latest finishes by
 ``schedule._backward`` from the makespan) and the super-weight order
@@ -50,21 +48,31 @@ sweep, ``schedule._reclaim_sweep``, builds its own windows), and leaves the
 other windows and the flag as they were. A kind without phases ends at its
 start.
 
+Up to the closing step no task breaks its own rules, the speed rules and
+its reliability threshold (``task_feasible``), so a state is infeasible only
+by its makespan, and only the probe checks a task:
+
+- A start runs every task once at f_dec or f_max, and ``run`` keeps that
+  speed in [f_rel, f_max + SLACK_TOL]. So the speed rules hold, and so
+  does the threshold, one run's reliability at f_rel, since the failure
+  probability eps(f) = lambda(f) * w / f falls as f grows.
+- The probe checks tid's own rules at its plan before it moves anything.
+- A slow-down (``_slowed``) lowers a speed, never below its floor. A single
+  run stays at or above f_rel. A re-execution stays at or above f_inf(w),
+  which ``model.f_inf`` bisects to within ROOT_TOL of the root, far inside
+  SLACK_TOL; it only slows from the speed the probe accepted, so it stays
+  below f_rel / sqrt(2).
+
 The flag is one-way: once False, it stays False up to the kind's closing
-step. At a start every task runs once at a speed f in [f_rel, f_max], so it
-keeps the speed rules and, as reliability grows with speed, its threshold,
-the reliability at f_rel: every task passes ``task_feasible``, and a start
-can fail only on its makespan. Within a kind's walks every move makes a
-duration longer: an accepted re-execution turns w/f into 2w/f_re_ex, with
-f_re_ex < f_rel <= f <= f_max, and the slow-downs (``_slowed``,
-``schedule._reclaim_sweep``) only lower speeds. Float addition, subtraction,
-max and min are monotone, so at every position the earliest start only grows
-and the latest finish only shrinks, and the makespan never shrinks: a state
-past D + SLACK_TOL stays past it. A task that breaks a rule is only ever
-slowed, so it keeps breaking it. A walk probes only single runs, each at a
-speed in [f_rel, f_max], so an infeasible state it probes fails on its
-makespan or on another task, and the probe, which lengthens tid, leaves it
-infeasible: evaluate rejects it too.
+step. Within a kind's walks every move makes a duration longer: an accepted
+re-execution turns w/f into 2w/f_re_ex, with f_re_ex < f_rel <= f, and a
+slow-down only lowers a speed. Float addition, subtraction, max and min are
+monotone, so at every position the earliest start only grows and the latest
+finish only shrinks, and the makespan never shrinks: a state past D +
+SLACK_TOL stays past it. So an infeasible state rejects every probe before
+any move, and evaluate rejects each candidate a walk makes, as it only
+lengthens tid; a walk without a slow-down, which then changes nothing,
+returns at once.
 
 A kind's state also holds its dead set: the tasks whose re-execution at
 f_re_ex is ruled out. The start seeds it, once per start speed, from its
@@ -194,8 +202,9 @@ class _State:
 
     ``windows`` is the fresh ``_window_state(g, schedule, D)`` of the
     schedule whose position i runs at ``speeds[i]``, twice when
-    ``redone[i]``; ``feasible`` is evaluate's verdict on it, which once False
-    stays False, and ``dead`` the kind's dead set, by task id. That holds
+    ``redone[i]``; ``feasible`` is its makespan test, ``max(windows[1]) <= D +
+    SLACK_TOL``, which is evaluate's verdict on it and once False stays False,
+    and ``dead`` the kind's dead set, by task id. That holds
     until the kind's closing step, after which only ``speeds`` and ``redone``
     are read. The lists are only ever moved in place.
     """
@@ -212,36 +221,12 @@ class _State:
                       self.feasible, set(self.dead))
 
 
-def _plans(state: _State, positions) -> list[ExecutionPlan]:
-    """The state's plans at ``positions``, in their order; positions of one speed and flag share a plan."""
-    speeds, redone = state.speeds, state.redone
-    keys = [(speeds[i], redone[i]) for i in positions]
-    made = {(f, x): ExecutionPlan(f, f) if x else ExecutionPlan(f) for f, x in set(keys)}
-    return [made[key] for key in keys]
-
-
 def _schedule(g: TaskGraph, state: _State) -> Schedule:
-    """The state's schedule, plans in ``g.tasks`` order."""
+    """The state's schedule, plans in ``g.tasks`` order; positions of one speed and flag share a plan."""
     pos = _indexed(g, state.mapping)[1]
-    plans = _plans(state, range(len(pos)))
-    return Schedule(state.mapping, {t.id: plans[pos[t.id]] for t in g.tasks})
-
-
-def _settle(g: TaskGraph, state: _State, D: float, platform: PlatformModel, changed) -> None:
-    """Set the flag of ``state``, whose windows are fresh, after the positions of ``changed`` moved.
-
-    Evaluate's verdict with its float operations: the makespan against D +
-    SLACK_TOL and ``task_feasible`` of the changed tasks, as every other task
-    kept the plan that passed. An infeasible state stays infeasible (module
-    docstring), so it is left as it is. ``_start`` settles every position.
-    """
-    if not state.feasible:
-        return
-    order, _, _, _, _, weights = _indexed(g, state.mapping)
-    threshold = _thresholds(g, platform)
-    state.feasible = max(state.windows[1], default=0.0) <= D + SLACK_TOL and all(
-        task_feasible(weights[i], plan, threshold[order[i]], platform)
-        for i, plan in zip(changed, _plans(state, changed)))
+    keys = list(zip(state.speeds, state.redone))
+    made = {(f, x): ExecutionPlan(f, f) if x else ExecutionPlan(f) for f, x in set(keys)}
+    return Schedule(state.mapping, {t.id: made[keys[pos[t.id]]] for t in g.tasks})
 
 
 def min_deadline(g: TaskGraph, mapping: Mapping, platform: PlatformModel) -> float:
@@ -270,17 +255,17 @@ def feasibility_probe(
     ``state`` is a kind's solve state (``_State``); ``plan`` runs both copies
     at one speed when it re-executes. On a feasible state the verdict is that
     of ``evaluate`` on the state's schedule with tid at ``plan``, for any
-    plan. An infeasible state is rejected before any move. That is
-    evaluate's verdict for any plan that does not shorten tid, when the state
-    fails on its makespan or on a task other than tid: every probe a walk
-    makes is such (module docstring).
+    plan. An infeasible state is rejected before any move. A walk's state
+    fails only on its makespan (module docstring), so that is evaluate's
+    verdict for any plan that does not shorten tid, as no probe a walk makes
+    does.
 
     On a feasible state only tid's constraints can break: it must keep its
-    reliability threshold and the speed rules, and finish in its window, ``est +
-    exe_time <= lft + SLACK_TOL``, with est and lft its earliest start and
-    latest finish in the state's windows. Every path through the task is no
-    longer than D + SLACK_TOL exactly when that holds, and every other path is
-    unchanged.
+    reliability threshold and the speed rules (``task_feasible``, checked
+    first), and finish in its window, ``est + exe_time <= lft + SLACK_TOL``,
+    with est and lft its earliest start and latest finish in the state's
+    windows. Every path through the task is no longer than D + SLACK_TOL
+    exactly when that holds, and every other path is unchanged.
 
     In floats, each addition or subtraction errs by at most eps/2 of its
     result. A finish past 2 * max(D, 1) is rejected by both checks (no
@@ -289,40 +274,35 @@ def feasibility_probe(
     from exact arithmetic by at most (2n + 2) * eps * M: n roundings of
     forward sums under 3M, n - 1 of backward differences under M, and lft +
     SLACK_TOL, the margin and D + SLACK_TOL (under M, 3M and M). So a margin
-    below minus 4n * eps * M rejects, and one above it is decided by
-    ``task_feasible``. A margin within it, where the verdicts could differ,
-    is settled by evaluate's own test on the candidate: the state moves to
-    it, as on accept, and ``_settle`` decides from its fresh windows
-    (evaluate's forward pass, bit for bit), checking the makespan and
-    ``task_feasible`` of tid. A rejected candidate is moved back by a second
-    ``schedule._retime``, which restores the windows bit for bit.
+    below minus 4n * eps * M rejects, and one above it accepts. A margin
+    within it, where the verdicts could differ, is settled by evaluate's own
+    makespan test on the candidate: the windows move to it by
+    ``schedule._retime``, as on accept, and their finishes are evaluate's
+    forward pass, bit for bit. A rejected candidate's windows are moved back
+    by a second ``_retime`` to tid's old duration, which restores them bit
+    for bit.
 
-    On accept, the state moves to the candidate in place: tid's speed and
-    flag, and its windows by ``schedule._retime``. A rejected probe leaves it
-    as it was.
+    On accept, the state moves to the candidate in place: its windows, then
+    tid's speed and flag. A rejected probe leaves it as it was.
     """
     if not state.feasible:
         return False, state
     _, pos, _, _, _, weights = _indexed(g, state.mapping)
     est, _, lft, dur = windows = state.windows
-    speeds, redone = state.speeds, state.redone
     r = pos[tid]
     w = weights[r]
     d = exe_time(w, plan)
     margin = lft[r] + SLACK_TOL - (est[r] + d)
     band = _band(len(est), D)
-    if margin < -band or margin > band and not task_feasible(w, plan, _thresholds(g, platform)[tid], platform):
+    if margin < -band or not task_feasible(w, plan, _thresholds(g, platform)[tid], platform):
         return False, state
-    before = speeds[r], redone[r], dur[r]
+    before_dur = dur[r]
     _retime(g, state.mapping, windows, r, d)
-    speeds[r], redone[r] = plan.speed1, plan.re_executed
-    if not margin > band:  # within the band: evaluate's own test
-        _settle(g, state, D, platform, (r,))
-        if not state.feasible:
-            speeds[r], redone[r], d = before
-            _retime(g, state.mapping, windows, r, d)
-            state.feasible = True
-            return False, state
+    # Within the band, evaluate's own makespan test on the candidate.
+    if not margin > band and not max(windows[1]) <= D + SLACK_TOL:
+        _retime(g, state.mapping, windows, r, before_dur)
+        return False, state
+    state.speeds[r], state.redone[r] = plan.speed1, plan.re_executed
     return True, state
 
 
@@ -377,10 +357,13 @@ def _reexec_over(g, state, D, platform, f_re_ex, *, order, with_cohort=False, sl
 
     A dead task counts as rejected without a probe (``_reexec_live``).
     Without ``slowdown_on_fail`` a rejection changes nothing, so the order
-    may leave out the dead tasks (``skip``). The order and every cohort are
-    read from the state's windows, whose starts, finishes and durations are
-    evaluate's.
+    may leave out the dead tasks (``skip``), and on an infeasible state,
+    where every probe rejects, the walk returns at once. The order and every
+    cohort are read from the state's windows, whose starts, finishes and
+    durations are evaluate's.
     """
+    if not (state.feasible or slowdown_on_fail):
+        return
     reexec = ExecutionPlan(f_re_ex, f_re_ex)
     mapping, windows, redone = state.mapping, state.windows, state.redone
     pos = _indexed(g, mapping)[1]
@@ -409,12 +392,14 @@ def _slow_group(g, state, D, platform, group):
     (``slack_reclaim``): a retime moves only the starts of the target's
     descendants, which sit higher and were decided before, and keeps every
     latest finish equal to the sweep's, which builds them from the current
-    durations. Then ``_settle`` checks the makespan and the slowed targets.
+    durations. A slow-down keeps every target's own rules (module
+    docstring), so when it slowed a target of a feasible state, the flag
+    becomes the makespan test.
     """
     order, pos, _, _, _, weights = _indexed(g, state.mapping)
     est, _, lft, _ = windows = state.windows
     speeds, redone = state.speeds, state.redone
-    slowed = []
+    slowed = False
     # A lone target, the common case, skips the sort.
     for r in sorted((pos[cid] for cid in group), reverse=True) if len(group) > 1 else (pos[group[0]],):
         w, x = weights[r], redone[r]
@@ -423,9 +408,9 @@ def _slow_group(g, state, D, platform, group):
             speeds[r] = f
             d = w / f  # exe_time's expression, for one run or two at f
             _retime(g, state.mapping, windows, r, d + d if x else d)
-            slowed.append(r)
-    if slowed:
-        _settle(g, state, D, platform, slowed)
+            slowed = True
+    if slowed and state.feasible:
+        state.feasible = max(windows[1]) <= D + SLACK_TOL
 
 
 def _reexec_critical_fixpoint(g, state, D, platform, f_re_ex):
@@ -549,9 +534,10 @@ def _start(g, mapping, D, platform, speeds, f):
     solve's), so it lives as long as the solve's ``speeds``. Every call
     returns its own copy, which the kind's phases move in place.
 
-    The flag is ``_settle``'s of every position, a solve's one full check.
-    The dead set holds the tasks whose margin at f_re_ex is below minus the
-    band (``feasibility_probe``); a walk adds the other rejected ones.
+    The flag is the makespan test: every task runs once at f, which keeps
+    its own rules (module docstring). The dead set holds the tasks whose
+    margin at f_re_ex is below minus the band (``feasibility_probe``); a walk
+    adds the other rejected ones.
     """
     key = (g, mapping, D, platform, f)
     start = speeds._starts.get(key)
@@ -562,11 +548,10 @@ def _start(g, mapping, D, platform, speeds, f):
         order, _, _, _, _, weights = _indexed(g, mapping)
         reexec = ExecutionPlan(speeds.f_re_ex, speeds.f_re_ex)
         band = _band(n, D)
-        start = _State(mapping, windows, [f] * n, [False] * n, True, {
+        start = _State(mapping, windows, [f] * n, [False] * n, max(windows[1], default=0.0) <= D + SLACK_TOL, {
             tid for tid, w, s, lf in zip(order, weights, est, lft)
             if lf + SLACK_TOL - (s + exe_time(w, reexec)) < -band
         })
-        _settle(g, start, D, platform, range(n))
         speeds._starts[key] = start
     return start.copy()
 

@@ -324,6 +324,30 @@ class TestCli:
         with pytest.raises(ValueError, match="bogus"):
             cli.main(["sweep", "--config", str(cfg)])
 
+    @pytest.mark.parametrize("flag", ["--lambda0", "--frel"])
+    def test_sweep_rejects_the_single_platform_flags(self, tmp_path, capsys, flag):
+        # A sweep takes lambda0 and f_rel as lists; one value is --lambda0s or --frels.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--nodes", "8", "--edges", "10", "--runs", "1", "--ratios", "1.5",
+                      flag, "1e-2", "--output", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_sweep_config_rejects_lambda0(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("nodes=8\nlambda0=1e-2\n")
+        with pytest.raises(ValueError, match="'lambda0'"):
+            cli.main(["sweep", "--config", str(cfg)])
+
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_sweep_writes_the_lambda0s_it_is_given(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--nodes", "10", "--edges", "15", "--runs", "1", "--ratios", "1.5",
+                         "--lambda0s", "1e-2", "--output", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and {row["lambda0"] for row in rows} == {"0.01"}
+
     def test_bad_flags_exit_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["solve", "--no-such-flag"])

@@ -37,6 +37,7 @@ from trisched.model import SLACK_TOL, ExecutionPlan, ModelValidityWarning, Task,
 from trisched.schedule import (
     Schedule,
     _indexed,
+    _thresholds,
     _window_state,
     cohort_of,
     critical_path_tasks,
@@ -46,6 +47,7 @@ from trisched.schedule import (
     slack_reclaim,
     sus_sort,
     swap_reclaims,
+    task_feasible,
     uniform_schedule,
 )
 
@@ -950,8 +952,10 @@ def _solve_checked(monkeypatch, g, mapping, D, platform):
 
     Up to a kind's closing step, each check asserts that the state's windows
     are the fresh, unchecked ``_window_state`` of the schedule built from it,
-    that its flag is evaluate's verdict, and that a flag once False stays
-    False; a slow-down's schedule must also be that of ``slack_reclaim``.
+    that every task passes ``task_feasible``, so that the state can be
+    infeasible only by its makespan, that its flag is evaluate's verdict, and
+    that a flag once False stays False; a slow-down's schedule must also be
+    that of ``slack_reclaim``.
     After the closing step (type A's ``_reclaim_redone``, type B's
     ``_tail``), which leaves the windows and the flag behind, the plans built
     from the state must be those of the same step on full reclaims:
@@ -964,10 +968,14 @@ def _solve_checked(monkeypatch, g, mapping, D, platform):
     # The kind's flag at its last check; every kind's solve checks its start first.
     last = True
 
+    threshold = _thresholds(g, platform)
+
     def check(step, state):
         nonlocal last
         sched = _schedule(g, state)
         assert state.windows == _window_state(g, sched, D), step
+        assert all(task_feasible(g.weight(tid), plan, threshold[tid], platform)
+                   for tid, plan in sched.plans.items()), step
         assert state.feasible == evaluate(g, sched, D, platform).feasible, step
         assert step == "start" or last or not state.feasible, step
         last = state.feasible
@@ -1061,6 +1069,50 @@ class TestStateInvariant:
         assert seen["probe", False] > 0 and seen["b.sus-crit-slow", False] > 0
         assert seen["tail", False] > 0 and seen["probe", True] > 0
 
+    @pytest.mark.parametrize("p", [1, 4, 50])
+    @pytest.mark.parametrize("platform", [make_platform(f_max=4, f_rel=2, d=0.7), make_platform(d=2.0, lambda0=1e-3),
+                                          make_platform(lambda0=1e-2)], ids=["d0.7", "d2", "lambda1e-2"])
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_at_positive_d_and_large_lambda0(self, monkeypatch, platform, p):
+        seen = collections.Counter()
+        for seed in (1, 2):
+            g = generate_random(30, 60, seed=seed)
+            mapping = list_schedule(g, p)
+            for ratio in (1.05, 1.2, 2.0, 5.0):
+                seen += _solve_checked(monkeypatch, g, mapping, ratio * min_deadline(g, mapping, platform), platform)
+        assert seen["probe", True] > 0 and seen["slow-down", True] > 0, seen
+
+    @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+    def test_walks_without_a_slow_down_probe_no_infeasible_state(self, monkeypatch):
+        walking, starts = [], collections.Counter()
+        probe = heuristics.feasibility_probe
+
+        def walk(phase):
+            def wrapper(g, state, *args, **kwargs):
+                starts[state.feasible] += 1
+                walking.append(True)
+                try:
+                    return phase(g, state, *args, **kwargs)
+                finally:
+                    walking.pop()
+            return wrapper
+
+        def checked_probe(g, state, *args):
+            assert not walking or state.feasible
+            return probe(g, state, *args)
+
+        plain = (heuristics._greedy_walk, heuristics._critical_walk)
+        phases = {kind: (at_f_dec, tuple(walk(phase) if phase in plain else phase for phase in steps))
+                  for kind, (at_f_dec, steps) in _PHASES.items()}
+        monkeypatch.setattr(heuristics, "_PHASES", phases)
+        # The fixpoint's own walks, called through the module.
+        monkeypatch.setattr(heuristics, "_critical_walk", walk(heuristics._critical_walk))
+        monkeypatch.setattr(heuristics, "_reexec_over", walk(heuristics._reexec_over))
+        monkeypatch.setattr(heuristics, "feasibility_probe", checked_probe)
+        for g, mapping, D, platform in _large_weight_instances():
+            run(HeuristicKind.BEST, g, mapping, D, platform)
+        assert starts[False] > 0 and starts[True] > 0, starts
+
 
 class TestWindowHandoff:
     """Phases before the closing step hand their state on: its windows fresh, its flag evaluate's verdict."""
@@ -1135,42 +1187,48 @@ class TestWindowHandoff:
 
 
 class TestCheckedWindowBuilds:
-    """Windows are built afresh once per start speed; every task is checked once per start, and never on an infeasible state."""
+    """Windows are built afresh once per start speed, and a task's own rules are checked only inside a probe."""
 
     @staticmethod
     def _counted(monkeypatch, instances):
-        """BEST on each instance, asserting the rule; counts the infeasible starts and the settles of infeasible states."""
-        builds, full, checked = [], [], []
-        build, settle, task_feasible = heuristics._window_state, heuristics._settle, heuristics.task_feasible
+        """BEST on each instance, asserting the rule; counts the infeasible starts and the slow-downs of infeasible states."""
+        builds, probing = [], []
+        build, probe, slow_group = heuristics._window_state, heuristics.feasibility_probe, heuristics._slow_group
+        task_feasible = heuristics.task_feasible
+        infeasible = collections.Counter()
 
         def counted(g, sched, D):
             builds.append(D)
             return build(g, sched, D)
 
+        def counted_probe(*args):
+            probing.append(True)
+            try:
+                return probe(*args)
+            finally:
+                probing.pop()
+
         def counted_check(*args):
-            checked.append(args)
+            assert probing
+            infeasible["checks"] += 1
             return task_feasible(*args)
 
-        def counted_settle(g, state, D, platform, changed):
-            was, before = state.feasible, len(checked)
-            settle(g, state, D, platform, changed)
-            assert was or len(checked) == before
-            if len(changed) == len(g):
-                full.append(D)
-            infeasible["settle"] += not was
+        def counted_slow_group(g, state, *args):
+            infeasible["slow-down"] += not state.feasible
+            return slow_group(g, state, *args)
 
         monkeypatch.setattr(heuristics, "_window_state", counted)
-        monkeypatch.setattr(heuristics, "_settle", counted_settle)
+        monkeypatch.setattr(heuristics, "feasibility_probe", counted_probe)
         monkeypatch.setattr(heuristics, "task_feasible", counted_check)
-        infeasible = collections.Counter()
+        monkeypatch.setattr(heuristics, "_slow_group", counted_slow_group)
         for g, mapping, D, platform in instances:
             speeds = derived_speeds(g, mapping, D, platform)
             builds.clear()
-            full.clear()
             run(HeuristicKind.BEST, g, mapping, D, platform, speeds=speeds)
-            assert len(builds) == len(full) == len(speeds._starts), D
+            assert len(builds) == len(speeds._starts), D
             assert len(speeds._starts) == (1 if speeds.f_dec >= platform.f_max else 2)
             infeasible["start"] += not all(start.feasible for start in speeds._starts.values())
+        assert infeasible["checks"] > 0
         return infeasible
 
     @pytest.mark.parametrize("p", [1, 4, 50])
@@ -1190,7 +1248,7 @@ class TestCheckedWindowBuilds:
 
     @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
     def test_on_large_weights_where_slow_downs_see_an_infeasible_state(self, monkeypatch):
-        assert self._counted(monkeypatch, _large_weight_instances())["settle"] > 0
+        assert self._counted(monkeypatch, _large_weight_instances())["slow-down"] > 0
 
 
 def _walk_probing_every_task(g, state, D, platform, f_re_ex, *, order, with_cohort=False, slowdown_on_fail=False):
