@@ -219,7 +219,8 @@ def main(argv=None) -> int:
         from digest_grid import tree_digest
 
         report["digest"] = {side: tree_digest(checkouts[side] / "src") for side in SIDES}
-        print("digest " + " ".join(f"{side}={d}" for side, d in report["digest"].items()), file=sys.stderr, flush=True)
+        print("digest " + " ".join(f"{side}={d['total']}" for side, d in report["digest"].items()),
+              file=sys.stderr, flush=True)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.traced:
         report["traced"] = {}

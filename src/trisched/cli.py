@@ -70,27 +70,20 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-def _apply_config_file(path: str, args: argparse.Namespace) -> None:
-    """key=value lines overriding sweep defaults."""
-    listish = {"ratios", "frels", "lambda0s"}
-    intish = {"nodes", "edges", "procs", "runs", "seed"}
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """A sweep config file's ``key=value`` lines as ``--key=value`` flags; blank lines and ``#`` comments are skipped."""
+    flags = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in listish:
-                setattr(args, key, _parse_floats(value))
-            elif key in intish:
-                setattr(args, key, int(value))
-            elif key in {"fmax", "fmin", "d"}:
-                setattr(args, "d_sensitivity" if key == "d" else key, float(value))
-            elif key == "output":
-                args.output = value
-            else:
-                raise ValueError(f"unknown config key {key!r} in {path}")
+            key = key.strip()
+            if key == "config":
+                parser.error(f"config key 'config' in {path}: a config file cannot name another")
+            flags.append(f"--{key}={value.strip()}")
+    return flags
 
 
 def cmd_gen(args) -> int:
@@ -112,12 +105,11 @@ def cmd_solve(args) -> int:
     mapping = list_schedule(g, args.procs)
     dmin = min_deadline(g, mapping, platform)
     D = args.deadline if args.deadline is not None else args.deadline_ratio * dmin
-    print(f"tasks={len(g)} edges={len(g.edges)} procs={args.procs} "
-          f"Dmin={dmin:.6g} D={D:.6g}")
-    header = f"{'heuristic':<18}{'energy':>14}{'norm':>10}{'makespan':>14}{'feasible':>10}"
-    print(header)
     no_reex = run(HeuristicKind.HNO_REEX, g, mapping, D, platform)
     base = no_reex[1]
+    print(f"tasks={len(g)} edges={len(g.edges)} procs={args.procs} "
+          f"Dmin={dmin:.6g} D={D:.6g}")
+    print(f"{'heuristic':<18}{'energy':>14}{'norm':>10}{'makespan':>14}{'feasible':>10}")
     for kind in (*ALL_HEURISTICS, HeuristicKind.BEST):
         sched, metrics = (no_reex if kind is HeuristicKind.HNO_REEX
                           else run(kind, g, mapping, D, platform))
@@ -143,12 +135,8 @@ def cmd_fork(args) -> int:
     w0 = args.source_weight if args.source_weight is not None else (
         args.weight if not args.leaf_weights else leaf_w[0]
     )
-    try:
-        leaves = [Task(i + 1, w) for i, w in enumerate(leaf_w)]
-        sol = fork_mod.fork_optimal(w0, leaves, args.deadline, platform)
-    except ValueError as exc:
-        print(f"fork failed: {exc}", file=sys.stderr)
-        return 1
+    leaves = [Task(i + 1, w) for i, w in enumerate(leaf_w)]
+    sol = fork_mod.fork_optimal(w0, leaves, args.deadline, platform)
     if not sol.feasible:
         print("infeasible: deadline too tight for the fork", file=sys.stderr)
         return 1
@@ -178,12 +166,7 @@ def cmd_vdd_convert(args) -> int:
     if not metrics.feasible:
         print("infeasible continuous schedule", file=sys.stderr)
         return 1
-    modes = _parse_floats(args.modes)
-    try:
-        result = vdd.vdd_schedule_convert(g, sched, modes, D, platform)
-    except (vdd.VddInfeasibleError, ValueError) as exc:
-        print(f"conversion failed: {exc}", file=sys.stderr)
-        return 1
+    result = vdd.vdd_schedule_convert(g, sched, _parse_floats(args.modes), D, platform)
     print(f"continuous_energy={result.continuous_energy!r}")
     print(f"discrete_energy={result.energy!r}")
     print(f"overhead={result.energy_overhead:.6%}")
@@ -212,8 +195,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.config:
-        _apply_config_file(args.config, args)
     output = args.output
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
     if out_dir and not os.path.isabs(output):
@@ -300,15 +281,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frels", type=_parse_floats, default=None)
     p.add_argument("--lambda0s", type=_parse_floats, default=(1e-5,))
     p.add_argument("--output", default="sweep.csv")
-    p.add_argument("--config", help="key=value config file overriding flags")
+    p.add_argument("--config", help="config file of key=value lines, each a flag without its --, overriding flags")
     p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input it rejects is one ``<command> failed: ...`` line on stderr and exit 1."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        if getattr(args, "config", None):
+            # The file's lines come last, so they override the command line's flags.
+            args = parser.parse_args([*argv, *_config_flags(parser, args.config)])
+        return args.func(args)
+    except (ValueError, OSError, vdd.VddInfeasibleError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -117,7 +117,7 @@ def test_digest_records_both_sides_src(tmp_path, monkeypatch):
 
     def fake_digest(src):
         digested.append(src)
-        return f"digest of {src.parent.name}"
+        return {"total": f"digest of {src.parent.name}"}
 
     # The grid is not run: scripts/digest_grid.py's tree_digest is replaced.
     monkeypatch.setitem(sys.modules, "digest_grid", types.SimpleNamespace(tree_digest=fake_digest))
@@ -130,7 +130,7 @@ def test_digest_records_both_sides_src(tmp_path, monkeypatch):
     assert bench_pairs.main(argv + ["--digest"]) == 0
     assert digested == [parent.resolve() / "src", change.resolve() / "src"]
     report = json.loads(out.read_text())
-    assert report["digest"] == {"parent": "digest of parent", "change": "digest of change"}
+    assert report["digest"] == {"parent": {"total": "digest of parent"}, "change": {"total": "digest of change"}}
     assert report["workloads"]["dag-loose"]["metrics"]["solves_per_s"]["pairs"] == 1
 
 

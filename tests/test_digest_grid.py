@@ -1,9 +1,11 @@
-"""The run digest of scripts/digest_grid.py sees a one-ulp change and a tie-break (the grid itself is not run)."""
+"""The run digest of scripts/digest_grid.py sees a one-ulp change, and its grid reaches ties, infeasible kinds and reliability rejections (the grid itself is not run)."""
 
 import hashlib
 import importlib.util
 import math
 from pathlib import Path
+
+import pytest
 
 from trisched.graph import generate_random
 from trisched import heuristics
@@ -67,3 +69,22 @@ def test_a_large_weight_instance_has_an_infeasible_kind():
     _, g, mapping, D, platform = next(inst for inst in digest_grid.grid_instances() if inst[0] == label)
     infeasible = [kind for kind in heuristics.ALL_HEURISTICS if not run(kind, g, mapping, D, platform)[1].feasible]
     assert infeasible == [HeuristicKind.B_GREEDY, HeuristicKind.B_SUS_CRIT]
+
+
+@pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
+def test_a_model_instance_has_a_probe_rejected_on_reliability(monkeypatch):
+    # At lambda0 = 2e-2, f_inf of a heavy task is above f_re_ex, so its
+    # re-execution probe fails the task's own rules: the grid then sees the
+    # probe's reliability rejection.
+    label = ("model", 30, 60, 1, 1, digest_grid.MODELS[2], 2.0)
+    _, g, mapping, D, platform = next(inst for inst in digest_grid.grid_instances() if inst[0] == label)
+    verdicts = []
+    task_feasible = heuristics.task_feasible
+
+    def spy(*args):
+        verdicts.append(task_feasible(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(heuristics, "task_feasible", spy)
+    run(HeuristicKind.BEST, g, mapping, D, platform)
+    assert False in verdicts

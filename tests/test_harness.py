@@ -318,11 +318,25 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert rows[0] == CSV_HEADER and len(rows) > 1
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_config_value_overrides_the_same_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("ratios = 2\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep", "--nodes", "8", "--edges", "10", "--runs", "1", "--ratios", "1.5",
+                         "--config", str(cfg), "--output", str(out)]) == 0
+        with open(out, newline="") as fh:
+            assert {row["ratio"] for row in csv.DictReader(fh)} == {"2.0"}
+
+    @pytest.mark.parametrize("line,key", [("bogus=1", "--bogus"), ("nodes=8\nlambda0=1e-2", "--lambda0"),
+                                          ("config=other.cfg", "'config'")])
+    def test_bad_config_key_exits_with_usage(self, tmp_path, capsys, line, key):
+        # A config line is a sweep flag without its --; the single --lambda0 is not one.
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus=1\n")
-        with pytest.raises(ValueError, match="bogus"):
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--lambda0", "--frel"])
     def test_sweep_rejects_the_single_platform_flags(self, tmp_path, capsys, flag):
@@ -333,12 +347,6 @@ class TestCli:
         assert exc.value.code == 2
         assert not (tmp_path / "out.csv").exists()
 
-    def test_sweep_config_rejects_lambda0(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nodes=8\nlambda0=1e-2\n")
-        with pytest.raises(ValueError, match="'lambda0'"):
-            cli.main(["sweep", "--config", str(cfg)])
-
     @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
     def test_sweep_writes_the_lambda0s_it_is_given(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -347,6 +355,21 @@ class TestCli:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and {row["lambda0"] for row in rows} == {"0.01"}
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--n", "13"],
+        ["oracle", "--chain-weights", "1,0,2"],
+        ["gen", "--nodes", "10", "--edges", "100"],
+        ["solve", "--nodes", "5", "--edges", "4", "--deadline", "-1"],
+        ["sweep", "--nodes", "8", "--edges", "10", "--runs", "1", "--ratios", "0.5"],
+        ["solve", "--dag", "no-such.dag"],
+    ])
+    def test_rejected_input_is_one_line_on_stderr(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith(f"{argv[0]} failed: ") and captured.err.count("\n") == 1
 
     def test_bad_flags_exit_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

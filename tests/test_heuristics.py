@@ -961,8 +961,9 @@ def _solve_checked(monkeypatch, g, mapping, D, platform):
     from the state must be those of the same step on full reclaims:
     ``slack_reclaim`` of the re-executed tasks, or ``_full_tail``. Returns a
     count per ``(step, flag after it)``, where the flag after a closing step
-    is evaluate's verdict on its plans, and per ``("slow-down on a feasible
-    state", ...)``.
+    is evaluate's verdict on its plans, per ``("slow-down on a feasible
+    state", ...)`` and per ``("task_feasible", verdict)`` of the probes' own
+    checks of a task's rules.
     """
     seen = collections.Counter()
     # The kind's flag at its last check; every kind's solve checks its start first.
@@ -1014,6 +1015,11 @@ def _solve_checked(monkeypatch, g, mapping, D, platform):
         check("start", state)
         return state
 
+    def probed_rules(*args):
+        verdict = task_feasible(*args)
+        seen["task_feasible", verdict] += 1
+        return verdict
+
     slow_group_, start_ = heuristics._slow_group, heuristics._start
     phases = {}
     for kind, (at_f_dec, steps) in _PHASES.items():
@@ -1028,6 +1034,7 @@ def _solve_checked(monkeypatch, g, mapping, D, platform):
         m.setattr(heuristics, "_critical_walk", checked("fixpoint", heuristics._critical_walk))
         m.setattr(heuristics, "_reexec_over", checked("fixpoint", heuristics._reexec_over))
         m.setattr(heuristics, "feasibility_probe", checked("probe", heuristics.feasibility_probe))
+        m.setattr(heuristics, "task_feasible", probed_rules)
         m.setattr(heuristics, "_tail", closing("tail", heuristics._tail,
                                                lambda before, speeds: _full_tail(g, before, D, platform, speeds.f_re_ex)))
         m.setattr(heuristics, "_start", checked_start)
@@ -1071,7 +1078,7 @@ class TestStateInvariant:
 
     @pytest.mark.parametrize("p", [1, 4, 50])
     @pytest.mark.parametrize("platform", [make_platform(f_max=4, f_rel=2, d=0.7), make_platform(d=2.0, lambda0=1e-3),
-                                          make_platform(lambda0=1e-2)], ids=["d0.7", "d2", "lambda1e-2"])
+                                          make_platform(lambda0=2e-2)], ids=["d0.7", "d2", "lambda2e-2"])
     @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
     def test_at_positive_d_and_large_lambda0(self, monkeypatch, platform, p):
         seen = collections.Counter()
@@ -1081,6 +1088,8 @@ class TestStateInvariant:
             for ratio in (1.05, 1.2, 2.0, 5.0):
                 seen += _solve_checked(monkeypatch, g, mapping, ratio * min_deadline(g, mapping, platform), platform)
         assert seen["probe", True] > 0 and seen["slow-down", True] > 0, seen
+        # At lambda0 = 2e-2 f_inf of a heavy task is above f_re_ex, so some probes reject on its own rules.
+        assert seen["task_feasible", False] > 0 or platform.lambda0 < 2e-2, seen
 
     @pytest.mark.filterwarnings("ignore::trisched.model.ModelValidityWarning")
     def test_walks_without_a_slow_down_probe_no_infeasible_state(self, monkeypatch):
